@@ -17,6 +17,18 @@ if [ -n "$bad" ]; then
     exit 1
 fi
 
+# Lint: one inference path. Every forward pass in src/core runs
+# through BatchingExecutor's execute step (batched, or a batch of
+# one for unbatched serving), so no other file may call forward().
+bad=$(grep -rnE '(Network::|->|\.)forward\(' src/core/ \
+    | grep -v '^src/core/batcher\.cc:' || true)
+if [ -n "$bad" ]; then
+    echo "lint: forward() called outside src/core/batcher.cc;" \
+         "route inference through BatchingExecutor:" >&2
+    echo "$bad" >&2
+    exit 1
+fi
+
 # Lint: the simulators guarantee bit-identical replays from a
 # seed, so wall-clock time and unseeded randomness are banned in
 # src/sim and src/cluster (common/rng's seeded generators and the
@@ -122,6 +134,46 @@ if ! ./build/tools/djinn_cli --frames 1 127.0.0.1 19163 top \
 fi
 kill "$djinnd_pid" 2>/dev/null || true
 wait "$djinnd_pid" 2>/dev/null || true
+trap - EXIT
+
+# Unbatched smoke: a default-config daemon serves each request as
+# a batch of one on its worker thread. Inference must succeed, and
+# `metrics requests` (rendered from the flight recorder) must list
+# the served requests under its header; `tail` must answer.
+./build/tools/djinnd --port 19167 --models mnist &
+plain_pid=$!
+trap 'kill "$plain_pid" 2>/dev/null || true' EXIT
+tries=0
+until ./build/tools/djinn_cli --timeout-ms 2000 127.0.0.1 19167 \
+    ping > /dev/null 2>&1; do
+    tries=$((tries + 1))
+    if [ "$tries" -ge 50 ]; then
+        echo "check_build: unbatched djinnd did not come up" >&2
+        exit 1
+    fi
+    sleep 0.2
+done
+for _ in 1 2 3 4; do
+    if ! ./build/tools/djinn_cli 127.0.0.1 19167 infer mnist 2 \
+        > /dev/null; then
+        echo "check_build: unbatched inference FAILED" >&2
+        exit 1
+    fi
+done
+requests=$(./build/tools/djinn_cli 127.0.0.1 19167 metrics requests)
+if ! printf '%s\n' "$requests" | head -n 1 | grep -q '^trace_id' \
+    || ! printf '%s\n' "$requests" | grep -q ' mnist '; then
+    echo "check_build: unbatched metrics requests lacks rows:" >&2
+    printf '%s\n' "$requests" >&2
+    exit 1
+fi
+if ! ./build/tools/djinn_cli 127.0.0.1 19167 tail \
+    | grep -q "tail attribution"; then
+    echo "check_build: unbatched djinn_cli tail smoke FAILED" >&2
+    exit 1
+fi
+kill "$plain_pid" 2>/dev/null || true
+wait "$plain_pid" 2>/dev/null || true
 trap - EXIT
 
 # Adaptive scheduler smoke (DESIGN.md §16): boot a daemon with two

@@ -14,6 +14,15 @@
 namespace djinn {
 namespace core {
 
+namespace {
+
+/** Batch sizes and queue depths are small integers: 2x buckets
+ * from 1 to 64k. */
+const telemetry::HistogramOptions batchSizeOptions{1.0, 2.0, 16,
+                                                   false};
+
+} // namespace
+
 BatchingExecutor::BatchingExecutor(const ModelRegistry &registry,
                                    const BatchOptions &options,
                                    telemetry::MetricRegistry *metrics)
@@ -46,84 +55,104 @@ BatchingExecutor::~BatchingExecutor()
 }
 
 BatchingExecutor::ModelQueue *
-BatchingExecutor::queueFor(const std::string &model, Status &error)
+BatchingExecutor::queueFor(const std::string &model, int64_t rows,
+                           const std::vector<float> &data,
+                           Status &error)
 {
     std::lock_guard<std::mutex> lock(mapMutex_);
     if (stopping_) {
         error = Status::unavailable("executor shutting down");
         return nullptr;
     }
+    ModelQueue *raw = nullptr;
     auto it = queues_.find(model);
-    if (it != queues_.end())
-        return it->second.get();
+    if (it != queues_.end()) {
+        raw = it->second.get();
+    } else {
+        auto network = registry_.find(model);
+        if (!network) {
+            error = Status::notFound("unknown model '" + model + "'");
+            return nullptr;
+        }
+        auto queue = std::make_unique<ModelQueue>();
+        queue->name = model;
+        queue->network = std::move(network);
+        auto pending_target = pendingTargets_.find(model);
+        queue->target.store(pending_target != pendingTargets_.end()
+                                ? pending_target->second
+                                : options_.maxQueries,
+                            std::memory_order_relaxed);
+        if (metrics_) {
+            using telemetry::Phase;
+            const telemetry::LabelMap model_label{{"model", model}};
+            queue->forwardHist = &metrics_->histogram(
+                telemetry::phaseMetricName,
+                {{"model", model},
+                 {"phase", telemetry::phaseName(Phase::Forward)}});
+            queue->batchRowsHist = &metrics_->histogram(
+                "djinn_batch_rows", model_label, batchSizeOptions);
+            queue->occupancyGauge = &metrics_->gauge(
+                "djinn_batch_occupancy", model_label);
+            queue->batchesCounter = &metrics_->counter(
+                "djinn_batches_total", model_label);
+            const telemetry::LabelMap forward_label{
+                {"model", model},
+                {"phase", telemetry::phaseName(Phase::Forward)}};
+            queue->forwardCyclesHist = &metrics_->histogram(
+                telemetry::phaseCyclesMetricName, forward_label);
+            queue->forwardInstructionsHist = &metrics_->histogram(
+                telemetry::phaseInstructionsMetricName, forward_label);
+            queue->forwardIpcHist = &metrics_->histogram(
+                telemetry::phaseIpcMetricName, forward_label);
+            queue->forwardCacheMissHist = &metrics_->histogram(
+                telemetry::phaseCacheMissMetricName, forward_label);
+            queue->shedDeadlineCounter = &metrics_->counter(
+                "djinn_shed_total",
+                {{"model", model}, {"reason", "deadline"}});
+        }
+        raw = queue.get();
+        queues_.emplace(model, std::move(queue));
+    }
 
-    auto network = registry_.find(model);
-    if (!network) {
-        error = Status::notFound("unknown model '" + model + "'");
+    int64_t sample_elems = raw->network->inputShape().sampleElems();
+    if (rows <= 0 ||
+        static_cast<int64_t>(data.size()) != rows * sample_elems) {
+        error = Status::invalidArgument(strprintf(
+            "model '%s' expects %lld floats per row, got %zu "
+            "floats for %lld rows", model.c_str(),
+            static_cast<long long>(sample_elems), data.size(),
+            static_cast<long long>(rows)));
         return nullptr;
     }
-    auto queue = std::make_unique<ModelQueue>();
-    queue->name = model;
-    queue->network = std::move(network);
-    auto pending_target = pendingTargets_.find(model);
-    queue->target.store(pending_target != pendingTargets_.end()
-                            ? pending_target->second
-                            : options_.maxQueries,
-                        std::memory_order_relaxed);
+    return raw;
+}
+
+void
+BatchingExecutor::startDispatcherLocked(ModelQueue *queue)
+{
     if (metrics_) {
         using telemetry::Phase;
+        const std::string &model = queue->name;
         const telemetry::LabelMap model_label{{"model", model}};
         queue->queueWaitHist = &metrics_->histogram(
             telemetry::phaseMetricName,
             {{"model", model},
              {"phase", telemetry::phaseName(Phase::QueueWait)}});
-        queue->forwardHist = &metrics_->histogram(
-            telemetry::phaseMetricName,
-            {{"model", model},
-             {"phase", telemetry::phaseName(Phase::Forward)}});
-        // Batch sizes are small integers; linear-ish buckets from 1
-        // to 64k rows at 2x resolution.
-        telemetry::HistogramOptions rows_opts;
-        rows_opts.firstBound = 1.0;
-        rows_opts.growth = 2.0;
-        rows_opts.bucketCount = 16;
-        queue->batchRowsHist = &metrics_->histogram(
-            "djinn_batch_rows", model_label, rows_opts);
         // Admit-time queue depth, sampled per request at enqueue:
         // the background-sampler gauge aliases bursts shorter than
         // its interval; this histogram does not.
         queue->admitDepthHist = &metrics_->histogram(
-            "djinn_admit_queue_depth", model_label, rows_opts);
+            "djinn_admit_queue_depth", model_label,
+            batchSizeOptions);
         queue->depthGauge = &metrics_->gauge(
             "djinn_batch_queue_depth", model_label);
-        queue->occupancyGauge = &metrics_->gauge(
-            "djinn_batch_occupancy", model_label);
-        queue->batchesCounter = &metrics_->counter(
-            "djinn_batches_total", model_label);
-        const telemetry::LabelMap forward_label{
-            {"model", model},
-            {"phase", telemetry::phaseName(Phase::Forward)}};
-        queue->forwardCyclesHist = &metrics_->histogram(
-            telemetry::phaseCyclesMetricName, forward_label);
-        queue->forwardInstructionsHist = &metrics_->histogram(
-            telemetry::phaseInstructionsMetricName, forward_label);
-        queue->forwardIpcHist = &metrics_->histogram(
-            telemetry::phaseIpcMetricName, forward_label);
-        queue->forwardCacheMissHist = &metrics_->histogram(
-            telemetry::phaseCacheMissMetricName, forward_label);
         queue->shedQueueFullCounter = &metrics_->counter(
             "djinn_shed_total",
             {{"model", model}, {"reason", "queue_full"}});
-        queue->shedDeadlineCounter = &metrics_->counter(
-            "djinn_shed_total",
-            {{"model", model}, {"reason", "deadline"}});
     }
-    ModelQueue *raw = queue.get();
-    raw->dispatcher = std::thread([this, raw]() {
-        dispatchLoop(raw);
+    queue->dispatcher = std::thread([this, queue]() {
+        dispatchLoop(queue);
     });
-    queues_.emplace(model, std::move(queue));
-    return raw;
 }
 
 std::future<InferenceResult>
@@ -144,27 +173,21 @@ BatchingExecutor::submit(const std::string &model, int64_t rows,
     std::future<InferenceResult> future = promise.get_future();
 
     Status error = Status::ok();
-    ModelQueue *queue = queueFor(model, error);
+    ModelQueue *queue = queueFor(model, rows, data, error);
     if (!queue) {
         promise.set_value({error, {}});
         return future;
     }
 
-    int64_t sample_elems = queue->network->inputShape().sampleElems();
-    if (rows <= 0 ||
-        static_cast<int64_t>(data.size()) != rows * sample_elems) {
-        promise.set_value(
-            {Status::invalidArgument(strprintf(
-                 "model '%s' expects %lld floats per row, got %zu "
-                 "floats for %lld rows", model.c_str(),
-                 static_cast<long long>(sample_elems), data.size(),
-                 static_cast<long long>(rows))),
-             {}});
-        return future;
-    }
-
     {
         std::lock_guard<std::mutex> lock(queue->mutex);
+        if (queue->stopping) {
+            promise.set_value(
+                {Status::unavailable("executor shutting down"), {}});
+            return future;
+        }
+        if (!queue->dispatcher.joinable())
+            startDispatcherLocked(queue);
         // Admission control: reject at enqueue instead of queueing
         // without bound. The caller sees Overloaded and may retry
         // after backoff; the query was never executed. The cap is
@@ -206,6 +229,32 @@ BatchingExecutor::submit(const std::string &model, int64_t rows,
     return future;
 }
 
+InferenceResult
+BatchingExecutor::run(const std::string &model, int64_t rows,
+                      std::vector<float> data,
+                      const telemetry::TraceContext &trace,
+                      uint64_t parent_span, Deadline deadline)
+{
+    Status error = Status::ok();
+    ModelQueue *queue = queueFor(model, rows, data, error);
+    if (!queue)
+        return {error, {}};
+
+    std::vector<Pending> batch(1);
+    Pending &query = batch[0];
+    query.rows = rows;
+    query.data = std::move(data);
+    query.trace = trace;
+    query.parentSpan = parent_span;
+    query.deadline = deadline;
+    std::future<InferenceResult> result = query.promise.get_future();
+
+    // The spans land on the caller's own track (the connection
+    // worker's, in the server), next to its request span.
+    execute(*queue, batch, 1, common::currentThreadName());
+    return result.get();
+}
+
 void
 BatchingExecutor::dispatchLoop(ModelQueue *queue)
 {
@@ -215,6 +264,7 @@ BatchingExecutor::dispatchLoop(ModelQueue *queue)
     const auto max_delay = std::chrono::duration_cast<
         Clock::duration>(std::chrono::duration<double>(
         options_.maxDelay));
+    const std::string track = "batch-" + queue->network->name();
 
     while (true) {
         std::vector<Pending> batch;
@@ -272,90 +322,93 @@ BatchingExecutor::dispatchLoop(ModelQueue *queue)
         if (batch.empty())
             continue;
 
-        // Deadline enforcement at dequeue: shed expired queries
-        // BEFORE the forward pass. Spending a batch slot on an
-        // answer nobody is waiting for wastes compute exactly when
-        // the service is most behind.
-        {
-            auto now = std::chrono::steady_clock::now();
-            size_t kept = 0;
-            for (size_t i = 0; i < batch.size(); ++i) {
-                if (batch[i].deadline <= now) {
-                    shedDeadline_.fetch_add(
-                        1, std::memory_order_relaxed);
-                    if (queue->shedDeadlineCounter)
-                        queue->shedDeadlineCounter->inc();
-                    batch[i].promise.set_value(
-                        {Status::deadlineExceeded(
-                             "deadline expired before forward "
-                             "pass"),
-                         {}});
-                    continue;
-                }
-                if (kept != i)
-                    batch[kept] = std::move(batch[i]);
-                ++kept;
-            }
-            batch.resize(kept);
+        // Queue wait ends here, at dispatch, for every query taken
+        // (including any execute() then sheds for its deadline).
+        auto dispatch_time = Clock::now();
+        int64_t dispatch_us = tracer_ ? telemetry::traceNowUs() : 0;
+        for (Pending &p : batch) {
+            p.queueWaitSeconds = std::chrono::duration<double>(
+                dispatch_time - p.enqueued).count();
+            if (queue->queueWaitHist)
+                queue->queueWaitHist->record(p.queueWaitSeconds);
+            if (!tracer_ || !p.trace.valid() || !p.trace.sampled())
+                continue;
+            telemetry::TraceEvent e;
+            e.name = "queue_wait";
+            e.category = "batch";
+            e.track = track;
+            e.traceId = p.trace.traceId;
+            e.spanId = tracer_->nextSpanId();
+            e.parentSpanId = p.parentSpan;
+            e.startUs = p.enqueuedUs;
+            e.durationUs = dispatch_us - p.enqueuedUs;
+            e.args.emplace_back(
+                "rows", strprintf("%lld",
+                                  static_cast<long long>(p.rows)));
+            tracer_->record(std::move(e));
         }
-        if (batch.empty())
-            continue;
+        execute(*queue, batch, target, track);
+    }
+}
 
-        auto dispatch_time = std::chrono::steady_clock::now();
-        if (queue->queueWaitHist) {
-            for (const auto &p : batch) {
-                queue->queueWaitHist->record(
-                    std::chrono::duration<double>(
-                        dispatch_time - p.enqueued).count());
+void
+BatchingExecutor::execute(ModelQueue &queue,
+                          std::vector<Pending> &batch,
+                          int64_t target, const std::string &track)
+{
+    // Deadline enforcement: shed expired queries BEFORE the forward
+    // pass. Spending a batch slot on an answer nobody is waiting
+    // for wastes compute exactly when the service is most behind.
+    {
+        auto now = std::chrono::steady_clock::now();
+        size_t kept = 0;
+        for (size_t i = 0; i < batch.size(); ++i) {
+            if (batch[i].deadline <= now) {
+                shedDeadline_.fetch_add(1, std::memory_order_relaxed);
+                if (queue.shedDeadlineCounter)
+                    queue.shedDeadlineCounter->inc();
+                batch[i].promise.set_value(
+                    {Status::deadlineExceeded(
+                         "deadline expired before forward pass"),
+                     {}});
+                continue;
             }
+            if (kept != i)
+                batch[kept] = std::move(batch[i]);
+            ++kept;
         }
+        batch.resize(kept);
+    }
+    if (batch.empty())
+        return;
 
-        const nn::Network &net = *queue->network;
-        int64_t total_rows = 0;
-        for (const auto &p : batch)
-            total_rows += p.rows;
+    auto start_time = std::chrono::steady_clock::now();
+    const nn::Network &net = *queue.network;
+    int64_t total_rows = 0;
+    for (const auto &p : batch)
+        total_rows += p.rows;
 
-        // Trace when any query in the batch carries a sampled
-        // context; the batch spans link back to every such trace.
-        telemetry::Tracer *tracer = tracer_;
-        const Pending *primary = nullptr;
-        std::string trace_ids;
-        if (tracer) {
-            for (const auto &p : batch) {
-                if (!p.trace.valid() || !p.trace.sampled())
-                    continue;
-                if (!primary)
-                    primary = &p;
-                if (!trace_ids.empty())
-                    trace_ids += ",";
-                trace_ids += telemetry::traceIdToHex(
-                    p.trace.traceId);
-            }
+    // Trace when any query in the batch carries a sampled
+    // context; the batch spans link back to every such trace.
+    const Pending *primary = nullptr;
+    std::string trace_ids;
+    if (tracer_) {
+        for (const auto &p : batch) {
+            if (!p.trace.valid() || !p.trace.sampled())
+                continue;
+            if (!primary)
+                primary = &p;
+            if (!trace_ids.empty())
+                trace_ids += ",";
+            trace_ids += telemetry::traceIdToHex(p.trace.traceId);
         }
-        const std::string track = "batch-" + net.name();
-        int64_t dispatch_us = 0;
-        if (primary) {
-            dispatch_us = telemetry::traceNowUs();
-            for (const auto &p : batch) {
-                if (!p.trace.valid() || !p.trace.sampled())
-                    continue;
-                telemetry::TraceEvent e;
-                e.name = "queue_wait";
-                e.category = "batch";
-                e.track = track;
-                e.traceId = p.trace.traceId;
-                e.spanId = tracer->nextSpanId();
-                e.parentSpanId = p.parentSpan;
-                e.startUs = p.enqueuedUs;
-                e.durationUs = dispatch_us - p.enqueuedUs;
-                e.args.emplace_back(
-                    "rows", strprintf("%lld",
-                                      static_cast<long long>(
-                                          p.rows)));
-                tracer->record(std::move(e));
-            }
-        }
+    }
 
+    CountingProfileSink profile;
+    int64_t fwd_start_us = primary ? telemetry::traceNowUs() : 0;
+    nn::Tensor output;
+    telemetry::CounterDelta forward_delta;
+    try {
         // Stack all queries into one combined input matrix.
         nn::Tensor input(net.inputShape().withBatch(total_rows));
         int64_t row = 0;
@@ -364,148 +417,131 @@ BatchingExecutor::dispatchLoop(ModelQueue *queue)
                         p.data.size() * sizeof(float));
             row += p.rows;
         }
-
-        CountingProfileSink profile;
-        int64_t fwd_start_us =
-            primary ? telemetry::traceNowUs() : 0;
         telemetry::CounterScope forward_scope;
-        nn::Tensor output =
-            net.forward(input, primary ? &profile : nullptr);
-        const telemetry::CounterDelta &forward_delta =
-            forward_scope.stop();
-        int64_t out_elems = net.outputShape().sampleElems();
+        output = net.forward(input, primary ? &profile : nullptr);
+        forward_delta = forward_scope.stop();
+    } catch (const FatalError &e) {
+        for (Pending &p : batch)
+            p.promise.set_value({Status::internal(e.what()), {}});
+        return;
+    }
+    int64_t out_elems = net.outputShape().sampleElems();
 
-        if (primary) {
-            int64_t fwd_end_us = telemetry::traceNowUs();
-            uint64_t fwd_span = tracer->nextSpanId();
-            telemetry::TraceEvent fwd;
-            fwd.name = "forward";
-            fwd.category = "batch";
-            fwd.track = track;
-            fwd.traceId = primary->trace.traceId;
-            fwd.spanId = fwd_span;
-            fwd.parentSpanId = primary->parentSpan;
-            fwd.startUs = fwd_start_us;
-            fwd.durationUs = fwd_end_us - fwd_start_us;
-            fwd.args.emplace_back(
-                "batch_rows",
-                strprintf("%lld",
-                          static_cast<long long>(total_rows)));
-            fwd.args.emplace_back(
-                "queries",
-                strprintf("%zu", batch.size()));
-            fwd.args.emplace_back("trace_ids", trace_ids);
-            tracer->record(std::move(fwd));
+    if (primary) {
+        int64_t fwd_end_us = telemetry::traceNowUs();
+        uint64_t fwd_span = tracer_->nextSpanId();
+        telemetry::TraceEvent fwd;
+        fwd.name = "forward";
+        fwd.category = "batch";
+        fwd.track = track;
+        fwd.traceId = primary->trace.traceId;
+        fwd.spanId = fwd_span;
+        fwd.parentSpanId = primary->parentSpan;
+        fwd.startUs = fwd_start_us;
+        fwd.durationUs = fwd_end_us - fwd_start_us;
+        fwd.args.emplace_back(
+            "batch_rows",
+            strprintf("%lld", static_cast<long long>(total_rows)));
+        fwd.args.emplace_back("queries",
+                              strprintf("%zu", batch.size()));
+        fwd.args.emplace_back("trace_ids", trace_ids);
+        tracer_->record(std::move(fwd));
 
-            // Lay the per-layer spans out sequentially under the
-            // forward span using their measured durations.
-            int64_t layer_start = fwd_start_us;
-            for (size_t i = 0; i < profile.profiles().size(); ++i) {
-                const nn::LayerProfile &lp = profile.profiles()[i];
-                telemetry::TraceEvent e;
-                e.name = lp.name;
-                e.category = "layer";
-                e.track = track;
-                e.traceId = primary->trace.traceId;
-                e.spanId = tracer->nextSpanId();
-                e.parentSpanId = fwd_span;
-                e.startUs = layer_start;
-                e.durationUs = static_cast<int64_t>(
-                    lp.seconds * 1e6);
+        // Lay the per-layer spans out sequentially under the
+        // forward span using their measured durations.
+        int64_t layer_start = fwd_start_us;
+        for (size_t i = 0; i < profile.profiles().size(); ++i) {
+            const nn::LayerProfile &lp = profile.profiles()[i];
+            telemetry::TraceEvent e;
+            e.name = lp.name;
+            e.category = "layer";
+            e.track = track;
+            e.traceId = primary->trace.traceId;
+            e.spanId = tracer_->nextSpanId();
+            e.parentSpanId = fwd_span;
+            e.startUs = layer_start;
+            e.durationUs = static_cast<int64_t>(lp.seconds * 1e6);
+            e.args.emplace_back("kind", nn::layerKindName(lp.kind));
+            e.args.emplace_back(
+                "flops",
+                strprintf("%llu",
+                          static_cast<unsigned long long>(lp.flops)));
+            e.args.emplace_back(
+                "activation_bytes",
+                strprintf("%llu", static_cast<unsigned long long>(
+                                      lp.activationBytes)));
+            if (i < profile.deltas().size() &&
+                profile.deltas()[i].hardware) {
+                const telemetry::CounterDelta &d =
+                    profile.deltas()[i];
                 e.args.emplace_back(
-                    "kind", nn::layerKindName(lp.kind));
+                    "cycles",
+                    strprintf("%llu", static_cast<unsigned long long>(
+                                          d.cycles)));
                 e.args.emplace_back(
-                    "flops",
-                    strprintf("%llu",
-                              static_cast<unsigned long long>(
-                                  lp.flops)));
-                e.args.emplace_back(
-                    "activation_bytes",
-                    strprintf("%llu",
-                              static_cast<unsigned long long>(
-                                  lp.activationBytes)));
-                if (i < profile.deltas().size() &&
-                    profile.deltas()[i].hardware) {
-                    const telemetry::CounterDelta &d =
-                        profile.deltas()[i];
-                    e.args.emplace_back(
-                        "cycles",
-                        strprintf("%llu",
-                                  static_cast<unsigned long long>(
-                                      d.cycles)));
-                    e.args.emplace_back(
-                        "instructions",
-                        strprintf("%llu",
-                                  static_cast<unsigned long long>(
-                                      d.instructions)));
-                    e.args.emplace_back(
-                        "ipc", strprintf("%.3f", d.ipc()));
-                }
-                layer_start += e.durationUs;
-                tracer->record(std::move(e));
+                    "instructions",
+                    strprintf("%llu", static_cast<unsigned long long>(
+                                          d.instructions)));
+                e.args.emplace_back("ipc",
+                                    strprintf("%.3f", d.ipc()));
             }
+            layer_start += e.durationUs;
+            tracer_->record(std::move(e));
         }
+    }
 
-        double forward_seconds = std::chrono::duration<double>(
-            std::chrono::steady_clock::now() - dispatch_time)
-                .count();
-        if (queue->forwardHist) {
-            queue->forwardHist->record(forward_seconds);
-            queue->batchRowsHist->record(
-                static_cast<double>(total_rows));
-            queue->batchesCounter->inc();
-            // Occupancy against the *live* dispatch target: with
-            // an adaptive scheduler the static maxQueries would
-            // read misleadingly low after a shrink (and > 1.0
-            // after a grow past a stale denominator).
-            queue->occupancyGauge->set(
-                static_cast<double>(batch.size()) /
-                static_cast<double>(std::max<int64_t>(target, 1)));
-            queue->forwardCyclesHist->record(
-                static_cast<double>(forward_delta.work()));
-            if (forward_delta.hardware) {
-                queue->forwardInstructionsHist->record(
-                    static_cast<double>(forward_delta.instructions));
-                queue->forwardIpcHist->record(forward_delta.ipc());
-                queue->forwardCacheMissHist->record(
-                    static_cast<double>(forward_delta.cacheMisses));
-            }
+    double forward_seconds = std::chrono::duration<double>(
+        std::chrono::steady_clock::now() - start_time).count();
+    if (queue.forwardHist) {
+        queue.forwardHist->record(forward_seconds);
+        queue.batchRowsHist->record(static_cast<double>(total_rows));
+        queue.batchesCounter->inc();
+        // Occupancy against the *live* dispatch target: with an
+        // adaptive scheduler the static maxQueries would read
+        // misleadingly low after a shrink (and > 1.0 after a grow
+        // past a stale denominator).
+        queue.occupancyGauge->set(
+            static_cast<double>(batch.size()) /
+            static_cast<double>(std::max<int64_t>(target, 1)));
+        queue.forwardCyclesHist->record(
+            static_cast<double>(forward_delta.work()));
+        if (forward_delta.hardware) {
+            queue.forwardInstructionsHist->record(
+                static_cast<double>(forward_delta.instructions));
+            queue.forwardIpcHist->record(forward_delta.ipc());
+            queue.forwardCacheMissHist->record(
+                static_cast<double>(forward_delta.cacheMisses));
         }
+    }
 
-        if (observer_) {
-            observer_(queue->name,
-                      static_cast<int64_t>(batch.size()),
-                      forward_seconds);
-        }
+    if (observer_) {
+        observer_(queue.name, static_cast<int64_t>(batch.size()),
+                  forward_seconds);
+    }
 
-        // Count before fulfilling the promises: a caller must never
-        // observe a resolved future with stale counters.
-        batches_.fetch_add(1, std::memory_order_relaxed);
-        queries_.fetch_add(batch.size(), std::memory_order_relaxed);
+    // Count before fulfilling the promises: a caller must never
+    // observe a resolved future with stale counters.
+    batches_.fetch_add(1, std::memory_order_relaxed);
+    queries_.fetch_add(batch.size(), std::memory_order_relaxed);
 
-        // Scatter results back to their queries, each annotated
-        // with its own view of the batch (position, queue wait,
-        // admit depth) for the flight recorder.
-        row = 0;
-        for (size_t i = 0; i < batch.size(); ++i) {
-            Pending &p = batch[i];
-            std::vector<float> slice(
-                output.sample(row),
-                output.sample(row) + p.rows * out_elems);
-            row += p.rows;
-            InferenceResult result{Status::ok(), std::move(slice),
-                                   total_rows};
-            result.batchQueries =
-                static_cast<int64_t>(batch.size());
-            result.batchPosition = static_cast<int64_t>(i);
-            result.admitQueueDepth = p.admitDepth;
-            result.queueWaitSeconds =
-                std::chrono::duration<double>(dispatch_time -
-                                              p.enqueued)
-                    .count();
-            result.forwardSeconds = forward_seconds;
-            p.promise.set_value(std::move(result));
-        }
+    // Scatter results back to their queries, each annotated with
+    // its own view of the batch (position, queue wait, admit
+    // depth) for the flight recorder.
+    int64_t row = 0;
+    for (size_t i = 0; i < batch.size(); ++i) {
+        Pending &p = batch[i];
+        std::vector<float> slice(
+            output.sample(row),
+            output.sample(row) + p.rows * out_elems);
+        row += p.rows;
+        InferenceResult result{Status::ok(), std::move(slice),
+                               total_rows};
+        result.batchQueries = static_cast<int64_t>(batch.size());
+        result.batchPosition = static_cast<int64_t>(i);
+        result.admitQueueDepth = p.admitDepth;
+        result.queueWaitSeconds = p.queueWaitSeconds;
+        result.forwardSeconds = forward_seconds;
+        p.promise.set_value(std::move(result));
     }
 }
 

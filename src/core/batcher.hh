@@ -99,7 +99,8 @@ struct InferenceResult {
      * sampler interval still show in tail attribution). */
     int64_t admitQueueDepth = 0;
 
-    /** Seconds this query waited between enqueue and dispatch. */
+    /** Seconds this query waited between enqueue and dispatch
+     * (0 for run(), which never queues). */
     double queueWaitSeconds = 0.0;
 
     /** Seconds of the combined forward pass that served it. */
@@ -108,8 +109,10 @@ struct InferenceResult {
 
 /**
  * Batches inference requests per model and executes combined
- * forward passes on dispatcher threads (one per model, created
- * lazily). Thread-safe.
+ * forward passes on dispatcher threads (one per model, started by
+ * the model's first submit()). run() executes a batch of one on the
+ * calling thread through the same execute step, so batched and
+ * unbatched serving share one forward path. Thread-safe.
  */
 class BatchingExecutor
 {
@@ -176,6 +179,19 @@ class BatchingExecutor
         Deadline deadline = noDeadline());
 
     /**
+     * Run one query as a batch of one on the calling thread: the
+     * dispatcher's execute step without the queue, the wait for
+     * peers, the dispatch gate, or a dispatcher thread. Validation
+     * and deadline shedding match submit(). Traced spans land on
+     * the calling thread's track under @p parent_span.
+     */
+    InferenceResult run(
+        const std::string &model, int64_t rows,
+        std::vector<float> data,
+        const telemetry::TraceContext &trace = {},
+        uint64_t parent_span = 0, Deadline deadline = noDeadline());
+
+    /**
      * Attach a span destination. Call before serving traffic; the
      * tracer must outlive the executor.
      */
@@ -198,8 +214,8 @@ class BatchingExecutor
      * Called after every combined forward pass with the model, the
      * number of queries served, and the pass's service seconds —
      * the scheduler's service-time calibration and dispatch-charge
-     * hook. Runs on the dispatcher thread; call before serving
-     * traffic.
+     * hook. Runs on the thread that executed the pass (the
+     * dispatcher, or run()'s caller); call before serving traffic.
      */
     using BatchObserver = std::function<void(
         const std::string &, int64_t, double)>;
@@ -279,6 +295,10 @@ class BatchingExecutor
 
         /** Queue depth seen at enqueue, before this query joined. */
         int64_t admitDepth = 0;
+
+        /** Enqueue-to-dispatch seconds, set when the batch is
+         * assembled; 0 for run(). */
+        double queueWaitSeconds = 0.0;
     };
 
     struct ModelQueue {
@@ -293,6 +313,9 @@ class BatchingExecutor
          * stays per-instance. */
         std::string name;
         std::shared_ptr<const nn::Network> network;
+
+        /** Started by the first submit() under the queue mutex;
+         * run() never starts it. */
         std::thread dispatcher;
         bool stopping = false;
 
@@ -324,9 +347,31 @@ class BatchingExecutor
         telemetry::Counter *shedDeadlineCounter = nullptr;
     };
 
+    /** Assemble: wait for peers, pass the gate, take a batch,
+     * record its queue wait; then execute() it. */
     void dispatchLoop(ModelQueue *queue);
-    ModelQueue *queueFor(const std::string &model,
+
+    /**
+     * Execute: shed expired deadlines, stack the inputs, run one
+     * forward pass, emit its spans and per-pass metrics, call the
+     * observer, and resolve every query's promise. @p target is
+     * the dispatch target occupancy is reported against; @p track
+     * the trace track the spans land on.
+     */
+    void execute(ModelQueue &queue, std::vector<Pending> &batch,
+                 int64_t target, const std::string &track);
+
+    /** The model's state (created on first use, without a
+     * dispatcher), or null with @p error set when the model is
+     * unknown, the executor is stopping, or the payload does not
+     * hold @p rows samples. */
+    ModelQueue *queueFor(const std::string &model, int64_t rows,
+                         const std::vector<float> &data,
                          Status &error);
+
+    /** Resolve the queue-only instruments and start @p queue's
+     * dispatcher; caller holds the queue mutex. */
+    void startDispatcherLocked(ModelQueue *queue);
 
     const ModelRegistry &registry_;
     BatchOptions options_;

@@ -196,7 +196,7 @@ class DjinnClient
     Result<std::string> traceJson();
 
     /**
-     * Fetch the server's recent request summaries
+     * Fetch the server's served requests from its flight recorder
      * (trace_id,model,rows,batch_rows,service_ms CSV).
      */
     Result<std::string> requestsCsv();

@@ -8,7 +8,6 @@
 
 #include <cerrno>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <optional>
 
@@ -17,8 +16,6 @@
 #include "common/thread_pool.hh"
 #include "core/fault.hh"
 #include "core/http_endpoint.hh"
-#include "core/perf_sink.hh"
-#include "nn/profile.hh"
 #include "telemetry/attribution.hh"
 #include "telemetry/build_info.hh"
 #include "telemetry/dashboard.hh"
@@ -40,7 +37,6 @@ const char *const connectionsTotalName = "djinn_connections_total";
 const char *const acceptErrorsName = "djinn_accept_errors";
 const char *const protocolErrorsName = "djinn_protocol_errors";
 const char *const ioTimeoutsName = "djinn_io_timeouts_total";
-const char *const shedTotalName = "djinn_shed_total";
 
 /** Wire-status label for the error counter. */
 const char *
@@ -87,6 +83,45 @@ acceptErrnoTransient(int err)
            err == EWOULDBLOCK || err == EPROTO;
 }
 
+const char *const badWindowMessage =
+    "bad window (want 0 < window <= 86400 seconds)";
+
+/** Parse a time-window argument of the Metrics verb ("top:W",
+ * "series:M:W") within the HTTP window bounds; false when it is
+ * malformed or out of range. */
+bool
+parseWindow(const std::string &arg, double &seconds)
+{
+    double parsed = 0.0;
+    if (!parseDouble(arg, parsed) || !(parsed > 0.0) ||
+        parsed > 86400.0)
+        return false;
+    seconds = parsed;
+    return true;
+}
+
+/**
+ * Wire status for a failed InferenceResult. Admission and deadline
+ * sheds keep their own statuses so clients can tell "retry after
+ * backoff" (Overloaded — never executed) from a genuine failure.
+ */
+WireStatus
+wireStatusOf(StatusCode code)
+{
+    switch (code) {
+      case StatusCode::NotFound:
+        return WireStatus::UnknownModel;
+      case StatusCode::InvalidArgument:
+        return WireStatus::BadRequest;
+      case StatusCode::Overloaded:
+        return WireStatus::Overloaded;
+      case StatusCode::DeadlineExceeded:
+        return WireStatus::DeadlineExceeded;
+      default:
+        return WireStatus::ServerError;
+    }
+}
+
 /** Flight-record outcome for a finished inference response. */
 telemetry::FlightOutcome
 flightOutcomeOf(WireStatus status)
@@ -110,15 +145,12 @@ DjinnServer::DjinnServer(const ModelRegistry &registry,
     : registry_(registry), config_(config),
       tracer_(config.traceCapacity),
       flightRecorder_(config.flightCapacity, config.flightReservoir,
-                      &metrics_)
+                      &metrics_),
+      batcher_(registry, config.batchOptions, &metrics_)
 {
-    if (config_.batching) {
-        batcher_ = std::make_unique<BatchingExecutor>(
-            registry_, config_.batchOptions, &metrics_);
-        if (config_.tracing)
-            batcher_->setTracer(&tracer_);
-    }
-    if (config_.adaptiveScheduling && batcher_) {
+    if (config_.tracing)
+        batcher_.setTracer(&tracer_);
+    if (config_.adaptiveScheduling && config_.batching) {
         serve::SchedulerOptions sched_opts =
             config_.schedulerOptions;
         sched_opts.maxBatch = config_.batchOptions.maxQueries;
@@ -137,7 +169,7 @@ DjinnServer::DjinnServer(const ModelRegistry &registry,
         // Calibrate service time and charge the tenant's deficit
         // per dispatched batch; gate dispatches on fair share only
         // when tenants are actually configured.
-        batcher_->setBatchObserver(
+        batcher_.setBatchObserver(
             [sched](const std::string &model, int64_t queries,
                     double seconds) {
                 sched->observeBatch(model, queries, seconds);
@@ -147,7 +179,7 @@ DjinnServer::DjinnServer(const ModelRegistry &registry,
         // it only arms when the sampler will actually run.
         if (!config_.tenantWeights.empty() && config_.tracing &&
             config_.samplerPeriod > 0.0) {
-            batcher_->setDispatchGate(
+            batcher_.setDispatchGate(
                 [sched](const std::string &model) {
                     return sched->allowDispatch(model);
                 });
@@ -318,14 +350,14 @@ DjinnServer::start()
                 common::ThreadPool &pool = common::computePool();
                 metrics_.gauge("djinn_compute_pool_busy")
                     .set(static_cast<double>(pool.activeWorkers()));
-                if (batcher_) {
+                if (config_.batching) {
                     metrics_.gauge("djinn_batch_queue_depth_total")
                         .set(static_cast<double>(
-                            batcher_->queueDepthTotal()));
+                            batcher_.queueDepthTotal()));
                 }
                 if (slo_)
                     slo_->updateBurnRates();
-                if (scheduler_ && batcher_) {
+                if (scheduler_) {
                     // One control-loop step: feed the scheduler
                     // the latest backlog and burn signals, advance
                     // its EWMAs and deficits, then push the new
@@ -333,7 +365,7 @@ DjinnServer::start()
                     for (const auto &model :
                          registry_.modelNames()) {
                         scheduler_->setBacklog(
-                            model, batcher_->queueDepth(model));
+                            model, batcher_.queueDepth(model));
                         if (slo_) {
                             scheduler_->observeBurnRate(
                                 model, slo_->burnRate(model));
@@ -343,7 +375,7 @@ DjinnServer::start()
                                      1e-6);
                     for (const auto &model :
                          registry_.modelNames()) {
-                        batcher_->setBatchTarget(
+                        batcher_.setBatchTarget(
                             model,
                             scheduler_->batchTarget(model));
                     }
@@ -633,6 +665,19 @@ DjinnServer::serveConnection(int fd)
         // Wire-propagated trace context: sampled inference requests
         // get a server-side span tree on this worker's track.
         std::optional<WireSpan> wire_span;
+        auto server_span = [&](std::string name, int64_t start_us,
+                               int64_t end_us) {
+            telemetry::TraceEvent e;
+            e.name = std::move(name);
+            e.category = "server";
+            e.track = wire_span->track;
+            e.traceId = wire_span->trace.traceId;
+            e.spanId = tracer_.nextSpanId();
+            e.parentSpanId = wire_span->serverSpan;
+            e.startUs = start_us;
+            e.durationUs = end_us - start_us;
+            return e;
+        };
         if (config_.tracing && trace &&
             request.value().trace.valid() &&
             request.value().trace.sampled()) {
@@ -640,18 +685,10 @@ DjinnServer::serveConnection(int fd)
             wire_span->trace = request.value().trace;
             wire_span->serverSpan = tracer_.nextSpanId();
             wire_span->track = strprintf("worker-%d", fd);
-
-            telemetry::TraceEvent e;
-            e.name = "decode";
-            e.category = "server";
-            e.track = wire_span->track;
-            e.traceId = wire_span->trace.traceId;
-            e.spanId = tracer_.nextSpanId();
-            e.parentSpanId = wire_span->serverSpan;
-            e.startUs = request_us;
-            e.durationUs =
-                static_cast<int64_t>(decode_seconds * 1e6);
-            tracer_.record(std::move(e));
+            tracer_.record(server_span(
+                "decode", request_us,
+                request_us +
+                    static_cast<int64_t>(decode_seconds * 1e6)));
         }
 
         Response response;
@@ -684,21 +721,18 @@ DjinnServer::serveConnection(int fd)
                 .inc();
         }
 
-        std::vector<uint8_t> wire;
         int64_t encode_us = wire_span ? telemetry::traceNowUs() : 0;
         auto encode_start = Clock::now();
-        if (trace) {
-            auto span = trace->span(telemetry::Phase::Encode);
-            telemetry::CounterScope encode_scope;
-            wire = encodeResponse(response);
-            trace->recordWork(telemetry::Phase::Encode,
-                              encode_scope.stop());
-        } else {
-            wire = encodeResponse(response);
-        }
+        std::optional<telemetry::CounterScope> encode_scope;
+        if (trace)
+            encode_scope.emplace();
+        std::vector<uint8_t> wire = encodeResponse(response);
         double encode_seconds = std::chrono::duration<double>(
             Clock::now() - encode_start).count();
         if (trace) {
+            trace->record(telemetry::Phase::Encode, encode_seconds);
+            trace->recordWork(telemetry::Phase::Encode,
+                              encode_scope->stop());
             telemetry::CounterDelta request_delta =
                 telemetry::CounterSet::delta(
                     request_begin,
@@ -738,26 +772,13 @@ DjinnServer::serveConnection(int fd)
         }
         if (wire_span) {
             int64_t done_us = telemetry::traceNowUs();
-            telemetry::TraceEvent enc;
-            enc.name = "encode";
-            enc.category = "server";
-            enc.track = wire_span->track;
-            enc.traceId = wire_span->trace.traceId;
-            enc.spanId = tracer_.nextSpanId();
-            enc.parentSpanId = wire_span->serverSpan;
-            enc.startUs = encode_us;
-            enc.durationUs = done_us - encode_us;
-            tracer_.record(std::move(enc));
+            tracer_.record(server_span("encode", encode_us, done_us));
 
-            telemetry::TraceEvent req;
-            req.name = "request " + request.value().model;
-            req.category = "server";
-            req.track = wire_span->track;
-            req.traceId = wire_span->trace.traceId;
+            telemetry::TraceEvent req = server_span(
+                "request " + request.value().model, request_us,
+                done_us);
             req.spanId = wire_span->serverSpan;
             req.parentSpanId = wire_span->trace.spanId;
-            req.startUs = request_us;
-            req.durationUs = done_us - request_us;
             req.args.emplace_back("model", request.value().model);
             req.args.emplace_back(
                 "rows", strprintf("%u", request.value().rows));
@@ -838,6 +859,11 @@ DjinnServer::handleRequest(const Request &request,
         }
       case RequestType::Metrics:
         {
+            auto badRequest = [&response](const std::string &why) {
+                response.status = WireStatus::BadRequest;
+                response.message = why;
+                return response;
+            };
             // The model field selects the exposition format.
             std::string format = toLower(request.model);
             auto samples = metrics_.snapshot();
@@ -851,14 +877,18 @@ DjinnServer::handleRequest(const Request &request,
                     tracer_.events());
             } else if (format == "requests") {
                 response.message = telemetry::renderRequestsCsv(
-                    tracer_.recentRequests());
+                    flightRecorder_.snapshot());
             } else if (format == "tail" ||
                        format.rfind("tail:", 0) == 0) {
                 // "tail" attributes p99; "tail:N" percentile N.
                 // One fleet-wide report, then one per model.
                 double pct = 99.0;
-                if (format.size() > 5)
-                    pct = std::atof(format.c_str() + 5);
+                if (format.size() > 5 &&
+                    !(parseDouble(format.substr(5), pct) &&
+                      pct > 0.0 && pct < 100.0)) {
+                    return badRequest(
+                        "bad tail percentile (want 0 < pct < 100)");
+                }
                 auto records = flightRecorder_.snapshot();
                 std::string out = telemetry::renderTailReport(
                     telemetry::attributeTail(records, pct));
@@ -870,11 +900,16 @@ DjinnServer::handleRequest(const Request &request,
                        format.rfind("profile:", 0) == 0) {
                 // "profile" samples for one second; "profile:N"
                 // for N seconds. Returns collapsed stacks.
-                double window = 1.0;
-                if (format.size() > 8)
-                    window = std::atof(format.c_str() + 8);
-                auto collapsed =
-                    telemetry::Profiler::instance().collect(window);
+                int64_t window = 1;
+                if (format.size() > 8 &&
+                    !(parseInt(format.substr(8), window) &&
+                      window >= 1 && window <= 60)) {
+                    return badRequest(
+                        "bad profile window (want 1 <= seconds <= "
+                        "60)");
+                }
+                auto collapsed = telemetry::Profiler::instance().collect(
+                    static_cast<double>(window));
                 if (!collapsed.isOk()) {
                     response.status = WireStatus::ServerError;
                     response.message =
@@ -900,18 +935,18 @@ DjinnServer::handleRequest(const Request &request,
                        format.rfind("top:", 0) == 0) {
                 // "top" renders the 60 s dashboard; "top:W" a W-
                 // second window. Backs `djinn_cli top`.
+                telemetry::DashboardOptions dash;
+                if (format.size() > 4 &&
+                    !parseWindow(format.substr(4),
+                                 dash.windowSeconds)) {
+                    return badRequest(badWindowMessage);
+                }
                 if (!timeseries_) {
                     response.status = WireStatus::ServerError;
                     response.message =
                         "time-series store disabled (tracing or "
                         "sampler off)";
                 } else {
-                    telemetry::DashboardOptions dash;
-                    if (format.size() > 4) {
-                        double w = std::atof(format.c_str() + 4);
-                        if (w > 0)
-                            dash.windowSeconds = w;
-                    }
                     response.message = telemetry::renderTopDashboard(
                         *timeseries_, health_.get(), dash);
                 }
@@ -929,33 +964,27 @@ DjinnServer::handleRequest(const Request &request,
                 }
             } else if (format.rfind("series:", 0) == 0) {
                 // "series:<metric>" or "series:<metric>:<window>".
+                telemetry::TimeSeriesStore::Window window;
+                std::string spec = request.model.substr(7);
+                size_t colon = spec.find(':');
+                if (colon != std::string::npos) {
+                    if (!parseWindow(spec.substr(colon + 1),
+                                     window.seconds))
+                        return badRequest(badWindowMessage);
+                    spec = spec.substr(0, colon);
+                }
+                window.name = spec;
+                if (window.name.empty())
+                    return badRequest("series spec needs a metric name");
                 if (!timeseries_) {
                     response.status = WireStatus::ServerError;
                     response.message =
                         "time-series store disabled (tracing or "
                         "sampler off)";
                 } else {
-                    telemetry::TimeSeriesStore::Window window;
-                    std::string spec = request.model.substr(7);
-                    size_t colon = spec.find(':');
-                    if (colon != std::string::npos) {
-                        double w =
-                            std::atof(spec.c_str() + colon + 1);
-                        if (w > 0)
-                            window.seconds = w;
-                        spec = spec.substr(0, colon);
-                    }
-                    window.name = spec;
-                    if (window.name.empty()) {
-                        response.status = WireStatus::BadRequest;
-                        response.message =
-                            "series spec needs a metric name";
-                    } else {
-                        response.message =
-                            telemetry::renderTimeSeriesJson(
-                                *timeseries_, window)
-                            + "\n";
-                    }
+                    response.message = telemetry::renderTimeSeriesJson(
+                                           *timeseries_, window) +
+                                       "\n";
                 }
             } else {
                 response.status = WireStatus::BadRequest;
@@ -971,6 +1000,17 @@ DjinnServer::handleRequest(const Request &request,
     response.status = WireStatus::BadRequest;
     response.message = "unknown request type";
     return response;
+}
+
+uint64_t
+DjinnServer::requestsServed() const
+{
+    uint64_t total = 0;
+    for (const telemetry::MetricSample &sample : metrics_.snapshot()) {
+        if (sample.name == requestsTotalName)
+            total += static_cast<uint64_t>(sample.value);
+    }
+    return total;
 }
 
 std::vector<DjinnServer::ModelStats>
@@ -1030,216 +1070,74 @@ DjinnServer::handleInference(const Request &request,
         flight->setModel(request.model);
         flight->rows = request.rows;
     }
-    auto network = registry_.find(request.model);
-    if (!network) {
-        response.status = WireStatus::UnknownModel;
-        response.message = "unknown model '" + request.model + "'";
-        return response;
-    }
+    // The executor checks the model and the payload shape; only
+    // the per-request row cap is the server's own policy.
     int64_t rows = request.rows;
-    int64_t sample_elems = network->inputShape().sampleElems();
-    if (rows <= 0 || rows > config_.maxRowsPerRequest ||
-        static_cast<int64_t>(request.payload.size()) !=
-            rows * sample_elems) {
+    if (rows > config_.maxRowsPerRequest) {
         response.status = WireStatus::BadRequest;
         response.message = strprintf(
-            "payload must be rows x %lld floats (1 <= rows <= %lld); "
-            "got %u rows, %zu floats",
-            static_cast<long long>(sample_elems),
-            static_cast<long long>(config_.maxRowsPerRequest),
-            request.rows, request.payload.size());
+            "%lld rows exceed the per-request cap of %lld",
+            static_cast<long long>(rows),
+            static_cast<long long>(config_.maxRowsPerRequest));
         return response;
     }
 
-    int64_t batch_rows = rows;
     auto start = std::chrono::steady_clock::now();
-    try {
-        if (batcher_) {
-            // The batching executor records the queue-wait and
-            // (per-pass) forward phases itself, and emits the batch
-            // and per-layer spans for traced requests. Cycle
-            // accounting: the worker's blocked span (submit to
-            // resolution) is this request's queue_wait work — near
-            // zero cycles while parked, honestly reflecting that
-            // waiting burns no CPU — while the pass's forward
-            // cycles are recorded per batch by the dispatcher.
-            if (scheduler_)
-                scheduler_->observeArrival(request.model, 1);
-            telemetry::CounterScope wait_scope;
-            auto future =
-                wire ? batcher_->submit(request.model, rows,
-                                        request.payload, wire->trace,
-                                        wire->serverSpan, deadline)
-                     : batcher_->submit(request.model, rows,
-                                        request.payload, deadline);
-            InferenceResult result = future.get();
-            if (trace) {
-                trace->recordWork(telemetry::Phase::QueueWait,
-                                  wait_scope.stop());
-            }
-            if (flight) {
-                flight->queueWaitSeconds = result.queueWaitSeconds;
-                flight->forwardSeconds = result.forwardSeconds;
-                flight->batchQueries =
-                    static_cast<int32_t>(result.batchQueries);
-                flight->batchRows =
-                    static_cast<int32_t>(result.batchRows);
-                flight->batchPosition =
-                    static_cast<int32_t>(result.batchPosition);
-                flight->admitQueueDepth =
-                    static_cast<int32_t>(result.admitQueueDepth);
-            }
-            if (!result.status.isOk()) {
-                // Admission and deadline sheds keep their own wire
-                // statuses so clients can tell "retry after
-                // backoff" (Overloaded — never executed) from a
-                // genuine failure.
-                if (result.status.code() == StatusCode::Overloaded)
-                    response.status = WireStatus::Overloaded;
-                else if (result.status.code() ==
-                         StatusCode::DeadlineExceeded)
-                    response.status = WireStatus::DeadlineExceeded;
-                else
-                    response.status = WireStatus::ServerError;
-                response.message = result.status.message();
-                return response;
-            }
-            response.payload = std::move(result.output);
-            batch_rows = result.batchRows;
-        } else {
-            // Without the batcher there is no dequeue point, so
-            // enforce the deadline here: shed before the forward
-            // pass rather than burn a full pass on a result the
-            // client has already written off.
-            if (deadline != BatchingExecutor::noDeadline() &&
-                std::chrono::steady_clock::now() >= deadline) {
-                metrics_
-                    .counter(shedTotalName,
-                             {{"model", request.model},
-                              {"reason", "deadline"}})
-                    .inc();
-                response.status = WireStatus::DeadlineExceeded;
-                response.message =
-                    "deadline expired before forward pass";
-                return response;
-            }
-            nn::Tensor input(network->inputShape().withBatch(rows));
-            std::memcpy(input.data(), request.payload.data(),
-                        request.payload.size() * sizeof(float));
-            std::optional<telemetry::RequestTrace::Span> span;
-            if (trace)
-                span.emplace(*trace, telemetry::Phase::Forward);
-            CountingProfileSink profile;
-            int64_t fwd_start_us =
-                wire ? telemetry::traceNowUs() : 0;
-            auto fwd_clock_start = std::chrono::steady_clock::now();
-            telemetry::CounterScope forward_scope;
-            nn::Tensor output =
-                network->forward(input, wire ? &profile : nullptr);
-            const telemetry::CounterDelta &forward_delta =
-                forward_scope.stop();
-            if (flight) {
-                flight->forwardSeconds =
-                    std::chrono::duration<double>(
-                        std::chrono::steady_clock::now() -
-                        fwd_clock_start)
-                        .count();
-                flight->batchQueries = 1;
-                flight->batchRows = static_cast<int32_t>(rows);
-                flight->batchPosition = 0;
-            }
-            if (span)
-                span->stop();
-            if (trace) {
-                trace->recordWork(telemetry::Phase::Forward,
-                                  forward_delta);
-            }
-            if (wire) {
-                int64_t fwd_end_us = telemetry::traceNowUs();
-                uint64_t fwd_span = tracer_.nextSpanId();
-                telemetry::TraceEvent fwd;
-                fwd.name = "forward";
-                fwd.category = "server";
-                fwd.track = wire->track;
-                fwd.traceId = wire->trace.traceId;
-                fwd.spanId = fwd_span;
-                fwd.parentSpanId = wire->serverSpan;
-                fwd.startUs = fwd_start_us;
-                fwd.durationUs = fwd_end_us - fwd_start_us;
-                tracer_.record(std::move(fwd));
-                int64_t layer_start = fwd_start_us;
-                for (size_t i = 0; i < profile.profiles().size();
-                     ++i) {
-                    const nn::LayerProfile &lp =
-                        profile.profiles()[i];
-                    telemetry::TraceEvent e;
-                    e.name = lp.name;
-                    e.category = "layer";
-                    e.track = wire->track;
-                    e.traceId = wire->trace.traceId;
-                    e.spanId = tracer_.nextSpanId();
-                    e.parentSpanId = fwd_span;
-                    e.startUs = layer_start;
-                    e.durationUs =
-                        static_cast<int64_t>(lp.seconds * 1e6);
-                    e.args.emplace_back(
-                        "kind", nn::layerKindName(lp.kind));
-                    e.args.emplace_back(
-                        "flops",
-                        strprintf("%llu",
-                                  static_cast<unsigned long long>(
-                                      lp.flops)));
-                    e.args.emplace_back(
-                        "activation_bytes",
-                        strprintf("%llu",
-                                  static_cast<unsigned long long>(
-                                      lp.activationBytes)));
-                    if (i < profile.deltas().size() &&
-                        profile.deltas()[i].hardware) {
-                        const telemetry::CounterDelta &d =
-                            profile.deltas()[i];
-                        e.args.emplace_back(
-                            "cycles",
-                            strprintf(
-                                "%llu",
-                                static_cast<unsigned long long>(
-                                    d.cycles)));
-                        e.args.emplace_back(
-                            "instructions",
-                            strprintf(
-                                "%llu",
-                                static_cast<unsigned long long>(
-                                    d.instructions)));
-                        e.args.emplace_back(
-                            "ipc", strprintf("%.3f", d.ipc()));
-                    }
-                    layer_start += e.durationUs;
-                    tracer_.record(std::move(e));
-                }
-            }
-            response.payload.assign(output.data(),
-                                    output.data() + output.elems());
+    const telemetry::TraceContext trace_ctx =
+        wire ? wire->trace : telemetry::TraceContext{};
+    const uint64_t parent_span = wire ? wire->serverSpan : 0;
+    InferenceResult result;
+    if (config_.batching) {
+        // The executor records the queue-wait and (per-pass)
+        // forward phases itself, and emits the batch and per-layer
+        // spans for traced requests. Cycle accounting: the worker's
+        // blocked span (submit to resolution) is this request's
+        // queue_wait work — near zero cycles while parked, honestly
+        // reflecting that waiting burns no CPU — while the pass's
+        // forward cycles are recorded per batch by the dispatcher.
+        if (scheduler_)
+            scheduler_->observeArrival(request.model, 1);
+        telemetry::CounterScope wait_scope;
+        result = batcher_.submit(request.model, rows,
+                                 request.payload, trace_ctx,
+                                 parent_span, deadline).get();
+        if (trace) {
+            trace->recordWork(telemetry::Phase::QueueWait,
+                              wait_scope.stop());
         }
-    } catch (const FatalError &e) {
-        response.status = WireStatus::ServerError;
-        response.message = e.what();
+    } else {
+        // A batch of one on this worker thread: the same execute
+        // step, with no queue and no dispatcher hop.
+        result = batcher_.run(request.model, rows, request.payload,
+                              trace_ctx, parent_span, deadline);
+    }
+    if (flight) {
+        flight->queueWaitSeconds = result.queueWaitSeconds;
+        flight->forwardSeconds = result.forwardSeconds;
+        flight->batchQueries =
+            static_cast<int32_t>(result.batchQueries);
+        flight->batchRows = static_cast<int32_t>(result.batchRows);
+        flight->batchPosition =
+            static_cast<int32_t>(result.batchPosition);
+        flight->admitQueueDepth =
+            static_cast<int32_t>(result.admitQueueDepth);
+    }
+    if (!result.status.isOk()) {
+        response.status = wireStatusOf(result.status.code());
+        response.message = result.status.message();
         return response;
     }
+    response.payload = std::move(result.output);
     double seconds = std::chrono::duration<double>(
         std::chrono::steady_clock::now() - start).count();
     if (trace)
         trace->record(telemetry::Phase::Service, seconds);
     if (slo_)
         slo_->record(request.model, seconds);
-    if (config_.tracing) {
-        tracer_.recordRequest({request.trace.traceId, request.model,
-                               rows, batch_rows, seconds * 1e3});
-    }
     telemetry::LabelMap model_label{{"model", request.model}};
     metrics_.counter(requestsTotalName, model_label).inc();
     metrics_.counter(rowsTotalName, model_label)
         .inc(static_cast<uint64_t>(rows));
-    requests_.fetch_add(1, std::memory_order_relaxed);
     return response;
 }
 

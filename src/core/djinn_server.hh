@@ -47,7 +47,11 @@ struct ServerConfig {
     /** Bind address; defaults to loopback. */
     std::string bindAddress = "127.0.0.1";
 
-    /** Enable cross-request batching per model (Section 5.1). */
+    /**
+     * Enable cross-request batching per model (Section 5.1). Off,
+     * each request runs as a batch of one on its connection's
+     * worker thread (BatchingExecutor::run).
+     */
     bool batching = false;
 
     /** Batching policy when enabled. */
@@ -231,8 +235,9 @@ class DjinnServer
     /** True while the server is accepting connections. */
     bool running() const { return running_.load(); }
 
-    /** Total inference requests served. */
-    uint64_t requestsServed() const { return requests_.load(); }
+    /** Total inference requests served: the sum of the
+     * `djinn_requests_total` counters. */
+    uint64_t requestsServed() const;
 
     /** Connections accepted so far. */
     uint64_t connectionsAccepted() const { return accepted_.load(); }
@@ -391,7 +396,9 @@ class DjinnServer
     telemetry::MetricRegistry metrics_;
     telemetry::Tracer tracer_;
     telemetry::FlightRecorder flightRecorder_;
-    std::unique_ptr<BatchingExecutor> batcher_;
+    /** Serves both modes: batching submits to its per-model
+     * queues, unbatched requests run() a batch of one. */
+    BatchingExecutor batcher_;
     std::unique_ptr<serve::AdaptiveScheduler> scheduler_;
     std::unique_ptr<telemetry::SloTracker> slo_;
     std::unique_ptr<telemetry::TimeSeriesStore> timeseries_;
@@ -420,7 +427,6 @@ class DjinnServer
     };
     mutable std::mutex workersMutex_;
     std::vector<WorkerSlot> workers_;
-    std::atomic<uint64_t> requests_{0};
     std::atomic<uint64_t> accepted_{0};
 
     // Live connection sockets. The acceptor registers every

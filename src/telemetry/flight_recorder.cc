@@ -206,6 +206,22 @@ bool FlightRecorder::find(uint64_t seq, FlightRecord &out) const
 }
 
 std::string
+renderRequestsCsv(const std::vector<FlightRecord> &records)
+{
+    std::string out = "trace_id,model,rows,batch_rows,service_ms\n";
+    for (const FlightRecord &r : records) {
+        if (r.outcome != FlightOutcome::Ok)
+            continue;
+        out += strprintf("%016llx,%s,%d,%d,%.3f\n",
+                         static_cast<unsigned long long>(r.traceId),
+                         r.modelName().c_str(), r.rows, r.batchRows,
+                         (r.queueWaitSeconds + r.forwardSeconds) *
+                             1e3);
+    }
+    return out;
+}
+
+std::string
 renderFlightRecordJson(const FlightRecord &record)
 {
     std::string out = "{";

@@ -204,6 +204,13 @@ class FlightRecorder
  * an exemplar's `record` ref resolves to). */
 std::string renderFlightRecordJson(const FlightRecord &record);
 
+/**
+ * Render the served (outcome Ok) records as CSV, one header line:
+ * `trace_id,model,rows,batch_rows,service_ms`, where service_ms is
+ * queue wait plus forward. The `metrics requests` wire view.
+ */
+std::string renderRequestsCsv(const std::vector<FlightRecord> &records);
+
 /** Metric family for per-request end-to-end latency, recorded with
  * per-bucket exemplars resolving to flight records. */
 inline const char *const requestSecondsMetricName =

@@ -71,16 +71,5 @@ RequestTrace::recordRequestWork(const CounterDelta &delta)
     }
 }
 
-void
-RequestTrace::Span::stop()
-{
-    if (done_)
-        return;
-    done_ = true;
-    double seconds = std::chrono::duration<double>(
-        std::chrono::steady_clock::now() - start_).count();
-    trace_.record(phase_, seconds);
-}
-
 } // namespace telemetry
 } // namespace djinn

@@ -3,15 +3,14 @@
  * Request tracing: decomposes one DjiNN request into timed phases
  * (decode -> batch-queue wait -> forward pass -> encode, plus the
  * end-to-end service span) and records each phase into the metric
- * registry's per-model `djinn_phase_seconds` histograms. Spans are
- * RAII scopes around the phase's code; a trace also maintains the
+ * registry's per-model `djinn_phase_seconds` histograms. The caller
+ * times each phase once and records it; a trace also maintains the
  * `djinn_inflight_requests` gauge.
  */
 
 #ifndef DJINN_TELEMETRY_TRACE_HH
 #define DJINN_TELEMETRY_TRACE_HH
 
-#include <chrono>
 #include <string>
 
 #include "telemetry/metrics.hh"
@@ -119,37 +118,6 @@ class RequestTrace
      * are measured against.
      */
     void recordRequestWork(const CounterDelta &delta);
-
-    /** RAII scope that times a phase and records it on exit. */
-    class Span
-    {
-      public:
-        Span(RequestTrace &trace, Phase phase)
-            : trace_(trace), phase_(phase),
-              start_(std::chrono::steady_clock::now())
-        {}
-
-        /** Records the elapsed time unless stop() already did. */
-        ~Span()
-        {
-            stop();
-        }
-
-        Span(const Span &) = delete;
-        Span &operator=(const Span &) = delete;
-
-        /** Record now; the destructor becomes a no-op. */
-        void stop();
-
-      private:
-        RequestTrace &trace_;
-        Phase phase_;
-        std::chrono::steady_clock::time_point start_;
-        bool done_ = false;
-    };
-
-    /** Open a timed span for @p phase. */
-    Span span(Phase phase) { return Span(*this, phase); }
 
   private:
     MetricRegistry &registry_;

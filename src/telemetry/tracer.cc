@@ -21,10 +21,7 @@ traceNowUs()
         .count();
 }
 
-Tracer::Tracer(size_t capacity, size_t requestCapacity)
-    : capacity_(capacity ? capacity : 1),
-      requestCapacity_(requestCapacity ? requestCapacity : 1)
-{}
+Tracer::Tracer(size_t capacity) : capacity_(capacity ? capacity : 1) {}
 
 void
 Tracer::record(TraceEvent event)
@@ -53,18 +50,6 @@ Tracer::recordCounter(const std::string &name, double value,
     record(std::move(event));
 }
 
-void
-Tracer::recordRequest(RequestSummary summary)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (requests_.size() < requestCapacity_) {
-        requests_.push_back(std::move(summary));
-        return;
-    }
-    requests_[requestHead_] = std::move(summary);
-    requestHead_ = (requestHead_ + 1) % requestCapacity_;
-}
-
 std::vector<TraceEvent>
 Tracer::events(size_t last_n) const
 {
@@ -74,22 +59,6 @@ Tracer::events(size_t last_n) const
     // head_ is the oldest entry once the ring has wrapped.
     for (size_t i = 0; i < ring_.size(); ++i)
         out.push_back(ring_[(head_ + i) % ring_.size()]);
-    if (last_n && out.size() > last_n)
-        out.erase(out.begin(),
-                  out.begin() +
-                      static_cast<ptrdiff_t>(out.size() - last_n));
-    return out;
-}
-
-std::vector<Tracer::RequestSummary>
-Tracer::recentRequests(size_t last_n) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::vector<RequestSummary> out;
-    out.reserve(requests_.size());
-    for (size_t i = 0; i < requests_.size(); ++i)
-        out.push_back(
-            requests_[(requestHead_ + i) % requests_.size()]);
     if (last_n && out.size() > last_n)
         out.erase(out.begin(),
                   out.begin() +
@@ -118,8 +87,6 @@ Tracer::clear()
     ring_.clear();
     head_ = 0;
     dropped_ = 0;
-    requests_.clear();
-    requestHead_ = 0;
 }
 
 namespace {
@@ -224,22 +191,6 @@ renderChromeTrace(const std::vector<TraceEvent> &events)
         out += "}";
     }
     out += "\n  ]\n}\n";
-    return out;
-}
-
-std::string
-renderRequestsCsv(
-    const std::vector<Tracer::RequestSummary> &requests)
-{
-    std::string out = "trace_id,model,rows,batch_rows,service_ms\n";
-    for (const auto &r : requests) {
-        out += strprintf("%s,%s,%lld,%lld,%.3f\n",
-                         traceIdToHex(r.traceId).c_str(),
-                         r.model.c_str(),
-                         static_cast<long long>(r.rows),
-                         static_cast<long long>(r.batchRows),
-                         r.serviceMs);
-    }
     return out;
 }
 

@@ -72,20 +72,14 @@ struct TraceEvent {
 };
 
 /**
- * Thread-safe fixed-capacity event ring plus a smaller ring of
- * per-request summaries (the `djinn_cli metrics requests` view).
- * When full, the oldest events are overwritten; dropped() counts
- * the overwrites.
+ * Thread-safe fixed-capacity event ring. When full, the oldest
+ * events are overwritten; dropped() counts the overwrites.
  */
 class Tracer
 {
   public:
-    /**
-     * @param capacity event ring size.
-     * @param requestCapacity request-summary ring size.
-     */
-    explicit Tracer(size_t capacity = 16384,
-                    size_t requestCapacity = 256);
+    /** @param capacity event ring size. */
+    explicit Tracer(size_t capacity = 16384);
 
     Tracer(const Tracer &) = delete;
     Tracer &operator=(const Tracer &) = delete;
@@ -101,36 +95,11 @@ class Tracer
                        const std::string &track = "sampler");
 
     /**
-     * One completed request, correlated with the batch that served
-     * it. Rendered by the `requests` exposition format as CSV.
-     */
-    struct RequestSummary {
-        uint64_t traceId = 0;
-        std::string model;
-
-        /** Rows the request itself carried. */
-        int64_t rows = 0;
-
-        /** Total rows of the forward pass that served it. */
-        int64_t batchRows = 0;
-
-        /** End-to-end service time, milliseconds. */
-        double serviceMs = 0.0;
-    };
-
-    /** Append one request summary. */
-    void recordRequest(RequestSummary summary);
-
-    /**
      * Chronological copy of the buffered events.
      *
      * @param last_n keep only the newest N events; 0 keeps all.
      */
     std::vector<TraceEvent> events(size_t last_n = 0) const;
-
-    /** Chronological copy of the request summaries. */
-    std::vector<RequestSummary> recentRequests(
-        size_t last_n = 0) const;
 
     /** Events overwritten because the ring was full. */
     uint64_t dropped() const;
@@ -138,19 +107,16 @@ class Tracer
     /** Buffered event count. */
     size_t size() const;
 
-    /** Discard all buffered events and summaries. */
+    /** Discard all buffered events. */
     void clear();
 
   private:
     const size_t capacity_;
-    const size_t requestCapacity_;
 
     mutable std::mutex mutex_;
     std::vector<TraceEvent> ring_;
     size_t head_ = 0; // next write position once the ring is full
     uint64_t dropped_ = 0;
-    std::vector<RequestSummary> requests_;
-    size_t requestHead_ = 0;
 };
 
 /**
@@ -161,13 +127,6 @@ class Tracer
  * order.
  */
 std::string renderChromeTrace(const std::vector<TraceEvent> &events);
-
-/**
- * Render request summaries as CSV:
- * `trace_id,model,rows,batch_rows,service_ms` (one header line).
- */
-std::string renderRequestsCsv(
-    const std::vector<Tracer::RequestSummary> &requests);
 
 /**
  * Background thread that periodically samples service vitals into a

@@ -3,16 +3,37 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "nn/init.hh"
 #include "nn/net_def.hh"
 #include "telemetry/metrics.hh"
+#include "telemetry/trace.hh"
 
 namespace djinn {
 namespace core {
 namespace {
+
+/** Live threads of this process named @p name (Linux /proc). */
+int
+threadsNamed(const std::string &name)
+{
+    int count = 0;
+    for (const auto &task :
+         std::filesystem::directory_iterator("/proc/self/task")) {
+        std::ifstream comm(task.path() / "comm");
+        std::string line;
+        if (std::getline(comm, line) && line == name)
+            ++count;
+    }
+    return count;
+}
 
 class BatcherTest : public ::testing::Test
 {
@@ -89,7 +110,9 @@ TEST_F(BatcherTest, ConcurrentQueriesGetCombined)
 
 TEST_F(BatcherTest, BatchedResultsMatchUnbatched)
 {
-    auto net = registry_.find("tiny");
+    // A query's answer must not depend on its batch peers: each
+    // output row has one owner and a fixed k-order, so the batched
+    // result is bit-identical to the same query run alone.
     BatchOptions options;
     options.maxQueries = 4;
     options.maxDelay = 10e-3;
@@ -104,13 +127,73 @@ TEST_F(BatcherTest, BatchedResultsMatchUnbatched)
     for (size_t i = 0; i < inputs.size(); ++i) {
         InferenceResult result = futures[i].get();
         ASSERT_TRUE(result.status.isOk());
-        nn::Tensor in(nn::Shape(1, 1, 2, 2));
-        std::copy(inputs[i].begin(), inputs[i].end(), in.data());
-        nn::Tensor expected = net->forward(in);
+        InferenceResult alone = executor.run("tiny", 1, inputs[i]);
+        ASSERT_TRUE(alone.status.isOk());
         ASSERT_EQ(result.output.size(), 3u);
-        for (int64_t j = 0; j < 3; ++j)
-            EXPECT_NEAR(result.output[j], expected[j], 1e-5);
+        ASSERT_EQ(alone.output.size(), 3u);
+        EXPECT_EQ(std::memcmp(result.output.data(),
+                              alone.output.data(),
+                              3 * sizeof(float)),
+                  0)
+            << "query " << i;
     }
+}
+
+TEST_F(BatcherTest, RunExecutesOnCallingThreadWithoutDispatcher)
+{
+    // The unbatched path: run() executes a batch of one on the
+    // caller's thread — no queue, no dispatcher, no thread hop.
+    telemetry::MetricRegistry metrics;
+    BatchingExecutor executor(registry_, BatchOptions{}, &metrics);
+    std::thread::id observed;
+    executor.setBatchObserver(
+        [&observed](const std::string &, int64_t, double) {
+            observed = std::this_thread::get_id();
+        });
+
+    InferenceResult result = executor.run("tiny", 2,
+                                          {1, 2, 3, 4, 5, 6, 7, 8});
+    ASSERT_TRUE(result.status.isOk()) << result.status.toString();
+    EXPECT_EQ(observed, std::this_thread::get_id());
+    EXPECT_EQ(threadsNamed("batch-tiny"), 0);
+    EXPECT_EQ(result.output.size(), 6u);
+    EXPECT_EQ(result.batchQueries, 1);
+    EXPECT_EQ(result.batchPosition, 0);
+    EXPECT_EQ(result.batchRows, 2);
+    EXPECT_EQ(result.queueWaitSeconds, 0.0);
+    EXPECT_GT(result.forwardSeconds, 0.0);
+    EXPECT_EQ(executor.batchesExecuted(), 1u);
+    EXPECT_EQ(executor.queriesServed(), 1u);
+
+    // The pass's forward phase is recorded; no queue_wait phase.
+    bool saw_forward = false;
+    for (const telemetry::MetricSample &s : metrics.snapshot()) {
+        if (s.name != telemetry::phaseMetricName)
+            continue;
+        EXPECT_NE(s.labels.at("phase"), "queue_wait");
+        if (s.labels.at("phase") == "forward") {
+            saw_forward = true;
+            EXPECT_EQ(s.histogram.count, 1u);
+        }
+    }
+    EXPECT_TRUE(saw_forward);
+
+    // Validation and the deadline shed match submit().
+    EXPECT_EQ(executor.run("missing", 1, {1, 2, 3, 4}).status.code(),
+              StatusCode::NotFound);
+    EXPECT_EQ(executor.run("tiny", 1, {1, 2, 3}).status.code(),
+              StatusCode::InvalidArgument);
+    auto past = std::chrono::steady_clock::now() -
+                std::chrono::milliseconds(1);
+    EXPECT_EQ(executor.run("tiny", 1, {1, 2, 3, 4}, {}, 0, past)
+                  .status.code(),
+              StatusCode::DeadlineExceeded);
+    EXPECT_EQ(executor.deadlineSheds(), 1u);
+
+    // A later submit() starts the model's dispatcher.
+    ASSERT_TRUE(
+        executor.submit("tiny", 1, {1, 2, 3, 4}).get().status.isOk());
+    EXPECT_EQ(threadsNamed("batch-tiny"), 1);
 }
 
 TEST_F(BatcherTest, MultiRowQueryKeepsRowOrder)

@@ -149,6 +149,67 @@ TEST_F(ObservabilityTest, VerbsFailCleanlyWithoutStore)
     server_->stop();
 }
 
+/**
+ * Numeric Metrics-verb arguments take the HTTP routes' bounds: a
+ * non-numeric or out-of-range suffix is a BadRequest (the client
+ * sees InvalidArgument), never a silently defaulted report.
+ */
+class VerbArgumentTest : public ObservabilityTest
+{
+  protected:
+    void
+    SetUp() override
+    {
+        ObservabilityTest::SetUp();
+        ServerConfig config;
+        config.samplerPeriod = 0.01;
+        startServer(config);
+        ASSERT_TRUE(
+            client_.connect("127.0.0.1", server_->port()).isOk());
+    }
+
+    StatusCode
+    code(const std::string &format)
+    {
+        return client_.metricsExposition(format).status().code();
+    }
+
+    DjinnClient client_;
+};
+
+TEST_F(VerbArgumentTest, TailRejectsBadPercentile)
+{
+    EXPECT_EQ(code("tail:90"), StatusCode::Ok);
+    for (const char *bad : {"tail:abc", "tail:0", "tail:100",
+                            "tail:-3", "tail:50x", "tail:nan"})
+        EXPECT_EQ(code(bad), StatusCode::InvalidArgument) << bad;
+}
+
+TEST_F(VerbArgumentTest, ProfileRejectsBadWindow)
+{
+    for (const char *bad : {"profile:abc", "profile:0",
+                            "profile:61", "profile:-1",
+                            "profile:1.5"})
+        EXPECT_EQ(code(bad), StatusCode::InvalidArgument) << bad;
+}
+
+TEST_F(VerbArgumentTest, TopRejectsBadWindow)
+{
+    for (const char *bad : {"top:abc", "top:-3", "top:0",
+                            "top:86401", "top:inf"})
+        EXPECT_EQ(code(bad), StatusCode::InvalidArgument) << bad;
+}
+
+TEST_F(VerbArgumentTest, SeriesRejectsBadWindow)
+{
+    for (const char *bad :
+         {"series:djinn_requests_total:abc",
+          "series:djinn_requests_total:-3",
+          "series:djinn_requests_total:0",
+          "series:djinn_requests_total:86401"})
+        EXPECT_EQ(code(bad), StatusCode::InvalidArgument) << bad;
+}
+
 TEST(ObservabilityHttp, TimeseriesRouteAndJsonErrors)
 {
     telemetry::MetricRegistry metrics;

@@ -156,11 +156,11 @@ TEST_F(TracingTest, SingleRequestProducesLinkedSpanTree)
     EXPECT_NE(json.find("\"request tiny\""), std::string::npos);
     EXPECT_NE(json.find("\"fc\""), std::string::npos);
 
-    // The request summary correlates the trace id with the batch.
-    auto requests = server_->tracer().recentRequests();
+    // The flight record correlates the trace id with the batch.
+    auto requests = server_->flightRecorder().snapshot();
     ASSERT_EQ(requests.size(), 1u);
     EXPECT_EQ(requests[0].traceId, trace_id);
-    EXPECT_EQ(requests[0].model, "tiny");
+    EXPECT_EQ(requests[0].modelName(), "tiny");
     EXPECT_EQ(requests[0].rows, 1);
     EXPECT_GE(requests[0].batchRows, 1);
 }
@@ -201,11 +201,11 @@ TEST_F(TracingTest, UntracedClientLeavesRingQuiet)
     std::vector<float> payload(4, 0.5f);
     ASSERT_TRUE(client.infer("tiny", 1, payload).isOk());
 
-    // No wire trace context -> no spans, but the request summary
-    // (trace id 0) is still recorded.
+    // No wire trace context -> no spans, but the flight record
+    // (trace id 0) is still written.
     for (const auto &e : server_->tracer().events())
         EXPECT_TRUE(e.counter) << e.name;
-    auto requests = server_->tracer().recentRequests();
+    auto requests = server_->flightRecorder().snapshot();
     ASSERT_EQ(requests.size(), 1u);
     EXPECT_EQ(requests[0].traceId, 0u);
 }
@@ -224,7 +224,6 @@ TEST_F(TracingTest, TracingDisabledServerStillServesTracedClients)
     ASSERT_TRUE(result.isOk());
     EXPECT_NE(client.lastTrace().traceId, 0u);
     EXPECT_TRUE(server_->tracer().events().empty());
-    EXPECT_TRUE(server_->tracer().recentRequests().empty());
 }
 
 TEST_F(TracingTest, TraceAndRequestsExpositionFormats)

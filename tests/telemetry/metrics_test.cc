@@ -262,22 +262,6 @@ TEST(RequestTraceTest, InflightGaugeTracksTraceLifetime)
     EXPECT_DOUBLE_EQ(inflight.value(), 0.0);
 }
 
-TEST(RequestTraceTest, SpanRecordsElapsedTimeOnce)
-{
-    MetricRegistry registry;
-    RequestTrace trace(registry, "mnist");
-    {
-        auto span = trace.span(Phase::Encode);
-        span.stop();
-        // The destructor must not double-record after stop().
-    }
-    auto &encode = registry.histogram(
-        phaseMetricName,
-        {{"model", "mnist"}, {"phase", "encode"}});
-    EXPECT_EQ(encode.count(), 1u);
-    EXPECT_GE(encode.min(), 0.0);
-}
-
 TEST(RequestTraceTest, ModelSetAfterDecodeLabelsLaterPhases)
 {
     MetricRegistry registry;

@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the trace ring, the Chrome trace-event exporter, the
- * request-summary CSV, and the background sampler.
+ * flight-record request CSV, and the background sampler.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "telemetry/flight_recorder.hh"
 #include "telemetry/metrics.hh"
 #include "telemetry/tracer.hh"
 
@@ -258,11 +259,9 @@ TEST(TracerTest, ClearEmptiesEverything)
 {
     Tracer tracer(8);
     tracer.record(makeSpan("a", "t", 1, 2, 0, 0, 1));
-    tracer.recordRequest({1, "m", 1, 4, 0.5});
     tracer.clear();
     EXPECT_EQ(tracer.size(), 0u);
     EXPECT_TRUE(tracer.events().empty());
-    EXPECT_TRUE(tracer.recentRequests().empty());
     EXPECT_EQ(tracer.dropped(), 0u);
 }
 
@@ -343,17 +342,33 @@ TEST(ChromeTraceTest, TracksBecomeNamedThreads)
 
 TEST(RequestsCsvTest, HeaderAndRows)
 {
-    Tracer tracer;
-    tracer.recordRequest({0x10, "alexnet", 2, 16, 12.5});
-    tracer.recordRequest({0, "mnist", 1, 1, 0.75});
+    // The `metrics requests` view renders served flight records;
+    // service_ms is queue wait plus forward.
+    auto record = [](uint64_t trace_id, const char *model,
+                     int32_t rows, int32_t batch_rows, double wait,
+                     double forward,
+                     telemetry::FlightOutcome outcome) {
+        telemetry::FlightRecord r;
+        r.traceId = trace_id;
+        r.setModel(model);
+        r.rows = rows;
+        r.batchRows = batch_rows;
+        r.queueWaitSeconds = wait;
+        r.forwardSeconds = forward;
+        r.outcome = outcome;
+        return r;
+    };
     std::string csv = telemetry::renderRequestsCsv(
-        tracer.recentRequests());
-    EXPECT_NE(csv.find("trace_id,model,rows,batch_rows,service_ms"),
-              std::string::npos);
-    EXPECT_NE(csv.find("0000000000000010,alexnet,2,16,12.500"),
-              std::string::npos);
-    EXPECT_NE(csv.find("0000000000000000,mnist,1,1,0.750"),
-              std::string::npos);
+        {record(0x10, "alexnet", 2, 16, 2.5e-3, 10e-3,
+                telemetry::FlightOutcome::Ok),
+         record(0x20, "mnist", 1, 0, 0.0, 0.0,
+                telemetry::FlightOutcome::ShedDeadline),
+         record(0, "mnist", 1, 1, 0.0, 0.75e-3,
+                telemetry::FlightOutcome::Ok)});
+    EXPECT_EQ(csv,
+              "trace_id,model,rows,batch_rows,service_ms\n"
+              "0000000000000010,alexnet,2,16,12.500\n"
+              "0000000000000000,mnist,1,1,0.750\n");
 }
 
 TEST(SamplerTest, SampleOnceRecordsGaugesAndRss)

@@ -28,9 +28,9 @@
  * `metrics` prints the server's full telemetry exposition:
  * per-model request counters and decode / queue-wait / forward /
  * encode latency histograms with p50/p95/p99. The `requests`
- * format prints the recent-request table instead: one line per
- * request with its trace id, rows, the size of the batch that
- * served it, and service latency.
+ * format prints the served-request table instead: one line per
+ * flight-recorded request with its trace id, rows, the size of the
+ * batch that served it, and its queue wait plus forward latency.
  *
  * `top` is the live operator dashboard: per-model QPS, windowed
  * p50/p99, shed rate, and batch occupancy with request-rate
