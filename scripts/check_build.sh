@@ -29,6 +29,18 @@ if [ -n "$bad" ]; then
     exit 1
 fi
 
+# Lint: one debug-route table. The Metrics wire verb and the HTTP
+# endpoint both dispatch through core/debug_routes, so verb-prefix
+# matching and query-string parsing appear nowhere else in src/core.
+bad=$(grep -rnE 'rfind\("[^"]*:", *0\)|queryParam\(' src/core/ \
+    | grep -v '^src/core/debug_routes\.cc:' || true)
+if [ -n "$bad" ]; then
+    echo "lint: debug-view dispatch outside" \
+         "src/core/debug_routes.cc; add a route to its table:" >&2
+    echo "$bad" >&2
+    exit 1
+fi
+
 # Lint: the simulators guarantee bit-identical replays from a
 # seed, so wall-clock time and unseeded randomness are banned in
 # src/sim and src/cluster (common/rng's seeded generators and the

@@ -1,6 +1,5 @@
 #include "core/djinn_server.hh"
 
-#include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
@@ -16,12 +15,10 @@
 #include "common/thread_pool.hh"
 #include "core/fault.hh"
 #include "core/http_endpoint.hh"
-#include "telemetry/attribution.hh"
 #include "telemetry/build_info.hh"
-#include "telemetry/dashboard.hh"
-#include "telemetry/exposition.hh"
 #include "telemetry/perf_counters.hh"
 #include "telemetry/profiler.hh"
+#include "telemetry/slo.hh"
 
 namespace djinn {
 namespace core {
@@ -81,23 +78,6 @@ acceptErrnoTransient(int err)
     return err == EMFILE || err == ENFILE || err == ENOBUFS ||
            err == ENOMEM || err == ECONNABORTED || err == EAGAIN ||
            err == EWOULDBLOCK || err == EPROTO;
-}
-
-const char *const badWindowMessage =
-    "bad window (want 0 < window <= 86400 seconds)";
-
-/** Parse a time-window argument of the Metrics verb ("top:W",
- * "series:M:W") within the HTTP window bounds; false when it is
- * malformed or out of range. */
-bool
-parseWindow(const std::string &arg, double &seconds)
-{
-    double parsed = 0.0;
-    if (!parseDouble(arg, parsed) || !(parsed > 0.0) ||
-        parsed > 86400.0)
-        return false;
-    seconds = parsed;
-    return true;
 }
 
 /**
@@ -185,13 +165,9 @@ DjinnServer::DjinnServer(const ModelRegistry &registry,
                 });
         }
     }
-    if (config_.sloTargetSeconds > 0.0) {
-        telemetry::SloOptions slo_opts;
-        slo_opts.defaultTargetSeconds = config_.sloTargetSeconds;
-        slo_opts.objective = config_.sloObjective;
-        slo_ = std::make_unique<telemetry::SloTracker>(metrics_,
-                                                       slo_opts);
-    }
+    if (config_.sloTargetSeconds > 0.0 &&
+        !(config_.sloObjective > 0.0 && config_.sloObjective < 1.0))
+        fatal("DjinnServer: SLO objective must be in (0, 1)");
     if (!config_.faultSpec.empty()) {
         std::string error;
         faultMask_ = parseFaultSpec(config_.faultSpec, &error);
@@ -277,45 +253,10 @@ DjinnServer::start()
         }
     }
 
-    listenFd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (listenFd_ < 0)
-        return Status::ioError(std::string("socket: ") +
-                               std::strerror(errno));
-    int one = 1;
-    ::setsockopt(listenFd_, SOL_SOCKET, SO_REUSEADDR, &one,
-                 sizeof(one));
-
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(config_.port);
-    if (::inet_pton(AF_INET, config_.bindAddress.c_str(),
-                    &addr.sin_addr) != 1) {
-        ::close(listenFd_);
-        listenFd_ = -1;
-        return Status::invalidArgument("bad bind address '" +
-                                       config_.bindAddress + "'");
-    }
-    if (::bind(listenFd_, reinterpret_cast<sockaddr *>(&addr),
-               sizeof(addr)) < 0) {
-        Status s = Status::ioError(std::string("bind: ") +
-                                   std::strerror(errno));
-        ::close(listenFd_);
-        listenFd_ = -1;
+    Status s = listenTcp(config_.bindAddress, config_.port, 128,
+                         listenFd_, port_);
+    if (!s.isOk())
         return s;
-    }
-    if (::listen(listenFd_, 128) < 0) {
-        Status s = Status::ioError(std::string("listen: ") +
-                                   std::strerror(errno));
-        ::close(listenFd_);
-        listenFd_ = -1;
-        return s;
-    }
-
-    socklen_t len = sizeof(addr);
-    if (::getsockname(listenFd_, reinterpret_cast<sockaddr *>(&addr),
-                      &len) == 0) {
-        port_ = ntohs(addr.sin_port);
-    }
 
     running_.store(true);
     acceptor_ = std::thread([this]() { acceptLoop(); });
@@ -338,7 +279,8 @@ DjinnServer::start()
         // All saturation signals flow through this one sampling
         // path: the update hook refreshes the gauges whose sources
         // are not registry-backed (compute-pool busy count,
-        // aggregate batcher backlog, SLO burn rates), then the
+        // aggregate batcher backlog) and the SLO burn rates (from
+        // the store's history of the good/bad counters), then the
         // sweep exports every gauge as a counter track.
         sampler_ = std::make_unique<telemetry::BackgroundSampler>(
             tracer_, metrics_, config_.samplerPeriod,
@@ -355,21 +297,37 @@ DjinnServer::start()
                         .set(static_cast<double>(
                             batcher_.queueDepthTotal()));
                 }
-                if (slo_)
-                    slo_->updateBurnRates();
+                if (config_.sloTargetSeconds > 0.0) {
+                    // Burn rates from the store's history of the
+                    // good/bad counters of every model that has
+                    // served; the gauge and the scheduler read one
+                    // number.
+                    for (const telemetry::TrackId &id :
+                         timeseries_->trackIds(
+                             telemetry::sloGoodMetricName)) {
+                        const std::string &model =
+                            id.labels.at("model");
+                        const double burn = telemetry::sloBurnRate(
+                            *timeseries_, model,
+                            config_.sloObjective);
+                        metrics_
+                            .gauge(telemetry::sloBurnRateMetricName,
+                                   id.labels)
+                            .set(burn);
+                        if (scheduler_)
+                            scheduler_->observeBurnRate(model, burn);
+                    }
+                }
                 if (scheduler_) {
                     // One control-loop step: feed the scheduler
-                    // the latest backlog and burn signals, advance
-                    // its EWMAs and deficits, then push the new
-                    // per-model dispatch targets into the batcher.
+                    // the latest backlog (burn rates went in
+                    // above), advance its EWMAs and deficits, then
+                    // push the new per-model dispatch targets into
+                    // the batcher.
                     for (const auto &model :
                          registry_.modelNames()) {
                         scheduler_->setBacklog(
                             model, batcher_.queueDepth(model));
-                        if (slo_) {
-                            scheduler_->observeBurnRate(
-                                model, slo_->burnRate(model));
-                        }
                     }
                     scheduler_->tick(telemetry::traceNowUs() *
                                      1e-6);
@@ -384,11 +342,7 @@ DjinnServer::start()
         sampler_->start();
     }
     if (config_.httpPort >= 0) {
-        http_ = std::make_unique<HttpEndpoint>(metrics_, tracer_);
-        http_->setFlightRecorder(&flightRecorder_);
-        http_->setTimeSeriesStore(timeseries_.get());
-        http_->setHealthMonitor(health_.get());
-        http_->setStartTime(startTraceSeconds_);
+        http_ = std::make_unique<HttpEndpoint>(debugRoutes());
         Status s = http_->start(
             config_.bindAddress,
             static_cast<uint16_t>(config_.httpPort));
@@ -858,141 +812,8 @@ DjinnServer::handleRequest(const Request &request,
             return response;
         }
       case RequestType::Metrics:
-        {
-            auto badRequest = [&response](const std::string &why) {
-                response.status = WireStatus::BadRequest;
-                response.message = why;
-                return response;
-            };
-            // The model field selects the exposition format.
-            std::string format = toLower(request.model);
-            auto samples = metrics_.snapshot();
-            if (format.empty() || format == "prometheus") {
-                response.message =
-                    telemetry::renderPrometheus(samples);
-            } else if (format == "json") {
-                response.message = telemetry::renderJson(samples);
-            } else if (format == "trace") {
-                response.message = telemetry::renderChromeTrace(
-                    tracer_.events());
-            } else if (format == "requests") {
-                response.message = telemetry::renderRequestsCsv(
-                    flightRecorder_.snapshot());
-            } else if (format == "tail" ||
-                       format.rfind("tail:", 0) == 0) {
-                // "tail" attributes p99; "tail:N" percentile N.
-                // One fleet-wide report, then one per model.
-                double pct = 99.0;
-                if (format.size() > 5 &&
-                    !(parseDouble(format.substr(5), pct) &&
-                      pct > 0.0 && pct < 100.0)) {
-                    return badRequest(
-                        "bad tail percentile (want 0 < pct < 100)");
-                }
-                auto records = flightRecorder_.snapshot();
-                std::string out = telemetry::renderTailReport(
-                    telemetry::attributeTail(records, pct));
-                for (const telemetry::TailReport &report :
-                     telemetry::attributeTailByModel(records, pct))
-                    out += telemetry::renderTailReport(report);
-                response.message = out;
-            } else if (format == "profile" ||
-                       format.rfind("profile:", 0) == 0) {
-                // "profile" samples for one second; "profile:N"
-                // for N seconds. Returns collapsed stacks.
-                int64_t window = 1;
-                if (format.size() > 8 &&
-                    !(parseInt(format.substr(8), window) &&
-                      window >= 1 && window <= 60)) {
-                    return badRequest(
-                        "bad profile window (want 1 <= seconds <= "
-                        "60)");
-                }
-                auto collapsed = telemetry::Profiler::instance().collect(
-                    static_cast<double>(window));
-                if (!collapsed.isOk()) {
-                    response.status = WireStatus::ServerError;
-                    response.message =
-                        collapsed.status().toString();
-                } else {
-                    response.message = collapsed.value();
-                }
-            } else if (format == "health") {
-                if (!health_) {
-                    response.status = WireStatus::ServerError;
-                    response.message =
-                        "health monitor disabled (tracing or "
-                        "sampler off)";
-                } else {
-                    double uptime = startTraceSeconds_ >= 0
-                        ? telemetry::traceNowUs() * 1e-6
-                            - startTraceSeconds_
-                        : -1.0;
-                    response.message = telemetry::renderHealthJson(
-                        health_->evaluateNow(), uptime);
-                }
-            } else if (format == "top" ||
-                       format.rfind("top:", 0) == 0) {
-                // "top" renders the 60 s dashboard; "top:W" a W-
-                // second window. Backs `djinn_cli top`.
-                telemetry::DashboardOptions dash;
-                if (format.size() > 4 &&
-                    !parseWindow(format.substr(4),
-                                 dash.windowSeconds)) {
-                    return badRequest(badWindowMessage);
-                }
-                if (!timeseries_) {
-                    response.status = WireStatus::ServerError;
-                    response.message =
-                        "time-series store disabled (tracing or "
-                        "sampler off)";
-                } else {
-                    response.message = telemetry::renderTopDashboard(
-                        *timeseries_, health_.get(), dash);
-                }
-            } else if (format == "sched") {
-                // The adaptive scheduler's policy state (dispatch
-                // targets, arrival/service EWMAs, tenant deficit
-                // accounting). Backs `djinn_cli sched`.
-                if (!scheduler_) {
-                    response.status = WireStatus::ServerError;
-                    response.message =
-                        "adaptive scheduler disabled (--sched "
-                        "adaptive requires --batching)";
-                } else {
-                    response.message = scheduler_->renderJson();
-                }
-            } else if (format.rfind("series:", 0) == 0) {
-                // "series:<metric>" or "series:<metric>:<window>".
-                telemetry::TimeSeriesStore::Window window;
-                std::string spec = request.model.substr(7);
-                size_t colon = spec.find(':');
-                if (colon != std::string::npos) {
-                    if (!parseWindow(spec.substr(colon + 1),
-                                     window.seconds))
-                        return badRequest(badWindowMessage);
-                    spec = spec.substr(0, colon);
-                }
-                window.name = spec;
-                if (window.name.empty())
-                    return badRequest("series spec needs a metric name");
-                if (!timeseries_) {
-                    response.status = WireStatus::ServerError;
-                    response.message =
-                        "time-series store disabled (tracing or "
-                        "sampler off)";
-                } else {
-                    response.message = telemetry::renderTimeSeriesJson(
-                                           *timeseries_, window) +
-                                       "\n";
-                }
-            } else {
-                response.status = WireStatus::BadRequest;
-                response.message = "unknown metrics format '" +
-                                   request.model + "'";
-            }
-            return response;
-        }
+        // The model field names the debug view ("verb:arg:...").
+        return debugRoutes().wire(request.model);
       case RequestType::Inference:
         return handleInference(request, trace, wire, deadline,
                                flight);
@@ -1000,6 +821,18 @@ DjinnServer::handleRequest(const Request &request,
     response.status = WireStatus::BadRequest;
     response.message = "unknown request type";
     return response;
+}
+
+DebugRoutes
+DjinnServer::debugRoutes()
+{
+    return DebugRoutes({.metrics = &metrics_,
+                        .tracer = &tracer_,
+                        .flight = &flightRecorder_,
+                        .timeseries = timeseries_.get(),
+                        .health = health_.get(),
+                        .scheduler = scheduler_.get(),
+                        .startTraceSeconds = startTraceSeconds_});
 }
 
 uint64_t
@@ -1132,10 +965,30 @@ DjinnServer::handleInference(const Request &request,
         std::chrono::steady_clock::now() - start).count();
     if (trace)
         trace->record(telemetry::Phase::Service, seconds);
-    if (slo_)
-        slo_->record(request.model, seconds);
     telemetry::LabelMap model_label{{"model", request.model}};
-    metrics_.counter(requestsTotalName, model_label).inc();
+    telemetry::Counter &requests =
+        metrics_.counter(requestsTotalName, model_label);
+    if (config_.sloTargetSeconds > 0.0) {
+        if (requests.value() == 0) {
+            // The model's first success registers its whole SLO
+            // family, so the exposition shows both counters, the
+            // target, and a 0 burn rate until the sampler's first
+            // reading.
+            metrics_.counter(telemetry::sloGoodMetricName, model_label);
+            metrics_.counter(telemetry::sloBadMetricName, model_label);
+            metrics_.gauge(telemetry::sloTargetMetricName, model_label)
+                .set(config_.sloTargetSeconds);
+            metrics_.gauge(telemetry::sloBurnRateMetricName,
+                           model_label);
+        }
+        const bool good = seconds <= config_.sloTargetSeconds;
+        metrics_
+            .counter(good ? telemetry::sloGoodMetricName
+                          : telemetry::sloBadMetricName,
+                     model_label)
+            .inc();
+    }
+    requests.inc();
     metrics_.counter(rowsTotalName, model_label)
         .inc(static_cast<uint64_t>(rows));
     return response;

@@ -23,13 +23,13 @@
 
 #include "common/status.hh"
 #include "core/batcher.hh"
+#include "core/debug_routes.hh"
 #include "core/model_registry.hh"
 #include "core/protocol.hh"
 #include "serve/scheduler.hh"
 #include "telemetry/flight_recorder.hh"
 #include "telemetry/health.hh"
 #include "telemetry/metrics.hh"
-#include "telemetry/slo.hh"
 #include "telemetry/timeseries.hh"
 #include "telemetry/trace.hh"
 #include "telemetry/tracer.hh"
@@ -303,13 +303,6 @@ class DjinnServer
     const telemetry::Tracer &tracer() const { return tracer_; }
 
     /**
-     * The server's SLO tracker (good/bad counters and burn-rate
-     * gauges over the telemetry registry); null when SLO tracking
-     * is disabled. Valid after construction.
-     */
-    telemetry::SloTracker *slo() { return slo_.get(); }
-
-    /**
      * The adaptive batching / fair-share policy engine; null
      * unless ServerConfig::adaptiveScheduling (and batching) is
      * on. Drives the batcher's per-model dispatch targets and the
@@ -378,6 +371,10 @@ class DjinnServer
      * workersMutex_. */
     void reapWorkersLocked();
 
+    /** The debug-route table over this server's current sources
+     * (the store and monitor are rebuilt by every start()). */
+    DebugRoutes debugRoutes();
+
     Response handleRequest(const Request &request,
                            telemetry::RequestTrace *trace,
                            const WireSpan *wire,
@@ -400,7 +397,6 @@ class DjinnServer
      * queues, unbatched requests run() a batch of one. */
     BatchingExecutor batcher_;
     std::unique_ptr<serve::AdaptiveScheduler> scheduler_;
-    std::unique_ptr<telemetry::SloTracker> slo_;
     std::unique_ptr<telemetry::TimeSeriesStore> timeseries_;
     std::unique_ptr<telemetry::HealthMonitor> health_;
     std::unique_ptr<telemetry::BackgroundSampler> sampler_;

@@ -1,6 +1,5 @@
 #include "core/http_endpoint.hh"
 
-#include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
@@ -8,22 +7,19 @@
 
 #include <sys/time.h>
 
-#include <cctype>
 #include <cerrno>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 
 #include "common/logging.hh"
 #include "common/strings.hh"
-#include "telemetry/attribution.hh"
-#include "telemetry/exposition.hh"
-#include "telemetry/profiler.hh"
 
 namespace djinn {
 namespace core {
 
 namespace {
+
+const char *const timeoutsName = "djinn_http_timeouts_total";
 
 const char *
 statusText(int code)
@@ -39,71 +35,22 @@ statusText(int code)
     return "Internal Server Error";
 }
 
-/**
- * Fill the response for an error: every debug/observability error
- * answers the same JSON shape so scripted clients need one parser.
- */
-int
-jsonError(int code, const std::string &message,
-          std::string &content_type, std::string &body)
-{
-    content_type = "application/json";
-    body = "{\"error\": \"" + telemetry::jsonEscape(message)
-        + "\", \"status\": " + std::to_string(code) + "}\n";
-    return code;
-}
-
-/**
- * Upper bound for `last=`-style count parameters: large enough for
- * any real ring, small enough that a hostile value cannot ask for
- * an absurd reservation.
- */
-constexpr int64_t maxCountParam = 10 * 1000 * 1000;
-
-/** The value of `key` in an &-joined query string ("" if absent). */
+/** The Accept header's value in a raw request head ("" if absent;
+ * header names are case-insensitive). */
 std::string
-queryParam(const std::string &query, const std::string &key)
+acceptHeader(const std::string &head)
 {
-    for (const std::string &kv : split(query, '&')) {
-        size_t eq = kv.find('=');
-        if (eq != std::string::npos && kv.substr(0, eq) == key)
-            return kv.substr(eq + 1);
-    }
-    return std::string();
-}
-
-/** Case-insensitively pull one header's value out of a raw request
- * head ("" if absent). */
-std::string
-headerValue(const std::string &head, const std::string &name)
-{
-    for (const std::string &line : split(head, '\n')) {
-        if (line.size() < name.size() + 1)
-            continue;
-        size_t i = 0;
-        for (; i < name.size(); ++i)
-            if (std::tolower(static_cast<unsigned char>(line[i])) !=
-                std::tolower(static_cast<unsigned char>(name[i])))
-                break;
-        if (i < name.size() || line[i] != ':')
-            continue;
-        std::string value = line.substr(i + 1);
-        while (!value.empty() &&
-               (value.front() == ' ' || value.front() == '\t'))
-            value.erase(value.begin());
-        while (!value.empty() &&
-               (value.back() == '\r' || value.back() == ' '))
-            value.pop_back();
-        return value;
-    }
-    return std::string();
+    size_t at = toLower(head).find("\naccept:");
+    if (at == std::string::npos)
+        return std::string();
+    at += std::strlen("\naccept:");
+    return std::string(trim(head.substr(at, head.find('\n', at) - at)));
 }
 
 } // namespace
 
-HttpEndpoint::HttpEndpoint(telemetry::MetricRegistry &metrics,
-                           const telemetry::Tracer &tracer)
-    : metrics_(metrics), tracer_(tracer)
+HttpEndpoint::HttpEndpoint(const DebugRoutes &routes)
+    : routes_(routes)
 {}
 
 HttpEndpoint::~HttpEndpoint()
@@ -117,45 +64,9 @@ HttpEndpoint::start(const std::string &bind_address, uint16_t port)
     if (running_.load())
         return Status::invalidArgument("endpoint already running");
 
-    listenFd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (listenFd_ < 0)
-        return Status::ioError(std::string("socket: ") +
-                               std::strerror(errno));
-    int one = 1;
-    ::setsockopt(listenFd_, SOL_SOCKET, SO_REUSEADDR, &one,
-                 sizeof(one));
-
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(port);
-    if (::inet_pton(AF_INET, bind_address.c_str(),
-                    &addr.sin_addr) != 1) {
-        ::close(listenFd_);
-        listenFd_ = -1;
-        return Status::invalidArgument("bad bind address '" +
-                                       bind_address + "'");
-    }
-    if (::bind(listenFd_, reinterpret_cast<sockaddr *>(&addr),
-               sizeof(addr)) < 0) {
-        Status s = Status::ioError(std::string("bind: ") +
-                                   std::strerror(errno));
-        ::close(listenFd_);
-        listenFd_ = -1;
+    Status s = listenTcp(bind_address, port, 16, listenFd_, port_);
+    if (!s.isOk())
         return s;
-    }
-    if (::listen(listenFd_, 16) < 0) {
-        Status s = Status::ioError(std::string("listen: ") +
-                                   std::strerror(errno));
-        ::close(listenFd_);
-        listenFd_ = -1;
-        return s;
-    }
-
-    socklen_t len = sizeof(addr);
-    if (::getsockname(listenFd_, reinterpret_cast<sockaddr *>(&addr),
-                      &len) == 0) {
-        port_ = ntohs(addr.sin_port);
-    }
 
     running_.store(true);
     acceptor_ = std::thread([this]() { acceptLoop(); });
@@ -224,232 +135,13 @@ HttpEndpoint::acceptLoop()
 
 int
 HttpEndpoint::handle(const std::string &target,
-                     const std::string &accept,
-                     std::string &content_type,
-                     std::string &body) const
+                     std::string &content_type, std::string &body,
+                     const std::string &accept) const
 {
-    std::string path = target;
-    std::string query;
-    size_t qpos = target.find('?');
-    if (qpos != std::string::npos) {
-        path = target.substr(0, qpos);
-        query = target.substr(qpos + 1);
-    }
-
-    content_type = "text/plain; charset=utf-8";
-    if (path == "/healthz") {
-        if (!health_) {
-            // No monitor (tracing off): the legacy liveness probe.
-            body = "ok\n";
-            return 200;
-        }
-        const telemetry::HealthVerdict verdict =
-            health_->evaluateNow();
-        double uptime = -1.0;
-        if (startTraceSeconds_ >= 0) {
-            uptime =
-                telemetry::traceNowUs() * 1e-6 - startTraceSeconds_;
-        }
-        body = telemetry::renderHealthJson(verdict, uptime);
-        content_type = "application/json";
-        // Degraded still answers 200: load balancers should only
-        // eject a replica that is actually unhealthy.
-        return verdict.level == telemetry::HealthLevel::Unhealthy
-            ? 503
-            : 200;
-    }
-    if (path == "/metrics") {
-        // Content negotiation: a scraper that asks for OpenMetrics
-        // gets the exemplar-bearing rendering; everyone else gets
-        // the plain Prometheus text unchanged, byte for byte.
-        // Media types are case-insensitive (RFC 9110 §8.3.1).
-        std::string accept_lower = accept;
-        for (char &c : accept_lower)
-            c = static_cast<char>(
-                std::tolower(static_cast<unsigned char>(c)));
-        if (accept_lower.find("application/openmetrics-text") !=
-            std::string::npos) {
-            body = telemetry::renderOpenMetrics(metrics_.snapshot());
-            content_type = telemetry::openMetricsContentType;
-            return 200;
-        }
-        body = telemetry::renderPrometheus(metrics_.snapshot());
-        // The exposition content type Prometheus scrapers expect.
-        content_type = "text/plain; version=0.0.4; charset=utf-8";
-        return 200;
-    }
-    if (path == "/debug/tail") {
-        if (!flightRecorder_) {
-            return jsonError(503, "no flight recorder attached",
-                             content_type, body);
-        }
-        double pct = 99.0;
-        std::string pct_arg = queryParam(query, "pct");
-        if (!pct_arg.empty()) {
-            pct = std::atof(pct_arg.c_str());
-            if (!(pct > 0.0 && pct < 100.0)) {
-                return jsonError(
-                    400, "bad 'pct' parameter (want 0 < pct < 100)",
-                    content_type, body);
-            }
-        }
-        std::string model = queryParam(query, "model");
-        std::vector<telemetry::FlightRecord> records =
-            flightRecorder_->snapshot();
-        body = "{\"fleet\": ";
-        body += telemetry::renderTailReportJson(
-            telemetry::attributeTail(records, pct, model));
-        body += ", \"models\": [";
-        bool first = true;
-        for (const telemetry::TailReport &report :
-             telemetry::attributeTailByModel(records, pct)) {
-            if (!model.empty() && report.model != model)
-                continue;
-            if (!first)
-                body += ", ";
-            first = false;
-            body += telemetry::renderTailReportJson(report);
-        }
-        body += "]}\n";
-        content_type = "application/json";
-        return 200;
-    }
-    if (path == "/debug/flight") {
-        if (!flightRecorder_) {
-            return jsonError(503, "no flight recorder attached",
-                             content_type, body);
-        }
-        telemetry::FlightRecord record;
-        bool found = false;
-        std::string ref = queryParam(query, "record");
-        std::string trace_arg = queryParam(query, "trace_id");
-        if (!ref.empty()) {
-            int64_t seq = 0;
-            if (!parseInt(ref, seq) || seq < 0) {
-                return jsonError(400, "bad 'record' parameter",
-                                 content_type, body);
-            }
-            found = flightRecorder_->find(
-                static_cast<uint64_t>(seq), record);
-        } else if (!trace_arg.empty()) {
-            char *end = nullptr;
-            uint64_t trace_id =
-                std::strtoull(trace_arg.c_str(), &end, 16);
-            if (end == trace_arg.c_str() || *end != '\0') {
-                return jsonError(400, "bad 'trace_id' parameter",
-                                 content_type, body);
-            }
-            found = flightRecorder_->findByTraceId(trace_id, record);
-        } else {
-            return jsonError(400,
-                             "need 'record' or 'trace_id' parameter",
-                             content_type, body);
-        }
-        if (!found) {
-            return jsonError(
-                404, "record not found (evicted or never recorded)",
-                content_type, body);
-        }
-        body = telemetry::renderFlightRecordJson(record) + "\n";
-        content_type = "application/json";
-        return 200;
-    }
-    if (path == "/trace") {
-        size_t last_n = 0;
-        for (const std::string &kv : split(query, '&')) {
-            size_t eq = kv.find('=');
-            if (eq == std::string::npos ||
-                kv.substr(0, eq) != "last")
-                continue;
-            int64_t parsed = 0;
-            if (!parseInt(kv.substr(eq + 1), parsed) ||
-                parsed < 0 || parsed > maxCountParam) {
-                return jsonError(400,
-                                 "bad 'last' parameter (want 0 <= "
-                                 "last <= 10000000)",
-                                 content_type, body);
-            }
-            last_n = static_cast<size_t>(parsed);
-        }
-        body = telemetry::renderChromeTrace(tracer_.events(last_n));
-        content_type = "application/json";
-        return 200;
-    }
-    if (path == "/debug/timeseries") {
-        if (!timeseries_) {
-            return jsonError(503, "no time-series store attached",
-                             content_type, body);
-        }
-        telemetry::TimeSeriesStore::Window window;
-        window.name = queryParam(query, "metric");
-        if (window.name.empty()) {
-            return jsonError(400, "need 'metric' parameter",
-                             content_type, body);
-        }
-        std::string window_arg = queryParam(query, "window");
-        if (!window_arg.empty()) {
-            window.seconds = std::atof(window_arg.c_str());
-            if (!(window.seconds > 0.0)
-                || window.seconds > 86400.0) {
-                return jsonError(400,
-                                 "bad 'window' parameter (want 0 < "
-                                 "window <= 86400 seconds)",
-                                 content_type, body);
-            }
-        }
-        double step = 0.0;
-        std::string step_arg = queryParam(query, "step");
-        if (!step_arg.empty()) {
-            step = std::atof(step_arg.c_str());
-            if (!(step >= 0.0) || step > 86400.0) {
-                return jsonError(400,
-                                 "bad 'step' parameter (want 0 <= "
-                                 "step <= 86400 seconds)",
-                                 content_type, body);
-            }
-        }
-        if (timeseries_->trackIds(window.name).empty()) {
-            return jsonError(
-                404, "unknown metric '" + window.name + "'",
-                content_type, body);
-        }
-        body = telemetry::renderTimeSeriesJson(*timeseries_, window,
-                                               step)
-            + "\n";
-        content_type = "application/json";
-        return 200;
-    }
-    if (path == "/profile") {
-        // Collapsed-stack sampling window; feed the output straight
-        // to flamegraph.pl. ?seconds=N bounds the window (default 1,
-        // max 60).
-        double seconds = 1.0;
-        for (const std::string &kv : split(query, '&')) {
-            size_t eq = kv.find('=');
-            if (eq == std::string::npos ||
-                kv.substr(0, eq) != "seconds")
-                continue;
-            int64_t parsed = 0;
-            if (!parseInt(kv.substr(eq + 1), parsed) ||
-                parsed <= 0 || parsed > 60) {
-                return jsonError(
-                    400,
-                    "bad 'seconds' parameter (want 1 <= seconds "
-                    "<= 60)",
-                    content_type, body);
-            }
-            seconds = static_cast<double>(parsed);
-        }
-        auto collapsed =
-            telemetry::Profiler::instance().collect(seconds);
-        if (!collapsed.isOk()) {
-            return jsonError(503, collapsed.status().toString(),
-                             content_type, body);
-        }
-        body = collapsed.value();
-        return 200;
-    }
-    return jsonError(404, "not found: " + path, content_type, body);
+    DebugReply reply = routes_.http(target, accept);
+    content_type = std::move(reply.contentType);
+    body = std::move(reply.body);
+    return reply.status;
 }
 
 void
@@ -477,39 +169,24 @@ HttpEndpoint::serveConnection(int fd)
             break;
         head.append(buf, static_cast<size_t>(n));
     }
-    if (timed_out) {
-        metrics_.counter("djinn_http_timeouts_total").inc();
-        std::string body = "request timed out\n";
-        std::string response = strprintf(
-            "HTTP/1.0 408 %s\r\n"
-            "Content-Type: text/plain; charset=utf-8\r\n"
-            "Content-Length: %zu\r\n"
-            "Connection: close\r\n"
-            "\r\n",
-            statusText(408), body.size());
-        response += body;
-        ::send(fd, response.data(), response.size(), MSG_NOSIGNAL);
-        return;
-    }
-
-    size_t line_end = head.find("\r\n");
-    std::string request_line = line_end == std::string::npos
-                                   ? head
-                                   : head.substr(0, line_end);
-    std::vector<std::string> parts = split(request_line, ' ');
-
     int code;
     std::string content_type = "text/plain; charset=utf-8";
     std::string body;
-    if (parts.size() < 2) {
+    std::vector<std::string> parts =
+        split(head.substr(0, head.find("\r\n")), ' ');
+    if (timed_out) {
+        routes_.sources().metrics->counter(timeoutsName).inc();
+        code = 408;
+        body = "request timed out\n";
+    } else if (parts.size() < 2) {
         code = 400;
         body = "malformed request line\n";
     } else if (parts[0] != "GET") {
         code = 405;
         body = "only GET is supported\n";
     } else {
-        code = handle(parts[1], headerValue(head, "accept"),
-                      content_type, body);
+        code = handle(parts[1], content_type, body,
+                      acceptHeader(head));
     }
 
     std::string response = strprintf(
@@ -531,7 +208,7 @@ HttpEndpoint::serveConnection(int fd)
             if (errno == EAGAIN || errno == EWOULDBLOCK) {
                 // SO_SNDTIMEO expired: the client stopped reading
                 // its response. Drop it rather than stall scrapes.
-                metrics_.counter("djinn_http_timeouts_total").inc();
+                routes_.sources().metrics->counter(timeoutsName).inc();
             }
             return;
         }

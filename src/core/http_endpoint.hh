@@ -1,39 +1,12 @@
 /**
  * @file
  * A minimal embedded HTTP scrape endpoint so standard tooling can
- * observe a DjiNN server without speaking the wire protocol:
- *
- *   GET /healthz            -> 200 "ok"; with a HealthMonitor
- *                              attached, a structured JSON verdict
- *                              instead (status/uptime/reasons; 503
- *                              only when unhealthy)
- *   GET /metrics            -> Prometheus text exposition; with
- *                              `Accept: application/openmetrics-text`
- *                              the OpenMetrics rendering instead
- *                              (histogram buckets with exemplars)
- *   GET /trace?last=N       -> Chrome trace-event JSON (last N
- *                              events; omit for the whole ring)
- *   GET /profile?seconds=N  -> collapsed stacks from an N-second
- *                              sampling window (flamegraph.pl
- *                              input; 503 when the profiler cannot
- *                              run)
- *   GET /debug/tail?model=M&pct=P
- *                           -> tail-attribution JSON: which phase
- *                              (read/decode/queue_wait/forward/
- *                              encode) the pP cohort's excess
- *                              latency comes from, per model
- *   GET /debug/flight?record=N (or ?trace_id=HEX)
- *                           -> one flight record as JSON; resolves
- *                              /metrics exemplar refs
- *   GET /debug/timeseries?metric=M&window=W&step=S
- *                           -> windowed per-track series of one
- *                              metric family from the in-process
- *                              TimeSeriesStore, as JSON
- *
- * Error responses carry a consistent JSON body
- * (`{"error": ..., "status": N}`) with 400 for malformed
- * parameters, 404 for unknown routes or missing data, and 503 for
- * a subsystem that is not attached.
+ * observe a DjiNN server without speaking the wire protocol. Every
+ * GET is dispatched through the debug-route table
+ * (core/debug_routes.hh; the routes, their parameters, bounds and
+ * error statuses are tabulated in DESIGN.md §15): /healthz,
+ * /metrics, /trace, /profile, /debug/tail, /debug/flight and
+ * /debug/timeseries.
  *
  * The endpoint serves one connection at a time with HTTP/1.0
  * close-after-response semantics, which is all scrapers and
@@ -49,11 +22,7 @@
 #include <thread>
 
 #include "common/status.hh"
-#include "telemetry/flight_recorder.hh"
-#include "telemetry/health.hh"
-#include "telemetry/metrics.hh"
-#include "telemetry/timeseries.hh"
-#include "telemetry/tracer.hh"
+#include "core/debug_routes.hh"
 
 namespace djinn {
 namespace core {
@@ -63,14 +32,12 @@ class HttpEndpoint
 {
   public:
     /**
-     * @param metrics registry served under /metrics (non-const:
-     *        the endpoint also counts its own I/O timeouts there,
-     *        as `djinn_http_timeouts_total`).
-     * @param tracer trace ring served under /trace.
-     * Both must outlive the endpoint.
+     * @param routes the route table and the sources it renders
+     *        from (copied; the sources must outlive the endpoint).
+     *        The endpoint counts its own I/O timeouts in the
+     *        sources' registry, as `djinn_http_timeouts_total`.
      */
-    HttpEndpoint(telemetry::MetricRegistry &metrics,
-                 const telemetry::Tracer &tracer);
+    explicit HttpEndpoint(const DebugRoutes &routes);
 
     /** Stops the endpoint if still running. */
     ~HttpEndpoint();
@@ -108,77 +75,25 @@ class HttpEndpoint
     }
 
     /**
-     * Attach the flight recorder behind /debug/tail and
-     * /debug/flight. Call before start(); must outlive the
-     * endpoint. Without one those routes answer 503.
-     */
-    void setFlightRecorder(
-        const telemetry::FlightRecorder *recorder)
-    {
-        flightRecorder_ = recorder;
-    }
-
-    /**
-     * Attach the time-series store behind /debug/timeseries. Call
-     * before start(); must outlive the endpoint. Without one the
-     * route answers 503.
-     */
-    void setTimeSeriesStore(const telemetry::TimeSeriesStore *store)
-    {
-        timeseries_ = store;
-    }
-
-    /**
-     * Attach the health monitor: /healthz upgrades from the plain
-     * "ok" to the structured JSON verdict. Call before start();
-     * must outlive the endpoint.
-     */
-    void setHealthMonitor(const telemetry::HealthMonitor *monitor)
-    {
-        health_ = monitor;
-    }
-
-    /**
-     * Server start time on the trace clock (traceNowUs()-seconds),
-     * used to report uptime in /healthz. Negative omits uptime.
-     */
-    void setStartTime(double traceSeconds)
-    {
-        startTraceSeconds_ = traceSeconds;
-    }
-
-    /**
      * Dispatch one already-parsed request; exposed for tests.
      *
      * @param target the request target, e.g. "/trace?last=10".
+     * @param content_type out: the response content type.
+     * @param body out: the response body.
      * @param accept the request's Accept header value (may be
      *        empty): `application/openmetrics-text` selects the
      *        exemplar-bearing OpenMetrics rendering of /metrics.
-     * @param content_type out: the response content type.
-     * @param body out: the response body.
      * @return the HTTP status code.
      */
-    int handle(const std::string &target, const std::string &accept,
-               std::string &content_type, std::string &body) const;
-
-    /** Dispatch with an empty Accept header. */
-    int
-    handle(const std::string &target, std::string &content_type,
-           std::string &body) const
-    {
-        return handle(target, std::string(), content_type, body);
-    }
+    int handle(const std::string &target, std::string &content_type,
+               std::string &body,
+               const std::string &accept = std::string()) const;
 
   private:
     void acceptLoop();
     void serveConnection(int fd);
 
-    telemetry::MetricRegistry &metrics_;
-    const telemetry::Tracer &tracer_;
-    const telemetry::FlightRecorder *flightRecorder_ = nullptr;
-    const telemetry::TimeSeriesStore *timeseries_ = nullptr;
-    const telemetry::HealthMonitor *health_ = nullptr;
-    double startTraceSeconds_ = -1.0;
+    const DebugRoutes routes_;
 
     double ioTimeoutSeconds_ = 5.0;
     int listenFd_ = -1;

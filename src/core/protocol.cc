@@ -1,5 +1,7 @@
 #include "core/protocol.hh"
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/types.h>
@@ -264,6 +266,42 @@ decodeResponse(const std::vector<uint8_t> &data)
     if (!r.atEnd())
         return Status::protocolError("trailing bytes after response");
     return response;
+}
+
+Status
+listenTcp(const std::string &address, uint16_t port, int backlog,
+          int &fd, uint16_t &bound_port)
+{
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(port);
+    if (::inet_pton(AF_INET, address.c_str(), &addr.sin_addr) != 1)
+        return Status::invalidArgument("bad bind address '" + address +
+                                       "'");
+    fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    if (fd < 0)
+        return Status::ioError(std::string("socket: ") +
+                               std::strerror(errno));
+    int one = 1;
+    ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+    const char *failed = nullptr;
+    if (::bind(fd, reinterpret_cast<sockaddr *>(&addr),
+               sizeof(addr)) < 0)
+        failed = "bind: ";
+    else if (::listen(fd, backlog) < 0)
+        failed = "listen: ";
+    if (failed) {
+        Status s = Status::ioError(failed + std::string(
+                                                std::strerror(errno)));
+        ::close(fd);
+        fd = -1;
+        return s;
+    }
+    socklen_t len = sizeof(addr);
+    if (::getsockname(fd, reinterpret_cast<sockaddr *>(&addr),
+                      &len) == 0)
+        bound_port = ntohs(addr.sin_port);
+    return Status::ok();
 }
 
 namespace {

@@ -145,6 +145,14 @@ Result<Request> decodeRequest(const std::vector<uint8_t> &data);
 Result<Response> decodeResponse(const std::vector<uint8_t> &data);
 
 /**
+ * Open a listening IPv4 TCP socket (SO_REUSEADDR) on
+ * @p address:@p port; port 0 picks an ephemeral port. On success
+ * @p fd is the socket and @p bound_port the port actually bound.
+ */
+Status listenTcp(const std::string &address, uint16_t port,
+                 int backlog, int &fd, uint16_t &bound_port);
+
+/**
  * Blocking framed I/O over a connected stream socket. Frames on
  * the wire are preceded by a u32 byte length. Writes use
  * MSG_NOSIGNAL so a hung-up peer surfaces as an IoError instead of

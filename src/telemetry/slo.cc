@@ -1,150 +1,27 @@
 #include "telemetry/slo.hh"
 
-#include <chrono>
-#include <cmath>
-
-#include "common/logging.hh"
-
 namespace djinn {
 namespace telemetry {
 
-namespace {
-
 double
-steadySeconds()
+sloBurnRate(const TimeSeriesStore &store, const std::string &model,
+            double objective)
 {
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now()
-                   .time_since_epoch())
-        .count();
-}
-
-} // namespace
-
-SloTracker::SloTracker(MetricRegistry &registry,
-                       const SloOptions &options, Clock clock)
-    : registry_(registry), options_(options),
-      clock_(clock ? std::move(clock) : steadySeconds)
-{
-    if (options_.defaultTargetSeconds <= 0.0)
-        fatal("SloTracker: default target must be positive");
-    if (options_.objective <= 0.0 || options_.objective >= 1.0)
-        fatal("SloTracker: objective must be in (0, 1)");
-    if (options_.windowSeconds < 1.0)
-        fatal("SloTracker: window must be at least one second");
-    if (options_.idleResetSeconds < 1.0)
-        fatal("SloTracker: idle reset must be at least one second");
-}
-
-SloTracker::ModelState &
-SloTracker::stateFor(const std::string &model)
-{
-    auto it = models_.find(model);
-    if (it != models_.end())
-        return it->second;
-
-    ModelState state;
-    const LabelMap labels{{"model", model}};
-    state.good = &registry_.counter(sloGoodMetricName, labels);
-    state.bad = &registry_.counter(sloBadMetricName, labels);
-    state.burn = &registry_.gauge(sloBurnRateMetricName, labels);
-    state.targetGauge =
-        &registry_.gauge(sloTargetMetricName, labels);
-    state.targetSeconds = options_.defaultTargetSeconds;
-    state.targetGauge->set(state.targetSeconds);
-    state.window.resize(
-        static_cast<size_t>(options_.windowSeconds));
-    return models_.emplace(model, std::move(state)).first->second;
-}
-
-void
-SloTracker::setTarget(const std::string &model, double seconds)
-{
-    if (seconds <= 0.0)
-        fatal("SloTracker: target must be positive");
-    std::lock_guard<std::mutex> lock(mutex_);
-    ModelState &state = stateFor(model);
-    state.targetSeconds = seconds;
-    state.targetGauge->set(seconds);
-}
-
-double
-SloTracker::target(const std::string &model) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = models_.find(model);
-    return it != models_.end() ? it->second.targetSeconds
-                               : options_.defaultTargetSeconds;
-}
-
-void
-SloTracker::record(const std::string &model,
-                   double serviceSeconds)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    ModelState &state = stateFor(model);
-    bool good = serviceSeconds <= state.targetSeconds;
-    (good ? state.good : state.bad)->inc();
-
-    int64_t second = static_cast<int64_t>(clock_());
-    state.lastRecordSecond = second;
-    Bucket &bucket =
-        state.window[static_cast<size_t>(second) %
-                     state.window.size()];
-    if (bucket.second != second) {
-        bucket.second = second;
-        bucket.good = 0;
-        bucket.bad = 0;
-    }
-    ++(good ? bucket.good : bucket.bad);
-}
-
-double
-SloTracker::windowBurnRate(const ModelState &state,
-                           int64_t now_second) const
-{
-    // An idle model burns nothing: a stale burst still inside the
-    // window is history, not live budget consumption, and must
-    // not alarm a model that is serving no traffic.
-    if (state.lastRecordSecond < 0 ||
-        now_second - state.lastRecordSecond >=
-            static_cast<int64_t>(options_.idleResetSeconds))
+    auto increase = [&](const char *name, double seconds) {
+        TimeSeriesStore::Window window;
+        window.name = name;
+        window.labels = {{"model", model}};
+        window.seconds = seconds;
+        TimeSeriesStore::Stat stat =
+            store.windowStat(window, TimeSeriesStore::Op::Increase);
+        return stat.valid ? stat.value : 0.0;
+    };
+    if (increase(sloGoodMetricName, sloIdleSeconds) +
+            increase(sloBadMetricName, sloIdleSeconds) <= 0.0)
         return 0.0;
-
-    uint64_t good = 0, bad = 0;
-    int64_t window = static_cast<int64_t>(state.window.size());
-    for (const Bucket &b : state.window) {
-        if (b.second >= 0 && now_second - b.second < window) {
-            good += b.good;
-            bad += b.bad;
-        }
-    }
-    uint64_t total = good + bad;
-    if (total == 0)
-        return 0.0;
-    double bad_fraction =
-        static_cast<double>(bad) / static_cast<double>(total);
-    return bad_fraction / (1.0 - options_.objective);
-}
-
-void
-SloTracker::updateBurnRates()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    int64_t now_second = static_cast<int64_t>(clock_());
-    for (auto &[model, state] : models_)
-        state.burn->set(windowBurnRate(state, now_second));
-}
-
-double
-SloTracker::burnRate(const std::string &model) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = models_.find(model);
-    if (it == models_.end())
-        return 0.0;
-    return windowBurnRate(it->second,
-                          static_cast<int64_t>(clock_()));
+    const double good = increase(sloGoodMetricName, sloBurnWindowSeconds);
+    const double bad = increase(sloBadMetricName, sloBurnWindowSeconds);
+    return bad / (good + bad) / (1.0 - objective);
 }
 
 } // namespace telemetry

@@ -1,39 +1,30 @@
 /**
  * @file
- * Rolling SLO accounting per model: every request is classified
- * good (service latency within the model's target) or bad, feeding
- * monotonic `djinn_slo_good_total` / `djinn_slo_bad_total`
- * counters plus a rolling-window burn-rate gauge
- * (`djinn_slo_burn_rate`): the fraction of bad requests over the
+ * SLO burn rate read from the time-series store. The server
+ * classifies every served request good (service latency within
+ * the model's target) or bad into the monotonic
+ * `djinn_slo_good_total` / `djinn_slo_bad_total` counters, plain
+ * registry counters like `djinn_requests_total`. Each sampler tick
+ * derives `djinn_slo_burn_rate` from the store's windowed
+ * increases of those two counters: the bad fraction over the
  * window divided by the error budget (1 - objective). Burn rate 1
  * means the service is consuming its budget exactly as fast as the
  * objective allows; above 1 the SLO is burning down; a sustained
  * rate of N exhausts a period's budget N times too fast — the
  * standard multi-window alerting signal.
- *
- * The tracker is registry-backed, so everything it maintains
- * appears in /metrics and the Metrics wire verb with no extra
- * plumbing. record() is called once per request and takes one
- * short mutex hold; the burn-rate gauges are refreshed by the
- * BackgroundSampler's update hook rather than on the request path.
  */
 
 #ifndef DJINN_TELEMETRY_SLO_HH
 #define DJINN_TELEMETRY_SLO_HH
 
-#include <cstdint>
-#include <functional>
-#include <map>
-#include <mutex>
 #include <string>
-#include <vector>
 
-#include "telemetry/metrics.hh"
+#include "telemetry/timeseries.hh"
 
 namespace djinn {
 namespace telemetry {
 
-/** Metric family names the tracker maintains. */
+/** Metric family names of the SLO accounting. */
 inline const char *const sloGoodMetricName = "djinn_slo_good_total";
 inline const char *const sloBadMetricName = "djinn_slo_bad_total";
 inline const char *const sloBurnRateMetricName =
@@ -41,106 +32,28 @@ inline const char *const sloBurnRateMetricName =
 inline const char *const sloTargetMetricName =
     "djinn_slo_target_seconds";
 
-/** SLO policy. */
-struct SloOptions {
-    /** Latency target applied to models without an explicit
-     * setTarget() override, seconds. */
-    double defaultTargetSeconds = 0.050;
-
-    /** Availability objective; the error budget is
-     * 1 - objective. */
-    double objective = 0.99;
-
-    /** Rolling window the burn rate is computed over, seconds. */
-    double windowSeconds = 60.0;
-
-    /**
-     * A model with no traffic for this long reports burn rate 0.
-     * The burn rate is a *fraction* of in-window requests: once a
-     * model goes idle, a stale burst (even a single bad request)
-     * would otherwise pin the gauge at up to 1/(1 - objective) for
-     * the rest of the window and trip health alerting on a model
-     * that is serving nothing. Seconds; must not exceed
-     * windowSeconds to matter.
-     */
-    double idleResetSeconds = 15.0;
-};
+/** Trailing window the burn rate is computed over, seconds. */
+inline constexpr double sloBurnWindowSeconds = 60.0;
 
 /**
- * Per-model SLO state over a shared registry. Thread-safe.
- * The clock is injectable so window-expiry behaviour is testable
- * without sleeping.
+ * A model with no requests in this trailing window burns 0. The
+ * burn rate is a *fraction* of in-window requests: once a model
+ * goes idle, a stale burst (even a single bad request) would
+ * otherwise pin it at up to 1/(1 - objective) for the rest of the
+ * window and trip health alerting on a model that is serving
+ * nothing. Seconds.
  */
-class SloTracker
-{
-  public:
-    /** Monotonic seconds source. */
-    using Clock = std::function<double()>;
+inline constexpr double sloIdleSeconds = 15.0;
 
-    /**
-     * @param registry destination for counters and gauges; must
-     *        outlive the tracker.
-     * @param options SLO policy.
-     * @param clock override for tests; defaults to the steady
-     *        clock.
-     */
-    explicit SloTracker(MetricRegistry &registry,
-                        const SloOptions &options = {},
-                        Clock clock = {});
-
-    SloTracker(const SloTracker &) = delete;
-    SloTracker &operator=(const SloTracker &) = delete;
-
-    /** Override the latency target for one model, seconds. */
-    void setTarget(const std::string &model, double seconds);
-
-    /** The target that applies to @p model, seconds. */
-    double target(const std::string &model) const;
-
-    /** Classify one served request. */
-    void record(const std::string &model, double serviceSeconds);
-
-    /**
-     * Recompute every model's burn-rate gauge from its rolling
-     * window. Called per sampler tick (and by tests directly).
-     */
-    void updateBurnRates();
-
-    /** Current burn rate for @p model (0 when never served). */
-    double burnRate(const std::string &model) const;
-
-  private:
-    /** One-second buckets forming the rolling window. */
-    struct Bucket {
-        int64_t second = -1; ///< absolute second this bucket holds
-        uint64_t good = 0;
-        uint64_t bad = 0;
-    };
-
-    struct ModelState {
-        Counter *good = nullptr;
-        Counter *bad = nullptr;
-        Gauge *burn = nullptr;
-        Gauge *targetGauge = nullptr;
-        double targetSeconds = 0.0;
-        std::vector<Bucket> window;
-
-        /** Absolute second of the newest record(); -1 before the
-         * first. Gates the idle burn-rate reset. */
-        int64_t lastRecordSecond = -1;
-    };
-
-    ModelState &stateFor(const std::string &model);
-    double windowBurnRate(const ModelState &state,
-                          int64_t now_second) const;
-
-    MetricRegistry &registry_;
-    SloOptions options_;
-    Clock clock_;
-
-    mutable std::mutex mutex_;
-    std::map<std::string, ModelState> models_;
-};
+/**
+ * @p model's burn rate over the trailing sloBurnWindowSeconds
+ * ending at @p store's newest slot; 0 when the model counted no
+ * request in the trailing sloIdleSeconds (or never).
+ *
+ * @param objective availability objective in (0, 1).
+ */
+double sloBurnRate(const TimeSeriesStore &store,
+                   const std::string &model, double objective);
 
 } // namespace telemetry
 } // namespace djinn

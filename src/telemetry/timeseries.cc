@@ -33,6 +33,7 @@ TimeSeriesStore::TimeSeriesStore(const MetricRegistry &registry,
         options_.capacity = 2;
     times_.resize(options_.capacity, 0.0);
     sync();
+    built_ = true;
 }
 
 void
@@ -65,6 +66,8 @@ TimeSeriesStore::syncLocked()
         track.counter = ref.counter;
         track.gauge = ref.gauge;
         track.histogram = ref.histogram;
+        track.firstSlot = sampled_;
+        track.zeroBefore = built_;
         track.values.resize(options_.capacity, 0.0);
         if (ref.kind == MetricKind::Histogram) {
             track.bucketCount = ref.histogram->bucketCountTotal();
@@ -114,6 +117,7 @@ TimeSeriesStore::sample(double nowSeconds)
     head_ = (head_ + 1) % options_.capacity;
     if (filled_ < options_.capacity)
         ++filled_;
+    ++sampled_;
 }
 
 size_t
@@ -242,9 +246,13 @@ TimeSeriesStore::windowStat(const Window &window, Op op,
 
     Stat stat;
 
-    if (op == Op::Rate) {
-        if (last == first)
+    if (op == Op::Rate || op == Op::Increase) {
+        const size_t a = slotIndex(first);
+        const size_t b = slotIndex(last);
+        const double dt = times_[b] - times_[a];
+        if (op == Op::Rate && dt <= 0)
             return {};
+        const uint64_t first_slot = sampled_ - filled_ + first;
         double total = 0.0;
         bool any = false;
         for (const Track &track : tracks_) {
@@ -253,21 +261,20 @@ TimeSeriesStore::windowStat(const Window &window, Op op,
                 || track.kind == MetricKind::Gauge) {
                 continue;
             }
-            const size_t a = slotIndex(first);
-            const size_t b = slotIndex(last);
-            const double dt = times_[b] - times_[a];
-            if (dt <= 0)
-                continue;
-            double delta;
-            if (track.kind == MetricKind::Counter) {
-                delta = track.values[b] - track.values[a];
-            } else {
-                delta = static_cast<double>(track.counts[b])
-                    - static_cast<double>(track.counts[a]);
-            }
-            if (delta < 0)
-                delta = 0;
-            total += delta / dt;
+            const bool counter = track.kind == MetricKind::Counter;
+            double from = counter
+                ? track.values[a]
+                : static_cast<double>(track.counts[a]);
+            const double to = counter
+                ? track.values[b]
+                : static_cast<double>(track.counts[b]);
+            // Retained slots before firstSlot already hold 0; only
+            // firstSlot itself needs its predecessor's 0 supplied.
+            if (op == Op::Increase && track.zeroBefore
+                && track.firstSlot == first_slot)
+                from = 0.0;
+            total += std::max(to - from, 0.0)
+                / (op == Op::Rate ? dt : 1.0);
             any = true;
         }
         if (!any)

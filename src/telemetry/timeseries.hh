@@ -150,6 +150,15 @@ class TimeSeriesStore
          * merged across matching tracks. Histograms only.
          */
         Quantile,
+
+        /**
+         * Sum over matching counter/histogram tracks of last -
+         * first inside the window: events counted in the window.
+         * A metric registered after the store was built read 0
+         * before its first slot, so a window reaching that slot
+         * counts its first events too. Invalid for gauges.
+         */
+        Increase,
     };
 
     /** A trailing-window query. */
@@ -223,6 +232,13 @@ class TimeSeriesStore
         /** Histogram cumulative buckets, capacity x bucketCount. */
         std::vector<uint64_t> buckets;
         int bucketCount = 0;
+
+        /** Absolute index (count of earlier samples) of the first
+         * slot holding this track. */
+        uint64_t firstSlot = 0;
+
+        /** Registered after construction, so 0 before firstSlot. */
+        bool zeroBefore = false;
     };
 
     void syncLocked();
@@ -251,6 +267,8 @@ class TimeSeriesStore
     std::map<const void *, size_t> known_;
     size_t head_ = 0;
     size_t filled_ = 0;
+    uint64_t sampled_ = 0;
+    bool built_ = false;
     size_t syncedMetrics_ = 0;
     size_t skipped_ = 0;
 };

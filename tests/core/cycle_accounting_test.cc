@@ -232,7 +232,8 @@ TEST_F(CycleAccountingTest, ProfileRouteServesCollapsedStacks)
 
     telemetry::MetricRegistry metrics;
     telemetry::Tracer tracer;
-    HttpEndpoint endpoint(metrics, tracer);
+    HttpEndpoint endpoint(
+        DebugRoutes({.metrics = &metrics, .tracer = &tracer}));
 
     std::string type, body;
     EXPECT_EQ(endpoint.handle("/profile?seconds=nope", type, body),

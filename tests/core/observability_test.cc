@@ -11,17 +11,27 @@
 
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <chrono>
+#include <cmath>
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "common/strings.hh"
+#include "core/debug_routes.hh"
 #include "core/djinn_client.hh"
 #include "core/http_endpoint.hh"
 #include "nn/init.hh"
 #include "nn/net_def.hh"
 #include "telemetry/health.hh"
+#include "telemetry/slo.hh"
 #include "telemetry/timeseries.hh"
 #include "telemetry/tracer.hh"
 
@@ -222,17 +232,21 @@ TEST(ObservabilityHttp, TimeseriesRouteAndJsonErrors)
         store.sample(static_cast<double>(t));
     }
 
-    HttpEndpoint endpoint(metrics, tracer);
+    HttpEndpoint bare(
+        DebugRoutes({.metrics = &metrics, .tracer = &tracer}));
     std::string type, body;
 
     // Without a store the route reports 503 with a JSON error.
-    EXPECT_EQ(endpoint.handle(
+    EXPECT_EQ(bare.handle(
                   "/debug/timeseries?metric=djinn_requests_total",
                   type, body),
               503);
     EXPECT_NE(body.find("\"error\""), std::string::npos);
 
-    endpoint.setTimeSeriesStore(&store);
+    telemetry::FlightRecorder flight(64, 0);
+    HttpEndpoint endpoint(
+        DebugRoutes({.metrics = &metrics, .tracer = &tracer,
+                     .flight = &flight, .timeseries = &store}));
     EXPECT_EQ(endpoint.handle(
                   "/debug/timeseries?metric=djinn_requests_total"
                   "&window=60",
@@ -260,6 +274,20 @@ TEST(ObservabilityHttp, TimeseriesRouteAndJsonErrors)
                   type, body),
               400);
 
+    // Numeric parameters parse strictly: trailing garbage is a 400
+    // with the JSON error body, not a silently truncated number.
+    for (const char *target :
+         {"/debug/timeseries?metric=djinn_requests_total"
+          "&window=60abc",
+          "/debug/timeseries?metric=djinn_requests_total"
+          "&window=60&step=1x",
+          "/debug/tail?pct=50x"}) {
+        EXPECT_EQ(endpoint.handle(target, type, body), 400)
+            << target;
+        EXPECT_NE(body.find("\"status\": 400"), std::string::npos)
+            << target;
+    }
+
     // Unknown metric.
     EXPECT_EQ(endpoint.handle(
                   "/debug/timeseries?metric=no_such_metric", type,
@@ -279,11 +307,12 @@ TEST(ObservabilityHttp, HealthzPlainAndStructured)
 {
     telemetry::MetricRegistry metrics;
     telemetry::Tracer tracer(256);
-    HttpEndpoint endpoint(metrics, tracer);
+    HttpEndpoint bare(
+        DebugRoutes({.metrics = &metrics, .tracer = &tracer}));
     std::string type, body;
 
     // Without a monitor the legacy plain liveness reply stands.
-    EXPECT_EQ(endpoint.handle("/healthz", type, body), 200);
+    EXPECT_EQ(bare.handle("/healthz", type, body), 200);
     EXPECT_EQ(body, "ok\n");
 
     // With a monitor the verdict is structured JSON.
@@ -297,8 +326,10 @@ TEST(ObservabilityHttp, HealthzPlainAndStructured)
         now = static_cast<double>(t);
         store.sample(now);
     }
-    endpoint.setHealthMonitor(&monitor);
-    endpoint.setStartTime(0.0);
+    HttpEndpoint endpoint(DebugRoutes({.metrics = &metrics,
+                                       .tracer = &tracer,
+                                       .health = &monitor,
+                                       .startTraceSeconds = 0.0}));
     EXPECT_EQ(endpoint.handle("/healthz", type, body), 200);
     EXPECT_EQ(type, "application/json");
     EXPECT_NE(body.find("\"status\": \"ok\""), std::string::npos)
@@ -357,6 +388,206 @@ TEST_F(ObservabilityTest, SamplerTickVsStopRace)
         EXPECT_NE(health->lastVerdict().level,
                   telemetry::HealthLevel::Unhealthy);
     }
+}
+
+
+/** The server classifies each served request against its SLO
+ * target. */
+class SloTrackerTest : public ObservabilityTest
+{
+  protected:
+    double
+    value(const char *name)
+    {
+        for (const auto &s : server_->metrics().snapshot()) {
+            if (s.name == name && s.labels.count("model") &&
+                s.labels.at("model") == "tiny")
+                return s.value;
+        }
+        return -1.0;
+    }
+
+    void
+    serve(double target_seconds, int requests)
+    {
+        ServerConfig config;
+        config.tracing = false; // no sampler: burn stays 0
+        config.sloTargetSeconds = target_seconds;
+        startServer(config);
+        DjinnClient client;
+        ASSERT_TRUE(
+            client.connect("127.0.0.1", server_->port()).isOk());
+        std::vector<float> payload(16, 0.5f);
+        for (int i = 0; i < requests; ++i)
+            ASSERT_TRUE(client.infer("tiny", 1, payload).isOk());
+    }
+};
+
+TEST_F(SloTrackerTest, ClassifiesAgainstDefaultTarget)
+{
+    // A generous target: every request is good, and the model's
+    // whole family is exported, the bad counter and burn rate at 0.
+    serve(100.0, 3);
+    EXPECT_EQ(value(telemetry::sloGoodMetricName), 3.0);
+    EXPECT_EQ(value(telemetry::sloBadMetricName), 0.0);
+    EXPECT_EQ(value(telemetry::sloTargetMetricName), 100.0);
+    EXPECT_EQ(value(telemetry::sloBurnRateMetricName), 0.0);
+    server_->stop();
+
+    // An impossible target: every request is bad.
+    serve(1e-12, 2);
+    EXPECT_EQ(value(telemetry::sloGoodMetricName), 0.0);
+    EXPECT_EQ(value(telemetry::sloBadMetricName), 2.0);
+    server_->stop();
+
+    // No target: no SLO families at all.
+    serve(0.0, 1);
+    EXPECT_EQ(value(telemetry::sloGoodMetricName), -1.0);
+    EXPECT_EQ(value(telemetry::sloTargetMetricName), -1.0);
+    server_->stop();
+}
+
+/** One HTTP/1.0 GET against 127.0.0.1:@p port: {status, body}, or
+ * status -1 on an I/O error. */
+std::pair<int, std::string>
+httpGet(uint16_t port, const std::string &target)
+{
+    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(port);
+    ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+    if (fd < 0 || ::connect(fd, reinterpret_cast<sockaddr *>(&addr),
+                            sizeof(addr)) < 0) {
+        if (fd >= 0)
+            ::close(fd);
+        return {-1, ""};
+    }
+    std::string request = "GET " + target + " HTTP/1.0\r\n\r\n";
+    (void)::send(fd, request.data(), request.size(), MSG_NOSIGNAL);
+    std::string response;
+    char buf[4096];
+    ssize_t n;
+    while ((n = ::read(fd, buf, sizeof(buf))) > 0)
+        response.append(buf, static_cast<size_t>(n));
+    ::close(fd);
+    int code = -1;
+    size_t sep = response.find("\r\n\r\n");
+    if (std::sscanf(response.c_str(), "HTTP/1.0 %d", &code) != 1 ||
+        sep == std::string::npos)
+        return {-1, ""};
+    return {code, response.substr(sep + 4)};
+}
+
+/**
+ * The two surfaces serve one table. For every route with both a
+ * wire verb and an HTTP path, the same arguments give
+ * byte-identical bodies on one live server, and every declared
+ * numeric bound (plus trailing garbage) is rejected on both: 400
+ * with the JSON error over HTTP, BadRequest on the wire. Driven by
+ * DebugRoutes::table(), so a route added later is covered with no
+ * new test code.
+ */
+TEST_F(ObservabilityTest, DebugRouteSurfacesAgree)
+{
+    ServerConfig config;
+    config.httpPort = 0;
+    // The sampler ticks once at start and not again during the
+    // test, so the store, the trace ring and the registry's gauges
+    // hold still while the two surfaces are compared.
+    config.samplerPeriod = 3600.0;
+    startServer(config);
+    DjinnClient client;
+    ASSERT_TRUE(
+        client.connect("127.0.0.1", server_->port()).isOk());
+    std::vector<float> payload(16, 0.5f);
+    for (int i = 0; i < 4; ++i)
+        ASSERT_TRUE(client.infer("tiny", 1, payload).isOk());
+    auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (server_->timeSeries()->sampleCount() == 0) {
+        ASSERT_LT(std::chrono::steady_clock::now(), deadline);
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+
+    // A valid value per parameter: its default, or for a required
+    // text parameter a name the server has (registered before the
+    // sampler's first tick).
+    auto valid = [](const DebugParam &p) -> std::string {
+        if (p.kind == DebugParam::Kind::Text)
+            return "djinn_compute_threads";
+        return strprintf("%.17g", p.fallback);
+    };
+    // The wire format and HTTP target for one route, with param
+    // @p bad_index (if any) replaced by @p bad_value.
+    auto request = [&](const DebugRoute &route, size_t bad_index,
+                       const std::string &bad_value) {
+        std::string format = route.verb;
+        std::string target = std::string(route.path) + "?";
+        for (size_t i = 0; i < route.params.size(); ++i) {
+            const DebugParam &p = route.params[i];
+            const bool bad = i == bad_index;
+            if (!bad && !p.wire)
+                continue; // HTTP-only: leave at its default
+            const std::string value = bad ? bad_value : valid(p);
+            if (p.wire)
+                format += ":" + value;
+            target += std::string(p.name) + "=" + value + "&";
+        }
+        return std::make_pair(format, target);
+    };
+
+    size_t dual = 0;
+    for (const DebugRoute &route : DebugRoutes::table()) {
+        if (!route.verb || !route.path)
+            continue;
+        ++dual;
+        // A sampling window is never byte-identical twice.
+        if (std::string(route.verb) == "profile")
+            continue;
+        auto [format, target] = request(route, SIZE_MAX, "");
+        auto wire = client.metricsExposition(format);
+        ASSERT_TRUE(wire.isOk()) << format << ": "
+                                 << wire.status().toString();
+        auto [code, body] = httpGet(server_->httpPort(), target);
+        EXPECT_EQ(code, 200) << target;
+        EXPECT_EQ(body, wire.value()) << format << " vs " << target;
+    }
+    EXPECT_GE(dual, 4u);
+
+    for (const DebugRoute &route : DebugRoutes::table()) {
+        if (!route.verb || !route.path)
+            continue;
+        for (size_t i = 0; i < route.params.size(); ++i) {
+            const DebugParam &p = route.params[i];
+            if (p.kind == DebugParam::Kind::Text)
+                continue;
+            std::vector<std::string> bad = {valid(p) + "x"};
+            bad.push_back(strprintf("%.17g", p.loOpen ? p.lo
+                                                      : p.lo - 1));
+            if (std::isfinite(p.hi)) {
+                bad.push_back(strprintf("%.17g", p.hiOpen ? p.hi
+                                                          : p.hi + 1));
+            }
+            for (const std::string &value : bad) {
+                auto [format, target] = request(route, i, value);
+                auto [code, body] =
+                    httpGet(server_->httpPort(), target);
+                EXPECT_EQ(code, 400) << target;
+                EXPECT_NE(body.find("\"status\": 400"),
+                          std::string::npos)
+                    << target;
+                if (p.wire) {
+                    EXPECT_EQ(client.metricsExposition(format)
+                                  .status()
+                                  .code(),
+                              StatusCode::InvalidArgument)
+                        << format;
+                }
+            }
+        }
+    }
+    server_->stop();
 }
 
 } // namespace

@@ -566,7 +566,8 @@ TEST(HttpTimeout, StalledScraperGets408)
     // be counted.
     telemetry::MetricRegistry metrics;
     telemetry::Tracer tracer(1024);
-    HttpEndpoint endpoint(metrics, tracer);
+    HttpEndpoint endpoint(
+        DebugRoutes({.metrics = &metrics, .tracer = &tracer}));
     endpoint.setIoTimeout(0.1);
     ASSERT_TRUE(endpoint.start("127.0.0.1", 0).isOk());
 

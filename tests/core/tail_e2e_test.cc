@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <memory>
 #include <string>
 #include <vector>
@@ -21,6 +22,7 @@
 #include "nn/net_def.hh"
 #include "telemetry/attribution.hh"
 #include "telemetry/exposition.hh"
+#include "telemetry/trace_context.hh"
 #include "telemetry/tracer.hh"
 
 namespace djinn {
@@ -94,8 +96,9 @@ TEST_F(TailE2eTest, SlowReadStragglerDominatesTheTail)
     // The same verdict over HTTP: /debug/tail on an endpoint wired
     // to this server's recorder and registry.
     telemetry::Tracer tracer;
-    HttpEndpoint endpoint(server_->metrics(), tracer);
-    endpoint.setFlightRecorder(&server_->flightRecorder());
+    HttpEndpoint endpoint(DebugRoutes(
+        {.metrics = &server_->metrics(), .tracer = &tracer,
+         .flight = &server_->flightRecorder()}));
     std::string type, body;
     ASSERT_EQ(endpoint.handle("/debug/tail?pct=80", type, body),
               200);
@@ -187,6 +190,7 @@ TEST_F(TailE2eTest, DebugFlightLookupByRecordAndTraceId)
     startServer();
     DjinnClient client;
     ASSERT_TRUE(connect(client).isOk());
+    client.setTracing(true); // records carry trace ids
     drive(client, 3, 1);
 
     std::vector<telemetry::FlightRecord> records =
@@ -195,8 +199,9 @@ TEST_F(TailE2eTest, DebugFlightLookupByRecordAndTraceId)
     const telemetry::FlightRecord &sample = records.back();
 
     telemetry::Tracer tracer;
-    HttpEndpoint endpoint(server_->metrics(), tracer);
-    endpoint.setFlightRecorder(&server_->flightRecorder());
+    HttpEndpoint endpoint(DebugRoutes(
+        {.metrics = &server_->metrics(), .tracer = &tracer,
+         .flight = &server_->flightRecorder()}));
     std::string type, body;
 
     std::string by_ref =
@@ -213,6 +218,31 @@ TEST_F(TailE2eTest, DebugFlightLookupByRecordAndTraceId)
                               type, body),
               400);
     EXPECT_EQ(endpoint.handle("/debug/flight", type, body), 400);
+
+    // By trace id: 1-16 hex digits in either case.
+    ASSERT_NE(sample.traceId, 0u);
+    std::string hex = telemetry::traceIdToHex(sample.traceId);
+    ASSERT_EQ(endpoint.handle("/debug/flight?trace_id=" + hex, type,
+                              body),
+              200);
+    EXPECT_NE(body.find("\"total_seconds\""), std::string::npos);
+    for (char &c : hex)
+        c = static_cast<char>(std::toupper(c));
+    EXPECT_EQ(endpoint.handle("/debug/flight?trace_id=" + hex, type,
+                              body),
+              200);
+    // Nothing else: no sign (-1 must not wrap to 0xffff...ffff),
+    // prefix, whitespace, or saturating 17th digit.
+    for (const char *id : {"-1", "+1", "0x1", " 1", "1 ",
+                           "00000000000000001", "xyz"}) {
+        EXPECT_EQ(endpoint.handle(
+                      std::string("/debug/flight?trace_id=") + id,
+                      type, body),
+                  400)
+            << id;
+        EXPECT_NE(body.find("\"status\": 400"), std::string::npos)
+            << id;
+    }
 }
 
 } // namespace

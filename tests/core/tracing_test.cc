@@ -272,7 +272,8 @@ TEST(HttpEndpointTest, HandleRoutes)
     telemetry::Tracer tracer;
     tracer.record({"decode", "phase", "worker-1", 1, 2, 0, 10, 5,
                    false, 0.0, {}});
-    HttpEndpoint endpoint(metrics, tracer);
+    HttpEndpoint endpoint(
+        DebugRoutes({.metrics = &metrics, .tracer = &tracer}));
 
     std::string type, body;
     EXPECT_EQ(endpoint.handle("/healthz", type, body), 200);
@@ -298,7 +299,8 @@ TEST(HttpEndpointTest, StartStopOnEphemeralPort)
 {
     telemetry::MetricRegistry metrics;
     telemetry::Tracer tracer;
-    HttpEndpoint endpoint(metrics, tracer);
+    HttpEndpoint endpoint(
+        DebugRoutes({.metrics = &metrics, .tracer = &tracer}));
     ASSERT_TRUE(endpoint.start("127.0.0.1", 0).isOk());
     EXPECT_GT(endpoint.port(), 0);
     EXPECT_TRUE(endpoint.running());

@@ -1,9 +1,13 @@
 /**
  * @file
- * SLO tracker tests: good/bad classification against per-model
- * targets, burn-rate arithmetic (bad fraction over the rolling
- * window divided by the error budget), window expiry via an
- * injected clock, and the registry families the tracker maintains.
+ * SLO burn-rate tests over the time-series store: the good/bad
+ * counters and sample times are fed synthetically (no sleeps, no
+ * server), then sloBurnRate() must read the bad fraction over the
+ * trailing window divided by the error budget, forget failures
+ * that slid out of the window, reset for idle models, count a
+ * model whose counters first appear inside the window, and ignore
+ * history older than the store. The server-side good/bad
+ * classification is covered in tests/core/observability_test.cc.
  */
 
 #include "telemetry/slo.hh"
@@ -13,182 +17,158 @@
 #include <string>
 
 #include "telemetry/metrics.hh"
+#include "telemetry/timeseries.hh"
 
 namespace djinn {
 namespace telemetry {
 namespace {
 
-/** Counter/gauge value for (name, model), or -1 when absent. */
-double
-sampleValue(const MetricRegistry &registry, const char *name,
-            const std::string &model)
+class SloTrackerTest : public ::testing::Test
 {
-    for (const MetricSample &s : registry.snapshot()) {
-        if (s.name == name && s.labels.count("model") &&
-            s.labels.at("model") == model) {
-            return s.value;
+  protected:
+    /** Count @p good and @p bad requests for @p model. */
+    void
+    serve(const std::string &model, int good, int bad)
+    {
+        const LabelMap labels{{"model", model}};
+        registry_.counter(sloGoodMetricName, labels).inc(good);
+        registry_.counter(sloBadMetricName, labels).inc(bad);
+    }
+
+    /** Sample the store once per second over [from, to]. */
+    void
+    tick(int from, int to)
+    {
+        for (int t = from; t <= to; ++t)
+            store_.sample(static_cast<double>(t));
+    }
+
+    double
+    burn(const std::string &model, double objective = 0.99)
+    {
+        return sloBurnRate(store_, model, objective);
+    }
+
+    MetricRegistry registry_;
+    TimeSeriesStore store_{registry_};
+};
+
+TEST_F(SloTrackerTest, BurnRateIsBadFractionOverErrorBudget)
+{
+    tick(0, 0);
+    // 1 bad of 10 -> bad fraction 0.1 -> burn rate 0.1/0.01 = 10.
+    serve("m", 9, 1);
+    tick(1, 1);
+    EXPECT_NEAR(burn("m"), 10.0, 1e-9);
+}
+
+TEST_F(SloTrackerTest, AllGoodBurnsNothing)
+{
+    tick(0, 0);
+    serve("m", 5, 0);
+    tick(1, 1);
+    EXPECT_DOUBLE_EQ(burn("m"), 0.0);
+    EXPECT_DOUBLE_EQ(burn("never-served"), 0.0);
+}
+
+TEST_F(SloTrackerTest, WindowExpiryForgetsOldFailures)
+{
+    tick(0, 0);
+    serve("m", 0, 1); // bad just after t=0
+    // Steady good traffic keeps the model out of the idle reset.
+    for (int t = 1; t <= 70; ++t) {
+        serve("m", 1, 0);
+        tick(t, t);
+        if (t == 30) {
+            // Still inside the 60 s window: the failure burns.
+            EXPECT_GT(burn("m"), 0.0);
         }
     }
-    return -1.0;
+    // The window slid past it: the rate drops to zero even though
+    // the monotonic bad counter keeps its value.
+    EXPECT_DOUBLE_EQ(burn("m"), 0.0);
+    EXPECT_EQ(registry_.counter(sloBadMetricName, {{"model", "m"}})
+                  .value(),
+              1u);
 }
 
-TEST(SloTrackerTest, ClassifiesAgainstDefaultTarget)
+TEST_F(SloTrackerTest, IdleModelResetsBurnBeforeWindowExpiry)
 {
-    MetricRegistry registry;
-    SloOptions options;
-    options.defaultTargetSeconds = 0.050;
-    double now = 0.0;
-    SloTracker slo(registry, options, [&]() { return now; });
+    // The burn rate is a fraction of in-window traffic, so a model
+    // that stops serving after a bad burst would otherwise pin
+    // burn = 1/(1 - objective) for the full window. Idle models
+    // must read 0 once the idle horizon passes, long before the
+    // window forgets the burst.
+    tick(0, 0);
+    serve("m", 0, 1); // bad burst, then silence
+    tick(1, 5);
+    EXPECT_NEAR(burn("m"), 100.0, 1e-9);
 
-    slo.record("alexnet", 0.010); // within target
-    slo.record("alexnet", 0.050); // exactly at target counts good
-    slo.record("alexnet", 0.200); // blown
+    // Idle past the reset horizon but well inside the 60 s window.
+    tick(6, 30);
+    EXPECT_DOUBLE_EQ(burn("m"), 0.0);
 
-    EXPECT_EQ(sampleValue(registry, sloGoodMetricName, "alexnet"),
-              2.0);
-    EXPECT_EQ(sampleValue(registry, sloBadMetricName, "alexnet"),
-              1.0);
-    EXPECT_EQ(
-        sampleValue(registry, sloTargetMetricName, "alexnet"),
-        0.050);
+    // Traffic resumes: the whole window counts again, burst
+    // included (1 bad of 2).
+    serve("m", 1, 0);
+    tick(31, 31);
+    EXPECT_NEAR(burn("m"), 50.0, 1e-9);
 }
 
-TEST(SloTrackerTest, PerModelTargetOverride)
+TEST_F(SloTrackerTest, MixedTrafficAcrossSecondsAggregates)
 {
-    MetricRegistry registry;
-    double now = 0.0;
-    SloTracker slo(registry, {}, [&]() { return now; });
-
-    EXPECT_DOUBLE_EQ(slo.target("asr"), 0.050);
-    slo.setTarget("asr", 0.500);
-    EXPECT_DOUBLE_EQ(slo.target("asr"), 0.500);
-    EXPECT_EQ(sampleValue(registry, sloTargetMetricName, "asr"),
-              0.500);
-
-    slo.record("asr", 0.300); // bad under default, good under 500ms
-    EXPECT_EQ(sampleValue(registry, sloGoodMetricName, "asr"), 1.0);
-    EXPECT_EQ(sampleValue(registry, sloBadMetricName, "asr"), 0.0);
-}
-
-TEST(SloTrackerTest, BurnRateIsBadFractionOverErrorBudget)
-{
-    MetricRegistry registry;
-    SloOptions options;
-    options.objective = 0.99; // error budget 0.01
-    double now = 0.0;
-    SloTracker slo(registry, options, [&]() { return now; });
-
-    // 1 bad of 10 -> bad fraction 0.1 -> burn rate 0.1/0.01 = 10.
-    for (int i = 0; i < 9; ++i)
-        slo.record("m", 0.001);
-    slo.record("m", 9.0);
-    EXPECT_NEAR(slo.burnRate("m"), 10.0, 1e-9);
-
-    slo.updateBurnRates();
-    EXPECT_NEAR(sampleValue(registry, sloBurnRateMetricName, "m"),
-                10.0, 1e-9);
-}
-
-TEST(SloTrackerTest, AllGoodBurnsNothing)
-{
-    MetricRegistry registry;
-    double now = 0.0;
-    SloTracker slo(registry, {}, [&]() { return now; });
-    for (int i = 0; i < 5; ++i)
-        slo.record("m", 0.001);
-    EXPECT_DOUBLE_EQ(slo.burnRate("m"), 0.0);
-    EXPECT_DOUBLE_EQ(slo.burnRate("never-served"), 0.0);
-}
-
-TEST(SloTrackerTest, WindowExpiryForgetsOldFailures)
-{
-    MetricRegistry registry;
-    SloOptions options;
-    options.windowSeconds = 10.0;
-    double now = 0.0;
-    SloTracker slo(registry, options, [&]() { return now; });
-
-    slo.record("m", 9.0); // bad at t=0
-    EXPECT_GT(slo.burnRate("m"), 0.0);
-
-    // Still inside the window: the failure keeps burning.
-    now = 5.0;
-    EXPECT_GT(slo.burnRate("m"), 0.0);
-
-    // Window slides past it: rate drops to zero even though the
-    // monotonic bad counter keeps its value.
-    now = 11.0;
-    slo.updateBurnRates();
-    EXPECT_DOUBLE_EQ(slo.burnRate("m"), 0.0);
-    EXPECT_DOUBLE_EQ(
-        sampleValue(registry, sloBurnRateMetricName, "m"), 0.0);
-    EXPECT_EQ(sampleValue(registry, sloBadMetricName, "m"), 1.0);
-}
-
-TEST(SloTrackerTest, IdleModelResetsBurnBeforeWindowExpiry)
-{
-    // The satellite regression test: the burn rate is a fraction
-    // of in-window traffic, so a model that stops serving after a
-    // bad burst would otherwise pin burn = 1/(1 - objective) for
-    // the full window. Idle models must read 0 once the idle
-    // horizon passes, long before the window forgets the burst.
-    MetricRegistry registry;
-    SloOptions options;
-    options.windowSeconds = 60.0;
-    options.idleResetSeconds = 15.0;
-    double now = 0.0;
-    SloTracker slo(registry, options, [&]() { return now; });
-
-    slo.record("m", 9.0); // bad burst at t=0, then silence
-    EXPECT_GT(slo.burnRate("m"), 0.0);
-
-    // Recently active: the burst still burns.
-    now = 5.0;
-    EXPECT_GT(slo.burnRate("m"), 0.0);
-
-    // Idle past the reset horizon but well inside the 60 s window:
-    // pre-fix this still read 100 (1 bad / 1 total / 0.01 budget).
-    now = 30.0;
-    slo.updateBurnRates();
-    EXPECT_DOUBLE_EQ(slo.burnRate("m"), 0.0);
-    EXPECT_DOUBLE_EQ(
-        sampleValue(registry, sloBurnRateMetricName, "m"), 0.0);
-
-    // Traffic resumes: live accounting picks right back up.
-    slo.record("m", 9.0);
-    EXPECT_GT(slo.burnRate("m"), 0.0);
-}
-
-TEST(SloTrackerTest, MixedTrafficAcrossSecondsAggregates)
-{
-    MetricRegistry registry;
-    SloOptions options;
-    options.objective = 0.90; // budget 0.1
-    options.windowSeconds = 60.0;
-    double now = 0.0;
-    SloTracker slo(registry, options, [&]() { return now; });
-
-    // Spread traffic over several one-second buckets.
-    for (int second = 0; second < 4; ++second) {
-        now = second;
-        for (int i = 0; i < 4; ++i)
-            slo.record("m", 0.001);
-        slo.record("m", 9.0);
+    tick(0, 0);
+    // Spread traffic over several one-second slots.
+    for (int t = 1; t <= 4; ++t) {
+        serve("m", 4, 1);
+        tick(t, t);
     }
-    // 4 bad of 20 -> fraction 0.2 -> burn rate 2.
-    now = 4.0;
-    EXPECT_DOUBLE_EQ(slo.burnRate("m"), 2.0);
+    // 4 bad of 20 -> fraction 0.2 -> burn rate 0.2/0.1 = 2.
+    EXPECT_DOUBLE_EQ(burn("m", 0.90), 2.0);
 }
 
-TEST(SloTrackerTest, ModelsTrackIndependently)
+TEST_F(SloTrackerTest, ModelsTrackIndependently)
 {
+    tick(0, 0);
+    serve("good-model", 1, 0);
+    serve("bad-model", 0, 1);
+    tick(1, 1);
+    EXPECT_DOUBLE_EQ(burn("good-model"), 0.0);
+    EXPECT_NEAR(burn("bad-model"), 100.0, 1e-9);
+}
+
+TEST_F(SloTrackerTest, CountersFirstAppearingInWindowCountFirstRequests)
+{
+    // The model registers its counters mid-history: its first slot
+    // already holds the first requests, which must still count.
+    tick(0, 10);
+    serve("late", 1, 1);
+    tick(11, 11);
+    EXPECT_NEAR(burn("late"), 50.0, 1e-9);
+
+    // Also when the registration lands before the store's very
+    // first slot.
     MetricRegistry registry;
-    double now = 0.0;
-    SloTracker slo(registry, {}, [&]() { return now; });
-    slo.record("good-model", 0.001);
-    slo.record("bad-model", 9.0);
-    EXPECT_DOUBLE_EQ(slo.burnRate("good-model"), 0.0);
-    EXPECT_GT(slo.burnRate("bad-model"), 0.0);
+    TimeSeriesStore store(registry);
+    registry.counter(sloGoodMetricName, {{"model", "m"}}).inc(3);
+    registry.counter(sloBadMetricName, {{"model", "m"}}).inc(1);
+    store.sample(0.0);
+    EXPECT_NEAR(sloBurnRate(store, "m", 0.75), 1.0, 1e-9);
+}
+
+TEST_F(SloTrackerTest, HistoryOlderThanTheStoreDoesNotBurn)
+{
+    // Counters registered before the store was built (a restarted
+    // server keeps its registry) carry history the store never saw;
+    // only what it sees increase counts.
+    MetricRegistry registry;
+    registry.counter(sloBadMetricName, {{"model", "m"}}).inc(7);
+    TimeSeriesStore store(registry);
+    store.sample(0.0);
+    EXPECT_DOUBLE_EQ(sloBurnRate(store, "m", 0.99), 0.0);
+    registry.counter(sloGoodMetricName, {{"model", "m"}}).inc(1);
+    store.sample(1.0);
+    EXPECT_DOUBLE_EQ(sloBurnRate(store, "m", 0.99), 0.0);
 }
 
 } // namespace

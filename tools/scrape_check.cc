@@ -18,8 +18,10 @@
  * `# {...} value` exemplar suffixes, and still parse; the plain
  * Prometheus rendering must stay free of exemplar/OpenMetrics
  * markers (byte-stable with exemplars off). /debug/tail must
- * answer attribution JSON. When the daemon runs a health monitor,
- * /healthz must carry the structured JSON verdict (status +
+ * answer attribution JSON, and a malformed numeric parameter
+ * (`/debug/tail?pct=50x`, `/debug/flight?trace_id=-1`) must answer
+ * 400 with the JSON error body. When the daemon runs a health
+ * monitor, /healthz must carry the structured JSON verdict (status +
  * uptime); /debug/timeseries must serve windowed series JSON for a
  * known metric, 400 with a JSON error body when the metric
  * parameter is missing or the window is out of bounds, and 404 for
@@ -383,6 +385,23 @@ main(int argc, char **argv)
         return 1;
     }
     std::printf("ok: /debug/tail answers attribution JSON\n");
+
+    // 7b. Numeric parameters parse strictly on every route: trailing
+    // garbage and a signed trace id are 400s with the JSON error
+    // body, never a silently truncated or wrapped value.
+    for (const char *target :
+         {"/debug/tail?pct=50x", "/debug/flight?trace_id=-1"}) {
+        if (!httpGet(host, port, target, code, body) || code != 400 ||
+            body.find("\"error\"") == std::string::npos ||
+            body.find("\"status\": 400") == std::string::npos) {
+            std::fprintf(stderr,
+                         "FAIL: GET %s should 400 with a JSON error "
+                         "(got %d '%s')\n",
+                         target, code, body.c_str());
+            return 1;
+        }
+    }
+    std::printf("ok: malformed numeric parameters answer 400\n");
 
     // 8. /debug/timeseries: windowed series JSON for a metric the
     // server always has, JSON 400s for parameter errors, and a
