@@ -7,8 +7,13 @@
  * schema-versioned JSON document:
  *
  *   1. GEMM kernels at DNN-relevant shapes, per precision
- *      (f32/bf16/int8) and compute-thread count
+ *      (f32/bf16/int8) and compute-thread count, through the
+ *      raw-operand entry points and through gemm_packed with the
+ *      weights packed outside the timed region, as served
  *        -> djinn_bench_gemm_gflops{shape,precision,threads}
+ *           djinn_bench_gemm_gflops{entry="packed",...}
+ *      followed by a stderr report of the packed rates against the
+ *      ROADMAP bars (int8 >= f32; 4-thread >= 2.5x 1-thread)
  *   2. A live loopback batching server (tiny model, real TCP) at
  *      batch sizes 1/16/64, quantiled from the same
  *      djinn_request_seconds histogram production scrapes read
@@ -39,8 +44,10 @@
 #include <cstdlib>
 #include <cstring>
 #include <functional>
+#include <map>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "cluster/simulator.hh"
@@ -116,10 +123,57 @@ struct GemmShape {
     int64_t m, n, k;
 };
 
+/** Packed-entry GFLOP/s by (shape, precision, threads). */
+using RateTable =
+    std::map<std::tuple<std::string, std::string, int>, double>;
+
+/**
+ * Print the packed rates against the ROADMAP's serving-shape GEMM
+ * bars: int8 at least f32 at one thread, and 4 threads at least
+ * 2.5x one thread at kaldi_hidden and alexnet_fc6. Measured and
+ * reported, not asserted: the rates depend on the host.
+ */
+void
+reportGemmBars(const std::vector<GemmShape> &shapes,
+               const std::vector<int> &threadCounts,
+               const RateTable &rate)
+{
+    auto at = [&](const char *shape, const char *precision,
+                  int threads) {
+        auto it = rate.find({shape, precision, threads});
+        return it == rate.end() ? 0.0 : it->second;
+    };
+    std::fprintf(stderr, "bench_suite: packed GEMM vs ROADMAP bars\n");
+    for (const GemmShape &shape : shapes) {
+        double f32 = at(shape.name, "f32", 1);
+        double int8 = at(shape.name, "int8", 1);
+        std::fprintf(stderr,
+                     "  %-13s int8/f32 at 1 thread: %6.1f / %6.1f "
+                     "GF = %.2fx (bar >= 1.00x)\n",
+                     shape.name, int8, f32, f32 > 0 ? int8 / f32 : 0.0);
+    }
+    int most = threadCounts.back();
+    for (const GemmShape &shape : shapes) {
+        std::string name = shape.name;
+        if (name != "kaldi_hidden" && name != "alexnet_fc6")
+            continue;
+        for (const char *precision : {"f32", "bf16", "int8"}) {
+            double one = at(shape.name, precision, 1);
+            double four = at(shape.name, precision, 4);
+            std::fprintf(stderr,
+                         "  %-13s %-4s 1->4 threads: %6.1f -> %6.1f "
+                         "GF = %.2fx (bar >= 2.50x; pool max %d)\n",
+                         shape.name, precision, one, four,
+                         one > 0 ? four / one : 0.0, most);
+        }
+    }
+}
+
 void
 runGemmStage(const SuiteConfig &config,
              std::vector<SuiteSample> &out)
 {
+    RateTable packedRate;
     const std::vector<GemmShape> shapes =
         config.quick
             ? std::vector<GemmShape>{{"senna_fc1", 28, 600, 250},
@@ -165,24 +219,42 @@ runGemmStage(const SuiteConfig &config,
                    &a_hi);
         nn::QuantParams aq = nn::QuantParams::affineU8(a_lo, a_hi);
 
+        // The served layout: weights packed once, outside the timed
+        // region, in the fully connected orientation.
+        nn::PackedWeights packedF32, packedBf16, packedInt8;
+        packedF32.pack(nn::Precision::F32, nn::Trans::No, shape.k,
+                       shape.n, b.data(), shape.n);
+        packedBf16.pack(nn::Precision::Bf16, nn::Trans::No, shape.k,
+                        shape.n, b.data(), shape.n);
+        packedInt8.pack(nn::Precision::Int8, nn::Trans::No, shape.k,
+                        shape.n, b.data(), shape.n, b_scales.data());
+        auto packedRun = [&](const nn::PackedWeights &w) {
+            return [&]() {
+                nn::gemm_packed(nn::Trans::No, shape.m, 1.0f, a.data(),
+                                shape.k, w, 0.0f, c.data(), shape.n,
+                                aq);
+            };
+        };
+
         struct PrecisionRun {
             const char *name;
+            const char *entry; ///< null for the raw-operand entry
             std::function<void()> run;
         };
         const PrecisionRun runs[] = {
-            {"f32",
+            {"f32", nullptr,
              [&]() {
                  nn::sgemm(shape.m, shape.n, shape.k, a.data(),
                            b.data(), c.data());
              }},
-            {"bf16",
+            {"bf16", nullptr,
              [&]() {
                  nn::gemm_bf16(nn::Trans::No, nn::Trans::No,
                                shape.m, shape.n, shape.k, 1.0f,
                                a.data(), shape.k, b.data(), shape.n,
                                0.0f, c.data(), shape.n);
              }},
-            {"int8",
+            {"int8", nullptr,
              [&]() {
                  nn::gemm_s8(nn::Trans::No, nn::Trans::No, shape.m,
                              shape.n, shape.k, 1.0f, a.data(),
@@ -190,21 +262,31 @@ runGemmStage(const SuiteConfig &config,
                              b_scales.data(), 0.0f, c.data(),
                              shape.n);
              }},
+            {"f32", "packed", packedRun(packedF32)},
+            {"bf16", "packed", packedRun(packedBf16)},
+            {"int8", "packed", packedRun(packedInt8)},
         };
         for (const PrecisionRun &pr : runs) {
             for (int threads : threadCounts) {
                 common::setComputeThreads(threads);
                 pr.run(); // warm the pool and pack buffers
                 double secs = bestSeconds(reps, pr.run);
-                emitSample(out, "djinn_bench_gemm_gflops",
-                           {{"precision", pr.name},
-                            {"shape", shape.name},
-                            {"threads", std::to_string(threads)}},
+                telemetry::LabelMap labels = {
+                    {"precision", pr.name},
+                    {"shape", shape.name},
+                    {"threads", std::to_string(threads)}};
+                if (pr.entry) {
+                    labels.emplace("entry", pr.entry);
+                    packedRate[{shape.name, pr.name, threads}] =
+                        flops / secs / 1e9;
+                }
+                emitSample(out, "djinn_bench_gemm_gflops", labels,
                            flops / secs / 1e9);
             }
             common::setComputeThreads(0);
         }
     }
+    reportGemmBars(shapes, threadCounts, packedRate);
 }
 
 // ---------------------------------------------------------------

@@ -29,6 +29,19 @@ if [ -n "$bad" ]; then
     exit 1
 fi
 
+# Lint: FC weights are packed once per precision (DESIGN.md §8).
+# The inner product layer runs gemm_packed on its PackedWeights; a
+# raw-operand GEMM call there would re-pack the weights on every
+# forward pass.
+bad=$(grep -nE '\b(sgemm|gemm_bf16|gemm_s8)\(' \
+    src/nn/layers/inner_product.cc || true)
+if [ -n "$bad" ]; then
+    echo "lint: raw-operand GEMM in src/nn/layers/inner_product.cc;" \
+         "serve FC layers through gemm_packed:" >&2
+    echo "$bad" >&2
+    exit 1
+fi
+
 # Lint: one debug-route table. The Metrics wire verb and the HTTP
 # endpoint both dispatch through core/debug_routes, so verb-prefix
 # matching and query-string parsing appear nowhere else in src/core.
@@ -365,8 +378,9 @@ cmake --build build-tsan -j --target common_test nn_test core_test \
     --gtest_filter='ThreadPool*:ComputePool*'
 # GemmDiff* covers the f32, bf16, and int8 batteries (all three
 # run the threaded driver); Quant* rides along for the scalar
-# primitives.
-./build-tsan/tests/nn_test --gtest_filter='GemmDiff*:Quant*'
+# primitives; InnerProduct* races forwards to rebuild a dropped
+# packed-weight copy.
+./build-tsan/tests/nn_test --gtest_filter='GemmDiff*:Quant*:InnerProduct*'
 ./build-tsan/tests/core_test \
     --gtest_filter='*Batcher*:*Server*:*Robustness*:*Retry*:*FrameIo*:*Observability*:*Sched*'
 # The flight recorder's seqlock ring and the histogram exemplar

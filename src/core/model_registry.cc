@@ -19,6 +19,9 @@ ModelRegistry::add(nn::NetworkPtr network)
     if (!network->finalized())
         return Status::invalidArgument("network '" + network->name() +
                                        "' is not finalized");
+    // Serving never pays the pack: it happens before the model is
+    // visible to find().
+    network->packWeights();
     std::lock_guard<std::mutex> lock(mutex_);
     auto [it, inserted] = models_.emplace(network->name(),
                                           std::move(network));

@@ -8,22 +8,28 @@
  * Two implementations live here:
  *
  *  - sgemm: the production kernel — packed A/B panels, cache
- *    blocking (KC x MC), an 8x8 register-tiled microkernel written
- *    so the compiler vectorizes it, and row-partitioned execution
- *    across the shared common::computePool(). Its reduction order
- *    is fixed (ascending k within fixed-size blocks), so results
- *    are bit-identical across runs and across thread counts
- *    (DESIGN.md §8).
+ *    blocking (KC x MC), register-tiled microkernels written so
+ *    the compiler vectorizes them, and (row block x N-panel range)
+ *    tiles across the shared common::computePool(). Its reduction
+ *    order is fixed (ascending k within fixed-size blocks), so
+ *    results are bit-identical across runs and across thread
+ *    counts (DESIGN.md §8).
  *
  *  - sgemm_naive: the original scalar reference kernel, kept for
  *    differential testing and as the benchmark baseline. Never
  *    threaded.
+ *
+ * Weights that serve many calls are packed once into a
+ * PackedWeights and run through gemm_packed; the raw-operand entry
+ * points pack their B operand per call and run the same driver.
  */
 
 #ifndef DJINN_NN_GEMM_HH
 #define DJINN_NN_GEMM_HH
 
 #include <cstdint>
+#include <memory>
+#include <vector>
 
 #include "nn/quant.hh"
 
@@ -77,15 +83,15 @@ void sgemv(int64_t m, int64_t n, const float *a, const float *x,
 
 // ---------------------------------------------------------------
 // Low-precision kernels (DESIGN.md §14). Same blocking, packing,
-// and row-ownership structure as sgemm; both are bit-identical
+// and tile-ownership structure as sgemm; both are bit-identical
 // across runs and thread counts per precision.
 // ---------------------------------------------------------------
 
 /**
  * bf16 GEMM: C = alpha * op(A) * op(B) + beta * C where A and B are
  * rounded to bfloat16 (round-to-nearest-even) as they are packed
- * into panels. Accumulation stays f32 in the same fixed order as
- * sgemm, so the result is deterministic on every host; the error
+ * into panels. It is sgemm's driver with a rounding pack policy,
+ * so the result is deterministic on every host; the error
  * against sgemm is bounded by the bf16 unit roundoff (2^-8 relative
  * per operand, so ~k * 2^-8 per dot product).
  */
@@ -130,6 +136,75 @@ void gemm_s8_wl(Trans trans_a, Trans trans_b, int64_t m, int64_t n,
                 const float *a_scales, const float *b, int64_t ldb,
                 const QuantParams &bq, float beta, float *c,
                 int64_t ldc);
+
+/**
+ * A weight operand op(B) (k x n) packed once for every GEMM that
+ * reuses it: the fully connected layer builds one per precision
+ * (DESIGN.md §8, §14). Panel-major: NR-wide column panel pj holds
+ * columns [pj*NR, pj*NR+NR) for all k in ascending order,
+ * zero-padded at the right edge, so a thread owning a range of
+ * panels walks every k slice without a barrier.
+ *
+ *  - F32: f32 panels, [panel][k][NR].
+ *  - Bf16: the same panels, each value rounded to bf16.
+ *  - Int8: s8 codes, [panel][k/4][NR][4], quantized per column j
+ *    with the symmetric scale colScales[j], plus each column's code
+ *    sum (the zero-point correction term).
+ *
+ * Immutable after pack(), so concurrent GEMMs may share one.
+ */
+class PackedWeights
+{
+  public:
+    /**
+     * Pack op(B) (stored ldb-strided, @p trans applies) at
+     * @p precision, replacing any earlier contents. @p colScales
+     * (n entries) is required for Int8 and ignored otherwise.
+     * Runs on the compute pool.
+     */
+    void pack(Precision precision, Trans trans, int64_t k, int64_t n,
+              const float *b, int64_t ldb,
+              const float *colScales = nullptr);
+
+    Precision precision() const { return precision_; }
+    int64_t k() const { return k_; }
+    int64_t n() const { return n_; }
+
+    /** F32/Bf16 panels; empty at Int8. */
+    const float *panels() const { return panels_.get(); }
+
+    /** Int8 panels; empty at F32/Bf16. */
+    const int8_t *panels8() const { return panels8_.get(); }
+
+    /** Int8 per-column code sums and scales (n entries each). */
+    const int32_t *colSums() const { return colSums_.data(); }
+    const float *colScales() const { return colScales_.data(); }
+
+  private:
+    void packInt8(Trans trans, const float *b, int64_t ldb);
+
+    Precision precision_ = Precision::F32;
+    int64_t k_ = 0;
+    int64_t n_ = 0;
+    // Uninitialized on allocation: the pack writes every byte, so
+    // the pages are first touched in parallel by the pack itself.
+    std::unique_ptr<float[]> panels_;
+    std::unique_ptr<int8_t[]> panels8_;
+    std::vector<int32_t> colSums_;
+    std::vector<float> colScales_;
+};
+
+/**
+ * C (m x n) = alpha * op(A) * B + beta * C with B pre-packed; n and
+ * k come from @p b. F32 and Bf16 weights run sgemm's driver (Bf16
+ * rounds A as it packs); Int8 weights run gemm_s8's, quantizing A
+ * with @p aq. Output bits equal the raw-operand entry (sgemm,
+ * gemm_bf16, gemm_s8) on the same operands.
+ */
+void gemm_packed(Trans trans_a, int64_t m, float alpha,
+                 const float *a, int64_t lda, const PackedWeights &b,
+                 float beta, float *c, int64_t ldc,
+                 const QuantParams &aq = QuantParams{});
 
 } // namespace nn
 } // namespace djinn

@@ -1,21 +1,20 @@
 /**
  * @file
- * Low-precision GEMM kernels (DESIGN.md §14): bf16 storage-rounded
- * GEMM and u8 x s8 integer GEMM with int32 accumulation. Both reuse
- * the sgemm blocking scheme (KC-sliced k, NR-wide B panels shared
- * per slice, MC-row blocks partitioned across the compute pool,
- * an MR x NR register-tiled microkernel) with quantization fused
- * into the packing step.
+ * The int8 GEMM kernels (DESIGN.md §14): u8 x s8 integer GEMM with
+ * int32 accumulation, on sgemm's tile structure (KC8-sliced k,
+ * NR-wide B panels, tiles of one MC row block x one N-panel range
+ * across the compute pool, an R x G register-tiled microkernel)
+ * with quantization fused into the packing step. bf16 runs sgemm's
+ * own driver with a rounding pack policy (gemm.cc).
  *
- * Determinism: the bf16 kernel fixes its reduction order exactly
- * like sgemm (this file is compiled with -ffp-contract=off); the
- * int8 kernel accumulates in exact integer arithmetic, so its
- * blocking, thread count, and even the host ISA cannot change the
- * output bits — the only floating point is the fixed per-element
- * dequant expression on store.
+ * Determinism: the kernel accumulates in exact integer arithmetic,
+ * so its blocking, tiling, thread count, and even the host ISA
+ * cannot change the output bits — the only floating point is the
+ * fixed per-element dequant expression on store.
  */
 
 #include "nn/gemm.hh"
+#include "nn/gemm_internal.hh"
 
 #include <algorithm>
 #include <cstring>
@@ -34,167 +33,22 @@ namespace nn {
 
 namespace {
 
-constexpr int64_t MR = 8;   ///< microkernel rows
-constexpr int64_t NR = 16;  ///< microkernel columns
-constexpr int64_t KC = 256; ///< bf16 k block (panel depth, floats)
-constexpr int64_t MC = 64;  ///< rows per parallel work unit
+using detail::fetch;
+using detail::kPanelChunk;
+using detail::MC;
+using detail::MR;
+using detail::NR;
 
 /** int8 k block: 4x deeper than f32 for the same panel bytes. */
 constexpr int64_t KC8 = 1024;
 
-static_assert(MR == 8, "microkernels unroll exactly MR == 8 rows");
-static_assert(MC % MR == 0, "row blocks must hold whole A panels");
 static_assert(KC8 % 4 == 0, "int8 panels pack k in groups of 4");
 
-/** Fetch op(A)[i][p] given the storage and transpose flag. */
-inline float
-fetchA(const float *a, int64_t lda, Trans trans, int64_t i, int64_t p)
-{
-    return trans == Trans::No ? a[i * lda + p] : a[p * lda + i];
-}
-
-/** Fetch op(B)[p][j] given the storage and transpose flag. */
-inline float
-fetchB(const float *b, int64_t ldb, Trans trans, int64_t p, int64_t j)
-{
-    return trans == Trans::No ? b[p * ldb + j] : b[j * ldb + p];
-}
-
-inline int8_t
-fetchA8(const int8_t *a, int64_t lda, Trans trans, int64_t i,
-        int64_t p)
-{
-    return trans == Trans::No ? a[i * lda + p] : a[p * lda + i];
-}
-
-inline int8_t
-fetchB8(const int8_t *b, int64_t ldb, Trans trans, int64_t p,
-        int64_t j)
-{
-    return trans == Trans::No ? b[p * ldb + j] : b[j * ldb + p];
-}
-
-/** Scale C by beta across the pool (same as sgemm's prologue). */
-void
-scaleByBeta(int64_t m, int64_t n, float beta, float *c, int64_t ldc)
-{
-    auto &pool = common::computePool();
-    int64_t grain =
-        std::max<int64_t>(1, 16384 / std::max<int64_t>(n, 1));
-    pool.parallelFor(0, m, grain, [&](int64_t r0, int64_t r1) {
-        for (int64_t i = r0; i < r1; ++i) {
-            float *c_row = c + i * ldc;
-            if (beta == 0.0f) {
-                std::memset(c_row, 0,
-                            static_cast<size_t>(n) * sizeof(float));
-            } else if (beta != 1.0f) {
-                for (int64_t j = 0; j < n; ++j)
-                    c_row[j] *= beta;
-            }
-        }
-    });
-}
-
 // ---------------------------------------------------------------
-// bf16: the sgemm structure with round-to-bf16 fused into packing.
-// ---------------------------------------------------------------
-
-#if defined(__GNUC__) || defined(__clang__)
-
-typedef float VecNR __attribute__((vector_size(NR * sizeof(float)),
-                                   aligned(alignof(float))));
-
-__attribute__((noinline)) void
-microKernelF32(int64_t kb, const float *__restrict__ ap,
-               const float *__restrict__ bp, float *acc)
-{
-    VecNR c0{}, c1{}, c2{}, c3{}, c4{}, c5{}, c6{}, c7{};
-    for (int64_t p = 0; p < kb; ++p) {
-        const float *a = ap + p * MR;
-        VecNR bv;
-        __builtin_memcpy(&bv, bp + p * NR, sizeof(bv));
-        c0 += a[0] * bv;
-        c1 += a[1] * bv;
-        c2 += a[2] * bv;
-        c3 += a[3] * bv;
-        c4 += a[4] * bv;
-        c5 += a[5] * bv;
-        c6 += a[6] * bv;
-        c7 += a[7] * bv;
-    }
-    const VecNR rows[MR] = {c0, c1, c2, c3, c4, c5, c6, c7};
-    __builtin_memcpy(acc, rows, sizeof(rows));
-}
-
-#else // portable scalar fallback, same arithmetic order
-
-void
-microKernelF32(int64_t kb, const float *ap, const float *bp,
-               float *acc)
-{
-    for (int64_t i = 0; i < MR * NR; ++i)
-        acc[i] = 0.0f;
-    for (int64_t p = 0; p < kb; ++p) {
-        const float *arow = ap + p * MR;
-        const float *brow = bp + p * NR;
-        for (int64_t i = 0; i < MR; ++i) {
-            float av = arow[i];
-            float *crow = acc + i * NR;
-            for (int64_t j = 0; j < NR; ++j)
-                crow[j] += av * brow[j];
-        }
-    }
-}
-
-#endif
-
-/** Pack op(B) into NR panels, rounding every value to bf16. */
-void
-packBBf16(const float *b, int64_t ldb, Trans trans, int64_t k0,
-          int64_t kb, int64_t n, int64_t pj0, int64_t pj1,
-          float *bpack)
-{
-    for (int64_t pj = pj0; pj < pj1; ++pj) {
-        float *panel = bpack + pj * kb * NR;
-        int64_t j0 = pj * NR;
-        int64_t nr = std::min(NR, n - j0);
-        for (int64_t p = 0; p < kb; ++p) {
-            float *row = panel + p * NR;
-            for (int64_t jj = 0; jj < nr; ++jj)
-                row[jj] =
-                    bf16Round(fetchB(b, ldb, trans, k0 + p, j0 + jj));
-            for (int64_t jj = nr; jj < NR; ++jj)
-                row[jj] = 0.0f;
-        }
-    }
-}
-
-/** Pack op(A) into MR panels, rounding every value to bf16. */
-void
-packABf16(const float *a, int64_t lda, Trans trans, int64_t i0,
-          int64_t mb, int64_t k0, int64_t kb, float *apack)
-{
-    int64_t mpanels = (mb + MR - 1) / MR;
-    for (int64_t pi = 0; pi < mpanels; ++pi) {
-        float *panel = apack + pi * kb * MR;
-        int64_t ib = i0 + pi * MR;
-        int64_t mr = std::min(MR, i0 + mb - ib);
-        for (int64_t p = 0; p < kb; ++p) {
-            float *row = panel + p * MR;
-            for (int64_t ii = 0; ii < mr; ++ii)
-                row[ii] = bf16Round(
-                    fetchA(a, lda, trans, ib + ii, k0 + p));
-            for (int64_t ii = mr; ii < MR; ++ii)
-                row[ii] = 0.0f;
-        }
-    }
-}
-
-// ---------------------------------------------------------------
-// int8: u8 (left) x s8 (right) panels, int32 accumulation into a
-// full-size accumulator buffer that persists across k slices, then
-// one dequant epilogue. Integer addition is associative, so the
-// slice/block structure cannot affect the result bits.
+// u8 (left) x s8 (right) panels, int32 accumulation into a tile-
+// sized accumulator that persists across k slices, then one
+// dequant epilogue per tile. Integer addition is associative, so
+// the slice/tile structure cannot affect the result bits.
 //
 // The left panel is always the unsigned operand (VNNI's vpdpbusd
 // multiplies u8 by s8): real u8 activation codes in gemm_s8, or
@@ -206,62 +60,73 @@ packABf16(const float *a, int64_t lda, Trans trans, int64_t i0,
 // ---------------------------------------------------------------
 
 /**
- * u8 x s8 register-tiled core: acc[MR][NR] (int32) = sum over kg
- * groups of 4 k steps. A panel layout: [g][i][0..3] (4 consecutive
- * k codes per row); B panel layout: [g][j][0..3].
+ * u8 x s8 register-tiled core: acc[R][G][NR] (int32) = the first R
+ * rows of an A panel times G consecutive B panels (@p bstride bytes
+ * apart), summed over kg groups of 4 k steps. A panel layout:
+ * [g][i][0..3] (4 consecutive k codes per row, MR rows); B panel
+ * layout: [g][j][0..3]. R < MR is the live-row kernel.
  */
 #ifdef DJINN_GEMM_VNNI
 
+template <int R, int G>
 __attribute__((noinline)) void
 microKernelI8(int64_t kg, const uint8_t *__restrict__ ap,
-              const int8_t *__restrict__ bp, int32_t *acc)
+              const int8_t *__restrict__ bp, int64_t bstride,
+              int32_t *acc)
 {
-    __m512i c0 = _mm512_setzero_si512(), c1 = c0, c2 = c0, c3 = c0,
-            c4 = c0, c5 = c0, c6 = c0, c7 = c0;
-    for (int64_t g = 0; g < kg; ++g) {
-        __m512i bv = _mm512_loadu_si512(bp + g * NR * 4);
-        const uint8_t *arow = ap + g * MR * 4;
-        int32_t aw[MR];
-        std::memcpy(aw, arow, sizeof(aw));
-        c0 = _mm512_dpbusd_epi32(c0, _mm512_set1_epi32(aw[0]), bv);
-        c1 = _mm512_dpbusd_epi32(c1, _mm512_set1_epi32(aw[1]), bv);
-        c2 = _mm512_dpbusd_epi32(c2, _mm512_set1_epi32(aw[2]), bv);
-        c3 = _mm512_dpbusd_epi32(c3, _mm512_set1_epi32(aw[3]), bv);
-        c4 = _mm512_dpbusd_epi32(c4, _mm512_set1_epi32(aw[4]), bv);
-        c5 = _mm512_dpbusd_epi32(c5, _mm512_set1_epi32(aw[5]), bv);
-        c6 = _mm512_dpbusd_epi32(c6, _mm512_set1_epi32(aw[6]), bv);
-        c7 = _mm512_dpbusd_epi32(c7, _mm512_set1_epi32(aw[7]), bv);
+    __m512i c[R][G];
+#pragma GCC unroll 8
+    for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 8
+        for (int g = 0; g < G; ++g)
+            c[r][g] = _mm512_setzero_si512();
     }
-    _mm512_storeu_si512(acc + 0 * NR, c0);
-    _mm512_storeu_si512(acc + 1 * NR, c1);
-    _mm512_storeu_si512(acc + 2 * NR, c2);
-    _mm512_storeu_si512(acc + 3 * NR, c3);
-    _mm512_storeu_si512(acc + 4 * NR, c4);
-    _mm512_storeu_si512(acc + 5 * NR, c5);
-    _mm512_storeu_si512(acc + 6 * NR, c6);
-    _mm512_storeu_si512(acc + 7 * NR, c7);
+    for (int64_t q = 0; q < kg; ++q) {
+        __m512i bv[G];
+#pragma GCC unroll 8
+        for (int g = 0; g < G; ++g)
+            bv[g] = _mm512_loadu_si512(bp + g * bstride + q * NR * 4);
+        int32_t aw[MR];
+        std::memcpy(aw, ap + q * MR * 4, sizeof(aw));
+#pragma GCC unroll 8
+        for (int r = 0; r < R; ++r) {
+            __m512i av = _mm512_set1_epi32(aw[r]);
+#pragma GCC unroll 8
+            for (int g = 0; g < G; ++g)
+                c[r][g] = _mm512_dpbusd_epi32(c[r][g], av, bv[g]);
+        }
+    }
+#pragma GCC unroll 8
+    for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 8
+        for (int g = 0; g < G; ++g)
+            _mm512_storeu_si512(acc + (r * G + g) * NR, c[r][g]);
+    }
 }
 
 #else // exact scalar fallback: integer math, so bit-identical
 
+template <int R, int G>
 void
 microKernelI8(int64_t kg, const uint8_t *ap, const int8_t *bp,
-              int32_t *acc)
+              int64_t bstride, int32_t *acc)
 {
-    for (int64_t i = 0; i < MR * NR; ++i)
+    for (int64_t i = 0; i < R * G * NR; ++i)
         acc[i] = 0;
-    for (int64_t g = 0; g < kg; ++g) {
-        const uint8_t *arow = ap + g * MR * 4;
-        const int8_t *brow = bp + g * NR * 4;
-        for (int64_t i = 0; i < MR; ++i) {
-            int32_t *crow = acc + i * NR;
-            for (int64_t j = 0; j < NR; ++j) {
-                int32_t s = 0;
-                for (int64_t e = 0; e < 4; ++e) {
-                    s += static_cast<int32_t>(arow[i * 4 + e]) *
-                         static_cast<int32_t>(brow[j * 4 + e]);
+    for (int64_t q = 0; q < kg; ++q) {
+        const uint8_t *arow = ap + q * MR * 4;
+        for (int r = 0; r < R; ++r) {
+            for (int g = 0; g < G; ++g) {
+                const int8_t *brow = bp + g * bstride + q * NR * 4;
+                int32_t *crow = acc + (r * G + g) * NR;
+                for (int64_t j = 0; j < NR; ++j) {
+                    int32_t s = 0;
+                    for (int64_t e = 0; e < 4; ++e) {
+                        s += static_cast<int32_t>(arow[r * 4 + e]) *
+                             static_cast<int32_t>(brow[j * 4 + e]);
+                    }
+                    crow[j] += s;
                 }
-                crow[j] += s;
             }
         }
     }
@@ -270,48 +135,160 @@ microKernelI8(int64_t kg, const uint8_t *ap, const int8_t *bp,
 #endif
 
 /**
- * Pack the signed right-hand panel: either pre-quantized s8 codes
- * (weights) or f32 quantized with @p bq on the fly (activations).
- * Layout [g][j][0..3], zero-padded; column sums of the real codes
- * accumulate into @p colsum (each panel owns a disjoint j range).
+ * The tile accumulator's rows [0, R) += A panel x B panels
+ * [pj0, pj1) (whole NR-wide panels; padded columns hold zero
+ * codes). @p acc points at the panel's first row, @p w ints per row,
+ * column 0 = panel pj0.
  */
+template <int R>
 void
-packBS8(const int8_t *b8, const float *bf, const QuantParams &bq,
-        int64_t ldb, Trans trans, int64_t k0, int64_t kb, int64_t n,
-        int64_t pj0, int64_t pj1, int8_t *bpack, int64_t kg,
-        int32_t *colsum)
+panelRowI8(int64_t kg, const uint8_t *ap, const int8_t *bp,
+           int64_t bstride, int64_t pj0, int64_t pj1, int32_t *acc,
+           int64_t w)
 {
+    constexpr int G = R >= 5 ? 1 : R >= 3 ? 2 : 4;
+    int32_t tile[R * G * NR]; // fully written by each call
+    auto add = [&](int64_t pj, int groups) {
+        for (int r = 0; r < R; ++r) {
+            int32_t *arow = acc + r * w + (pj - pj0) * NR;
+            const int32_t *trow = tile + r * groups * NR;
+            for (int64_t j = 0; j < groups * NR; ++j)
+                arow[j] += trow[j];
+        }
+    };
+    int64_t pj = pj0;
+    for (; pj + G <= pj1; pj += G) {
+        microKernelI8<R, G>(kg, ap, bp + pj * bstride, bstride, tile);
+        add(pj, G);
+    }
+    for (; pj < pj1; ++pj) {
+        microKernelI8<R, 1>(kg, ap, bp + pj * bstride, bstride, tile);
+        add(pj, 1);
+    }
+}
+
+/** panelRowI8 by live-row count (1..MR). */
+using PanelRowI8Fn = void (*)(int64_t, const uint8_t *, const int8_t *,
+                              int64_t, int64_t, int64_t, int32_t *,
+                              int64_t);
+constexpr PanelRowI8Fn kPanelRowI8[MR + 1] = {
+    nullptr,        panelRowI8<1>, panelRowI8<2>,
+    panelRowI8<3>,  panelRowI8<4>, panelRowI8<5>,
+    panelRowI8<6>,  panelRowI8<7>, panelRowI8<8>,
+};
+
+/**
+ * Pack the signed right-hand operand (k x n, codes from @p code(p,
+ * j)) panels [pj0, pj1) over the whole of k: panel pj at
+ * bpack + pj * kg * NR * 4, layout [g][j][0..3], zero-padded; each
+ * column's code sum lands in @p colsum. k is walked in blocks so
+ * the rows a block touches stay cached while the panel's columns
+ * revisit them.
+ */
+template <typename Code>
+void
+packBS8(int64_t k, int64_t n, int64_t pj0, int64_t pj1,
+        const Code &code, int8_t *bpack, int32_t *colsum)
+{
+    constexpr int64_t kRows = 64;
+    int64_t kg = (k + 3) / 4;
     for (int64_t pj = pj0; pj < pj1; ++pj) {
         int8_t *panel = bpack + pj * kg * NR * 4;
         int64_t j0 = pj * NR;
         int64_t nr = std::min(NR, n - j0);
         std::memset(panel, 0, static_cast<size_t>(kg) * NR * 4);
-        for (int64_t jj = 0; jj < nr; ++jj) {
-            int32_t sum = 0;
-            for (int64_t p = 0; p < kb; ++p) {
-                int32_t q =
-                    b8 ? fetchB8(b8, ldb, trans, k0 + p, j0 + jj)
-                       : bq.quantize(
-                             fetchB(bf, ldb, trans, k0 + p, j0 + jj));
-                sum += q;
-                panel[(p / 4) * NR * 4 + jj * 4 + (p % 4)] =
-                    static_cast<int8_t>(q);
+        int32_t sums[NR] = {};
+        for (int64_t p0 = 0; p0 < k; p0 += kRows) {
+            int64_t p1 = std::min(k, p0 + kRows);
+            for (int64_t jj = 0; jj < nr; ++jj) {
+                for (int64_t p = p0; p < p1; ++p) {
+                    int32_t q = code(p, j0 + jj);
+                    sums[jj] += q;
+                    panel[(p / 4) * NR * 4 + jj * 4 + (p % 4)] =
+                        static_cast<int8_t>(q);
+                }
             }
-            colsum[j0 + jj] += sum;
         }
+        std::copy(sums, sums + nr, colsum + j0);
     }
 }
 
+/** packBS8 across the compute pool. */
+template <typename Code>
+void
+packBS8All(int64_t k, int64_t n, const Code &code, int8_t *bpack,
+           int32_t *colsum)
+{
+    common::computePool().parallelFor(
+        0, (n + NR - 1) / NR, 1, [&](int64_t p0, int64_t p1) {
+            packBS8(k, n, p0, p1, code, bpack, colsum);
+        });
+}
+
+/** The left operand of the shared u8 x s8 driver. */
+struct LeftCodes {
+    const uint8_t *codes;  ///< op(A) as u8 codes, row-major m x k
+    const int32_t *rowsum; ///< each row's code sum
+    const float *scales;   ///< per-row scales, or null for scale
+    float scale;
+    int32_t offset;        ///< oa, removed in the epilogue
+};
+
 /**
- * Pack the unsigned left-hand panel: f32 activations quantized
- * with @p aq (gemm_s8) or s8 weight codes biased by +128
- * (gemm_s8_wl). Layout [g][i][0..3], zero-padded; row sums of the
- * real codes accumulate into @p rowsum.
+ * Code op(A) (m x k, codes from @p code(i, p)) into row-major u8
+ * once per call, across the pool, with each row's code sum, so
+ * tiles that share a row block do not each redo the quantization.
+ */
+template <typename Code>
+LeftCodes
+codeLeft(int64_t m, int64_t k, const Code &code, const float *scales,
+         float scale, int32_t offset)
+{
+    // Thread-local so repeated calls from the same thread reuse it.
+    static thread_local std::vector<uint8_t> codes_tls;
+    static thread_local std::vector<int32_t> rowsum_tls;
+    std::vector<uint8_t> &codes = codes_tls;
+    std::vector<int32_t> &rowsum = rowsum_tls;
+    codes.resize(static_cast<size_t>(m * k));
+    rowsum.resize(static_cast<size_t>(m));
+    int64_t grain = std::max<int64_t>(1, 16384 / k);
+    common::computePool().parallelFor(
+        0, m, grain, [&](int64_t r0, int64_t r1) {
+            for (int64_t i = r0; i < r1; ++i) {
+                int32_t sum = 0;
+                for (int64_t p = 0; p < k; ++p) {
+                    int32_t q = code(i, p);
+                    sum += q;
+                    codes[static_cast<size_t>(i * k + p)] =
+                        static_cast<uint8_t>(q);
+                }
+                rowsum[static_cast<size_t>(i)] = sum;
+            }
+        });
+    return LeftCodes{codes.data(), rowsum.data(), scales, scale,
+                     offset};
+}
+
+/** codeLeft for f32 activations under the u8 mapping @p aq. */
+LeftCodes
+codeActivations(Trans trans_a, int64_t m, int64_t k, const float *a,
+                int64_t lda, const QuantParams &aq)
+{
+    return codeLeft(
+        m, k,
+        [&](int64_t i, int64_t p) {
+            return aq.quantize(fetch(a, lda, trans_a, i, p));
+        },
+        nullptr, aq.scale, aq.zeroPoint);
+}
+
+/**
+ * Pack rows [i0, i0 + mb) x k [k0, k0 + kb) of the left codes into
+ * MR-row panels, layout [g][i][0..3], zero-padded.
  */
 void
-packAU8(const float *af, const QuantParams &aq, const int8_t *a8,
-        int64_t lda, Trans trans, int64_t i0, int64_t mb, int64_t k0,
-        int64_t kb, uint8_t *apack, int64_t kg, int32_t *rowsum)
+packAU8(const uint8_t *codes, int64_t k, int64_t i0, int64_t mb,
+        int64_t k0, int64_t kb, uint8_t *apack, int64_t kg)
 {
     int64_t mpanels = (mb + MR - 1) / MR;
     for (int64_t pi = 0; pi < mpanels; ++pi) {
@@ -320,203 +297,173 @@ packAU8(const float *af, const QuantParams &aq, const int8_t *a8,
         int64_t mr = std::min(MR, i0 + mb - ib);
         std::memset(panel, 0, static_cast<size_t>(kg) * MR * 4);
         for (int64_t ii = 0; ii < mr; ++ii) {
-            int32_t sum = 0;
-            for (int64_t p = 0; p < kb; ++p) {
-                int32_t q =
-                    af ? aq.quantize(
-                             fetchA(af, lda, trans, ib + ii, k0 + p))
-                       : fetchA8(a8, lda, trans, ib + ii, k0 + p) +
-                             128;
-                sum += q;
-                panel[(p / 4) * MR * 4 + ii * 4 + (p % 4)] =
-                    static_cast<uint8_t>(q);
-            }
-            rowsum[ib + ii] += sum;
+            const uint8_t *row = codes + (ib + ii) * k + k0;
+            for (int64_t p = 0; p < kb; ++p)
+                panel[(p / 4) * MR * 4 + ii * 4 + (p % 4)] = row[p];
         }
     }
 }
 
+/** The packed right operand of the shared u8 x s8 driver. */
+struct RightPanels {
+    const int8_t *panels; ///< [panel][k/4][NR][4]
+    const int32_t *colsum;
+    const float *scales;  ///< per-column scales, or null for scale
+    float scale;
+    int32_t offset;       ///< ob, removed in the epilogue
+};
+
 /**
- * The shared u8 x s8 driver. Exactly one of (af) / (a8) is set for
- * the left operand, and one of (b8) / (bf) for the right; @p oa /
- * @p ob are the left/right integer offsets removed in the
- * epilogue. @p a_scales / @p b_scales may be null for a broadcast
- * scale of @p a_scale / @p b_scale.
+ * The shared u8 x s8 driver after the prologue: C += alpha * deq(
+ * left x right). Each tile accumulates its rows x panels over all
+ * of k, then dequantizes them with one fixed float expression per
+ * element.
  */
 void
-gemmS8Core(Trans trans_a, Trans trans_b, int64_t m, int64_t n,
-           int64_t k, float alpha, const float *af,
-           const QuantParams &aq, const int8_t *a8, int64_t lda,
-           const float *a_scales, float a_scale, const int8_t *b8,
-           const float *bf, const QuantParams &bq, int64_t ldb,
-           const float *b_scales, float b_scale, float beta,
-           float *c, int64_t ldc, int32_t oa, int32_t ob)
+driveS8(int64_t m, int64_t n, int64_t k, float alpha,
+        const LeftCodes &l, const RightPanels &r, float *c,
+        int64_t ldc)
 {
-    if (m < 0 || n < 0 || k < 0)
-        fatal("gemm_s8: negative dimension m=%ld n=%ld k=%ld", m, n,
-              k);
-    if (k > (int64_t{1} << 16))
-        fatal("gemm_s8: k=%ld exceeds the int32 accumulator bound "
-              "(max %ld)", k, int64_t{1} << 16);
-    if (m == 0 || n == 0)
-        return;
-
-    scaleByBeta(m, n, beta, c, ldc);
-    if (k == 0 || alpha == 0.0f)
-        return;
-
-    auto &pool = common::computePool();
     int64_t npanels = (n + NR - 1) / NR;
-
-    // Whole-problem integer state: the accumulator buffer persists
-    // across k slices (exact integer addition), the row/column sums
-    // feed the zero-point correction.
-    static thread_local std::vector<int32_t> acc_tls;
-    static thread_local std::vector<int32_t> rowsum_tls;
-    static thread_local std::vector<int32_t> colsum_tls;
-    std::vector<int32_t> &acc = acc_tls;
-    std::vector<int32_t> &rowsum = rowsum_tls;
-    std::vector<int32_t> &colsum = colsum_tls;
-    acc.assign(static_cast<size_t>(m) * n, 0);
-    rowsum.assign(static_cast<size_t>(m), 0);
-    colsum.assign(static_cast<size_t>(n), 0);
-
-    int64_t kc0 = std::min(KC8, k);
-    int64_t kg0 = (kc0 + 3) / 4;
-    static thread_local std::vector<int8_t> bpack_tls;
-    std::vector<int8_t> &bpack = bpack_tls;
-    bpack.resize(static_cast<size_t>(npanels) * kg0 * NR * 4);
-
-    for (int64_t k0 = 0; k0 < k; k0 += KC8) {
-        int64_t kb = std::min(KC8, k - k0);
-        int64_t kg = (kb + 3) / 4;
-        pool.parallelFor(0, npanels, 16, [&](int64_t p0, int64_t p1) {
-            packBS8(b8, bf, bq, ldb, trans_b, k0, kb, n, p0, p1,
-                    bpack.data(), kg, colsum.data());
-        });
-
-        int64_t mblocks = (m + MC - 1) / MC;
-        pool.parallelFor(0, mblocks, 1, [&](int64_t b0, int64_t b1) {
+    int64_t bstride = (k + 3) / 4 * NR * 4;
+    detail::GemmTiles tiles(m, npanels);
+    common::computePool().parallelFor(
+        0, tiles.count(), 1, [&](int64_t t0, int64_t t1) {
             static thread_local std::vector<uint8_t> apack_tls;
+            static thread_local std::vector<int32_t> acc_tls;
             std::vector<uint8_t> &apack = apack_tls;
-            apack.resize(static_cast<size_t>(MC / MR) * kg * MR * 4);
-            int32_t tile[MR * NR];
-            for (int64_t blk = b0; blk < b1; ++blk) {
-                int64_t i0 = blk * MC;
-                int64_t mb = std::min(MC, m - i0);
-                packAU8(af, aq, a8, lda, trans_a, i0, mb, k0, kb,
-                        apack.data(), kg, rowsum.data());
-                int64_t mpanels = (mb + MR - 1) / MR;
-                for (int64_t pi = 0; pi < mpanels; ++pi) {
-                    int64_t ib = i0 + pi * MR;
-                    int64_t mr = std::min(MR, m - ib);
-                    for (int64_t pj = 0; pj < npanels; ++pj) {
-                        int64_t jb = pj * NR;
-                        int64_t nr = std::min(NR, n - jb);
-                        microKernelI8(
-                            kg, apack.data() + pi * kg * MR * 4,
-                            bpack.data() + pj * kg * NR * 4, tile);
-                        for (int64_t ii = 0; ii < mr; ++ii) {
-                            int32_t *arow =
-                                acc.data() + (ib + ii) * n + jb;
-                            const int32_t *trow = tile + ii * NR;
-                            for (int64_t jj = 0; jj < nr; ++jj)
-                                arow[jj] += trow[jj];
+            std::vector<int32_t> &acc = acc_tls;
+            apack.resize(static_cast<size_t>(MC) * KC8);
+            for (int64_t t = t0; t < t1; ++t) {
+                detail::GemmTiles::Tile tile = tiles.tile(t);
+                int64_t w = (tile.pj1 - tile.pj0) * NR;
+                acc.assign(static_cast<size_t>(tile.mb * w), 0);
+                for (int64_t k0 = 0; k0 < k; k0 += KC8) {
+                    int64_t kb = std::min(KC8, k - k0);
+                    int64_t kg = (kb + 3) / 4;
+                    packAU8(l.codes, k, tile.i0, tile.mb, k0, kb,
+                            apack.data(), kg);
+                    // Row panels innermost, so a chunk of B panels
+                    // is read from memory once per slice.
+                    for (int64_t pc = tile.pj0; pc < tile.pj1;
+                         pc += kPanelChunk) {
+                        int64_t pe = std::min(pc + kPanelChunk,
+                                              tile.pj1);
+                        for (int64_t ii = 0; ii < tile.mb; ii += MR) {
+                            kPanelRowI8[std::min(MR, tile.mb - ii)](
+                                kg, apack.data() + ii * kg * 4,
+                                r.panels + (k0 / 4) * NR * 4, bstride,
+                                pc, pe,
+                                acc.data() + ii * w +
+                                    (pc - tile.pj0) * NR,
+                                w);
                         }
+                    }
+                }
+                // Dequant epilogue: one fixed float expression per
+                // element, so output bits cannot depend on tiling.
+                int64_t j0 = tile.pj0 * NR;
+                int64_t j1 = std::min(n, tile.pj1 * NR);
+                for (int64_t ii = 0; ii < tile.mb; ++ii) {
+                    int64_t i = tile.i0 + ii;
+                    float sa = l.scales ? l.scales[i] : l.scale;
+                    int64_t rcorr =
+                        static_cast<int64_t>(r.offset) * l.rowsum[i] -
+                        k * static_cast<int64_t>(l.offset) * r.offset;
+                    const int32_t *arow = acc.data() + ii * w;
+                    float *crow = c + i * ldc;
+                    for (int64_t j = j0; j < j1; ++j) {
+                        float sb = r.scales ? r.scales[j] : r.scale;
+                        int64_t v =
+                            static_cast<int64_t>(arow[j - j0]) -
+                            static_cast<int64_t>(l.offset) *
+                                r.colsum[j] -
+                            rcorr;
+                        crow[j] +=
+                            alpha * sa * sb * static_cast<float>(v);
                     }
                 }
             }
         });
-    }
+}
 
-    // Dequant epilogue: one fixed float expression per element, so
-    // output bits cannot depend on the pool size.
-    int64_t grain =
-        std::max<int64_t>(1, 8192 / std::max<int64_t>(n, 1));
-    pool.parallelFor(0, m, grain, [&](int64_t r0, int64_t r1) {
-        for (int64_t i = r0; i < r1; ++i) {
-            float sa = a_scales ? a_scales[i] : a_scale;
-            int64_t rcorr = static_cast<int64_t>(ob) * rowsum[i] -
-                            k * static_cast<int64_t>(oa) * ob;
-            const int32_t *arow = acc.data() + i * n;
-            float *crow = c + i * ldc;
-            for (int64_t j = 0; j < n; ++j) {
-                float sb = b_scales ? b_scales[j] : b_scale;
-                int64_t v = static_cast<int64_t>(arow[j]) -
-                            static_cast<int64_t>(oa) * colsum[j] -
-                            rcorr;
-                crow[j] += alpha * sa * sb * static_cast<float>(v);
-            }
-        }
-    });
+/** detail::prologue plus the int32 accumulator bound on k. */
+bool
+prologueS8(int64_t m, int64_t n, int64_t k, float alpha, float beta,
+           float *c, int64_t ldc)
+{
+    if (k > (int64_t{1} << 16))
+        fatal("gemm_s8: k=%ld exceeds the int32 accumulator bound "
+              "(max %ld)", k, int64_t{1} << 16);
+    return detail::prologue("gemm_s8", m, n, k, alpha, beta, c, ldc);
+}
+
+/**
+ * The raw-operand int8 GEMM after the prologue: pack this call's
+ * right operand (codes from @p code) over all of k, then run the
+ * shared driver on it.
+ */
+template <typename Code>
+void
+gemmS8Raw(int64_t m, int64_t n, int64_t k, float alpha,
+          const LeftCodes &l, const Code &code,
+          const float *b_scales, float b_scale, int32_t ob, float *c,
+          int64_t ldc)
+{
+    // Thread-local so repeated calls from the same thread reuse it.
+    static thread_local std::vector<int8_t> bpack_tls;
+    static thread_local std::vector<int32_t> colsum_tls;
+    std::vector<int8_t> &bpack = bpack_tls;
+    std::vector<int32_t> &colsum = colsum_tls;
+    bpack.resize(static_cast<size_t>((n + NR - 1) / NR) *
+                 ((k + 3) / 4) * NR * 4);
+    colsum.resize(static_cast<size_t>(n));
+    packBS8All(k, n, code, bpack.data(), colsum.data());
+    driveS8(m, n, k, alpha, l,
+            RightPanels{bpack.data(), colsum.data(), b_scales, b_scale,
+                        ob},
+            c, ldc);
 }
 
 } // namespace
 
 void
-gemm_bf16(Trans trans_a, Trans trans_b, int64_t m, int64_t n,
-          int64_t k, float alpha, const float *a, int64_t lda,
-          const float *b, int64_t ldb, float beta, float *c,
-          int64_t ldc)
+PackedWeights::packInt8(Trans trans, const float *b, int64_t ldb)
 {
-    if (m < 0 || n < 0 || k < 0)
-        fatal("gemm_bf16: negative dimension m=%ld n=%ld k=%ld", m,
-              n, k);
-    if (m == 0 || n == 0)
-        return;
-
-    scaleByBeta(m, n, beta, c, ldc);
-    if (k == 0 || alpha == 0.0f)
-        return;
-
-    auto &pool = common::computePool();
-    int64_t npanels = (n + NR - 1) / NR;
-    int64_t kc0 = std::min(KC, k);
-
-    static thread_local std::vector<float> bpack_tls;
-    std::vector<float> &bpack = bpack_tls;
-    bpack.resize(static_cast<size_t>(npanels) * kc0 * NR);
-
-    for (int64_t k0 = 0; k0 < k; k0 += KC) {
-        int64_t kb = std::min(KC, k - k0);
-        pool.parallelFor(0, npanels, 16, [&](int64_t p0, int64_t p1) {
-            packBBf16(b, ldb, trans_b, k0, kb, n, p0, p1,
-                      bpack.data());
-        });
-
-        int64_t mblocks = (m + MC - 1) / MC;
-        pool.parallelFor(0, mblocks, 1, [&](int64_t b0, int64_t b1) {
-            static thread_local std::vector<float> apack_tls;
-            std::vector<float> &apack = apack_tls;
-            apack.resize(static_cast<size_t>(MC) * kb);
-            for (int64_t blk = b0; blk < b1; ++blk) {
-                int64_t i0 = blk * MC;
-                int64_t mb = std::min(MC, m - i0);
-                packABf16(a, lda, trans_a, i0, mb, k0, kb,
-                          apack.data());
-                int64_t mpanels = (mb + MR - 1) / MR;
-                for (int64_t pi = 0; pi < mpanels; ++pi) {
-                    int64_t ib = i0 + pi * MR;
-                    int64_t mr = std::min(MR, m - ib);
-                    for (int64_t pj = 0; pj < npanels; ++pj) {
-                        int64_t jb = pj * NR;
-                        int64_t nr = std::min(NR, n - jb);
-                        float tile[MR * NR];
-                        microKernelF32(
-                            kb, apack.data() + pi * kb * MR,
-                            bpack.data() + pj * kb * NR, tile);
-                        for (int64_t ii = 0; ii < mr; ++ii) {
-                            float *crow = c + (ib + ii) * ldc + jb;
-                            const float *trow = tile + ii * NR;
-                            for (int64_t jj = 0; jj < nr; ++jj)
-                                crow[jj] += alpha * trow[jj];
-                        }
-                    }
-                }
-            }
-        });
-    }
+    panels8_ = std::make_unique_for_overwrite<int8_t[]>(
+        static_cast<size_t>((n_ + NR - 1) / NR) * ((k_ + 3) / 4) * NR *
+        4);
+    colSums_.resize(static_cast<size_t>(n_));
+    // Column j's codes under its symmetric scale: the same mapping
+    // (and so the same codes) as QuantParams::symmetricS8.
+    auto code = [&](int64_t p, int64_t j) {
+        QuantParams wq;
+        wq.scale = colScales_[static_cast<size_t>(j)];
+        return wq.quantize(fetch(b, ldb, trans, p, j));
+    };
+    packBS8All(k_, n_, code, panels8_.get(), colSums_.data());
 }
+
+namespace detail {
+
+void
+gemmS8Packed(Trans trans_a, int64_t m, float alpha, const float *a,
+             int64_t lda, const QuantParams &aq,
+             const PackedWeights &b, float beta, float *c, int64_t ldc)
+{
+    if (aq.qmin < 0 || aq.qmax > 255)
+        fatal("gemm_s8: activation params must be an unsigned-8 "
+              "mapping (qmin %d, qmax %d)", aq.qmin, aq.qmax);
+    if (!prologueS8(m, b.n(), b.k(), alpha, beta, c, ldc))
+        return;
+    driveS8(m, b.n(), b.k(), alpha,
+            codeActivations(trans_a, m, b.k(), a, lda, aq),
+            RightPanels{b.panels8(), b.colSums(), b.colScales(), 1.0f,
+                        0},
+            c, ldc);
+}
+
+} // namespace detail
 
 void
 gemm_s8(Trans trans_a, Trans trans_b, int64_t m, int64_t n,
@@ -527,9 +474,14 @@ gemm_s8(Trans trans_a, Trans trans_b, int64_t m, int64_t n,
     if (aq.qmin < 0 || aq.qmax > 255)
         fatal("gemm_s8: activation params must be an unsigned-8 "
               "mapping (qmin %d, qmax %d)", aq.qmin, aq.qmax);
-    gemmS8Core(trans_a, trans_b, m, n, k, alpha, a, aq, nullptr,
-               lda, nullptr, aq.scale, b, nullptr, QuantParams{},
-               ldb, b_scales, 1.0f, beta, c, ldc, aq.zeroPoint, 0);
+    if (!prologueS8(m, n, k, alpha, beta, c, ldc))
+        return;
+    gemmS8Raw(m, n, k, alpha,
+              codeActivations(trans_a, m, k, a, lda, aq),
+              [&](int64_t p, int64_t j) -> int32_t {
+                  return fetch(b, ldb, trans_b, p, j);
+              },
+              b_scales, 1.0f, 0, c, ldc);
 }
 
 void
@@ -541,10 +493,19 @@ gemm_s8_wl(Trans trans_a, Trans trans_b, int64_t m, int64_t n,
     if (bq.qmin < -128 || bq.qmax > 127)
         fatal("gemm_s8_wl: activation params must be a signed-8 "
               "mapping (qmin %d, qmax %d)", bq.qmin, bq.qmax);
-    gemmS8Core(trans_a, trans_b, m, n, k, alpha, nullptr,
-               QuantParams{}, a, lda, a_scales, 1.0f, nullptr, b,
-               bq, ldb, nullptr, bq.scale, beta, c, ldc, 128,
-               bq.zeroPoint);
+    if (!prologueS8(m, n, k, alpha, beta, c, ldc))
+        return;
+    gemmS8Raw(m, n, k, alpha,
+              codeLeft(
+                  m, k,
+                  [&](int64_t i, int64_t p) {
+                      return fetch(a, lda, trans_a, i, p) + 128;
+                  },
+                  a_scales, 1.0f, 128),
+              [&](int64_t p, int64_t j) {
+                  return bq.quantize(fetch(b, ldb, trans_b, p, j));
+              },
+              nullptr, bq.scale, bq.zeroPoint, c, ldc);
 }
 
 } // namespace nn

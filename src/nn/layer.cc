@@ -90,6 +90,7 @@ Layer::setPrecision(Precision p, LayerQuant q)
     precision_ = p;
     quant_ = std::move(q);
     onPrecisionChanged();
+    invalidatePacked();
 }
 
 uint64_t
@@ -109,10 +110,17 @@ Layer::flopsPerSample() const
     }
 }
 
+std::vector<Tensor *>
+Layer::params()
+{
+    invalidatePacked();
+    return paramTensors();
+}
+
 std::vector<const Tensor *>
 Layer::params() const
 {
-    auto mutable_params = const_cast<Layer *>(this)->params();
+    auto mutable_params = const_cast<Layer *>(this)->paramTensors();
     return {mutable_params.begin(), mutable_params.end()};
 }
 

@@ -98,11 +98,34 @@ class Layer
      */
     virtual uint64_t flopsPerSample() const;
 
-    /** Mutable views of the learned parameter tensors. */
-    virtual std::vector<Tensor *> params() { return {}; }
+    /**
+     * Mutable views of the learned parameter tensors. Writing
+     * through them is how weights are initialized, loaded, and
+     * trained, so the call also drops the state derived from them
+     * (packed weights); the next forward() rebuilds it.
+     */
+    std::vector<Tensor *> params();
 
     /** Read-only views of the learned parameter tensors. */
     std::vector<const Tensor *> params() const;
+
+    /**
+     * Build the state derived from the weights (the FC layer's
+     * packed weights) now rather than on the first forward() after
+     * a change. Idempotent, and safe to call concurrently with
+     * forward(). ModelRegistry::add runs it for every layer before
+     * a model becomes visible, so serving never pays for it.
+     */
+    virtual void packWeights() const {}
+
+    /**
+     * Drop the state packWeights() builds, so the next forward()
+     * reads the weights afresh. params() and setPrecision() call
+     * it; a caller that writes through parameter pointers it kept
+     * from an earlier params() call (a trainer) calls it itself.
+     * Not thread safe against concurrent forward() calls.
+     */
+    virtual void invalidatePacked() {}
 
     /** One-line human-readable description. */
     virtual std::string describe() const;
@@ -146,6 +169,9 @@ class Layer
     }
 
   protected:
+    /** The learned parameter tensors, weights first. */
+    virtual std::vector<Tensor *> paramTensors() { return {}; }
+
     /** Compute the output sample shape and allocate parameters. */
     virtual Shape setupImpl(const Shape &input) = 0;
 

@@ -131,7 +131,7 @@ ConvolutionLayer::paramCount() const
 }
 
 std::vector<Tensor *>
-ConvolutionLayer::params()
+ConvolutionLayer::paramTensors()
 {
     std::vector<Tensor *> out{&weights_};
     if (hasBias_)

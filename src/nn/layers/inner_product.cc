@@ -39,7 +39,7 @@ InnerProductLayer::paramCount() const
 }
 
 std::vector<Tensor *>
-InnerProductLayer::params()
+InnerProductLayer::paramTensors()
 {
     std::vector<Tensor *> out{&weights_};
     if (hasBias_)
@@ -68,10 +68,8 @@ InnerProductLayer::calibrate(const Tensor &in) const
 void
 InnerProductLayer::onPrecisionChanged()
 {
-    if (precision() != Precision::Int8) {
-        weights8_.clear();
+    if (precision() != Precision::Int8)
         return;
-    }
     LayerQuant &q = mutableQuant();
     if (q.weightScales.empty()) {
         // Derive per-output-channel scales from the weights; the
@@ -88,42 +86,37 @@ InnerProductLayer::onPrecisionChanged()
         fatal("fc layer '%s': %zu weight scales for %ld outputs",
               name().c_str(), q.weightScales.size(), outputs_);
     }
-    weights8_.resize(static_cast<size_t>(outputs_) * inputs_);
-    for (int64_t o = 0; o < outputs_; ++o) {
-        QuantParams wq;
-        wq.scale = q.weightScales[static_cast<size_t>(o)];
-        const float *w = weights_.data() + o * inputs_;
-        int8_t *w8 = weights8_.data() + o * inputs_;
-        for (int64_t i = 0; i < inputs_; ++i)
-            w8[i] = static_cast<int8_t>(wq.quantize(w[i]));
-    }
+}
+
+void
+InnerProductLayer::invalidatePacked()
+{
+    std::lock_guard<std::mutex> lock(packMutex_);
+    packValid_ = false;
+}
+
+void
+InnerProductLayer::packWeights() const
+{
+    std::lock_guard<std::mutex> lock(packMutex_);
+    if (packValid_)
+        return;
+    // op(B) = W^T: k = inputs, n = outputs, W row-major (Trans::Yes).
+    packed_.pack(precision(), Trans::Yes, inputs_, outputs_,
+                 weights_.data(), inputs_,
+                 quant().weightScales.data());
+    packValid_ = true;
 }
 
 void
 InnerProductLayer::forwardImpl(const Tensor &in, Tensor &out) const
 {
-    int64_t batch = in.shape().n();
+    packWeights();
     // out[N x outputs] = in[N x inputs] * W^T[inputs x outputs].
-    // The GEMM partitions its own rows across the compute pool.
-    switch (precision()) {
-      case Precision::Int8:
-        gemm_s8(Trans::No, Trans::Yes, batch, outputs_, inputs_,
-                1.0f, in.data(), inputs_, quant().act,
-                weights8_.data(), inputs_,
-                quant().weightScales.data(), 0.0f, out.data(),
-                outputs_);
-        break;
-      case Precision::Bf16:
-        gemm_bf16(Trans::No, Trans::Yes, batch, outputs_, inputs_,
-                  1.0f, in.data(), inputs_, weights_.data(),
-                  inputs_, 0.0f, out.data(), outputs_);
-        break;
-      case Precision::F32:
-        sgemm(Trans::No, Trans::Yes, batch, outputs_, inputs_, 1.0f,
-              in.data(), inputs_, weights_.data(), inputs_, 0.0f,
-              out.data(), outputs_);
-        break;
-    }
+    // The GEMM splits its own work across the compute pool.
+    int64_t batch = in.shape().n();
+    gemm_packed(Trans::No, batch, 1.0f, in.data(), inputs_, packed_,
+                0.0f, out.data(), outputs_, quant().act);
     if (hasBias_) {
         const float *b = bias_.data();
         int64_t grain = std::max<int64_t>(

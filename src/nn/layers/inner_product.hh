@@ -6,6 +6,9 @@
 #ifndef DJINN_NN_LAYERS_INNER_PRODUCT_HH
 #define DJINN_NN_LAYERS_INNER_PRODUCT_HH
 
+#include <mutex>
+
+#include "nn/gemm.hh"
 #include "nn/layer.hh"
 
 namespace djinn {
@@ -13,7 +16,9 @@ namespace nn {
 
 /**
  * Fully connected layer. The input sample is flattened to a vector
- * of length c*h*w; weights are stored row-major (outputs x inputs).
+ * of length c*h*w; weights are stored row-major (outputs x inputs)
+ * and served from a PackedWeights copy built for the current
+ * precision (DESIGN.md §8).
  */
 class InnerProductLayer : public Layer
 {
@@ -27,7 +32,6 @@ class InnerProductLayer : public Layer
                       bool bias = true);
 
     uint64_t paramCount() const override;
-    std::vector<Tensor *> params() override;
 
     /** Number of output neurons. */
     int64_t outputs() const { return outputs_; }
@@ -58,7 +62,12 @@ class InnerProductLayer : public Layer
 
     LayerQuant calibrate(const Tensor &in) const override;
 
+    /** Pack the weights for the current precision if stale. */
+    void packWeights() const override;
+    void invalidatePacked() override;
+
   protected:
+    std::vector<Tensor *> paramTensors() override;
     Shape setupImpl(const Shape &input) override;
     void forwardImpl(const Tensor &in, Tensor &out) const override;
     void onPrecisionChanged() override;
@@ -70,8 +79,15 @@ class InnerProductLayer : public Layer
     Tensor weights_;
     Tensor bias_;
 
-    /** int8 weight codes (outputs x inputs), rebuilt on lowering. */
-    std::vector<int8_t> weights8_;
+    /**
+     * op(W^T) packed at precision(): f32 panels, bf16-rounded
+     * panels, or s8 panels with column sums and the weight scales.
+     * Rebuilt by the first packWeights() after setPrecision() or a
+     * params() call; forwards only read it.
+     */
+    mutable std::mutex packMutex_;
+    mutable PackedWeights packed_;  ///< guarded by packMutex_
+    mutable bool packValid_ = false; ///< guarded by packMutex_
 };
 
 } // namespace nn

@@ -45,7 +45,7 @@ LocallyConnectedLayer::paramCount() const
 }
 
 std::vector<Tensor *>
-LocallyConnectedLayer::params()
+LocallyConnectedLayer::paramTensors()
 {
     std::vector<Tensor *> out{&weights_};
     if (hasBias_)

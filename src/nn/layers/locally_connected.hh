@@ -38,7 +38,6 @@ class LocallyConnectedLayer : public Layer
                           int64_t pad = 0, bool bias = true);
 
     uint64_t paramCount() const override;
-    std::vector<Tensor *> params() override;
 
     int64_t outChannels() const { return outChannels_; }
     int64_t kernel() const { return kernel_; }
@@ -56,6 +55,7 @@ class LocallyConnectedLayer : public Layer
     }
 
   protected:
+    std::vector<Tensor *> paramTensors() override;
     Shape setupImpl(const Shape &input) override;
     void forwardImpl(const Tensor &in, Tensor &out) const override;
 

@@ -78,6 +78,15 @@ Network::weightBytes() const
 }
 
 void
+Network::packWeights() const
+{
+    // One layer at a time: each pack splits its panels across the
+    // compute pool.
+    for (const auto &l : layers_)
+        l->packWeights();
+}
+
+void
 Network::quantize(Precision precision, const Tensor &calib)
 {
     if (!finalized_)

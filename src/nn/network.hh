@@ -80,6 +80,15 @@ class Network
     uint64_t weightBytes() const;
 
     /**
+     * Build every layer's derived weight state now
+     * (Layer::packWeights): the FC layers' packed weights for their
+     * current precision. ModelRegistry::add calls it so that a
+     * model is packed before it is visible; forward() packs any
+     * layer still stale. Safe to call concurrently with forward().
+     */
+    void packWeights() const;
+
+    /**
      * Run the forward pass over a batch.
      *
      * @param in input of shape inputShape().withBatch(N).

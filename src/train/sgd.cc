@@ -74,10 +74,8 @@ backwardInnerProduct(const nn::InnerProductLayer &fc,
     // dx (N x in) = dy (N x out) * W (out x in)
     dx.resize(x.shape());
     nn::sgemm(nn::Trans::No, nn::Trans::No, batch, in, out, 1.0f,
-              dy.data(), out,
-              const_cast<nn::InnerProductLayer &>(fc).params()[0]
-                  ->data(),
-              in, 0.0f, dx.data(), in);
+              dy.data(), out, fc.weights().data(), in, 0.0f,
+              dx.data(), in);
 }
 
 void
@@ -270,8 +268,14 @@ SgdTrainer::forwardBackward(const nn::Tensor &input,
         fatal("SgdTrainer: %zu labels for a batch of %lld",
               labels.size(), static_cast<long long>(batch));
 
-    // Forward, keeping every activation.
+    // Weights may have been written through pointers kept from an
+    // earlier params() call (this trainer's updates, a gradient
+    // check), so no packed copy of them may be reused.
     size_t layers = net_.layerCount();
+    for (size_t i = 0; i < layers; ++i)
+        net_.layer(i).invalidatePacked();
+
+    // Forward, keeping every activation.
     std::vector<nn::Tensor> acts(layers + 1);
     acts[0] = input;
     for (size_t i = 0; i < layers; ++i)

@@ -2,8 +2,9 @@
  * @file
  * Differential test battery for the packed/blocked SGEMM kernel:
  * every (shape, transpose, stride, scale) combination is checked
- * against the reference scalar kernel (sgemm_naive), at 1, 2, and 8
- * compute threads. The two kernels accumulate in different orders,
+ * against the reference scalar kernel (sgemm_naive), at 1, 2, 4,
+ * and 8 compute threads, and the pre-packed entry against the raw
+ * one byte for byte. The two kernels accumulate in different orders,
  * so results are compared within an explicit error bound derived
  * from the accumulation depth k, not bit-exactly; bit-exactness
  * *across thread counts* of the fast kernel itself is asserted by
@@ -82,8 +83,10 @@ struct Case {
 
 /**
  * Runs one case: reference once, fast kernel at each thread count.
- * Asserts (a) fast stays within the error bound of the reference
- * and (b) fast output bits are identical at every thread count.
+ * Asserts (a) fast stays within the error bound of the reference,
+ * (b) fast output bits are identical at every thread count, and
+ * (c) the pre-packed entry (gemm_packed) writes the same bytes as
+ * the raw-operand entry.
  */
 void
 runCase(const Case &cs, djinn::Rng &rng)
@@ -113,12 +116,23 @@ runCase(const Case &cs, djinn::Rng &rng)
     float bound = errorBound(cs.k, cs.alpha);
     uint64_t firstSum = 0;
     bool haveFirst = false;
-    for (int threads : {1, 2, 8}) {
+    for (int threads : {1, 2, 4, 8}) {
         common::setComputeThreads(threads);
         std::vector<float> got = c0;
         sgemm(cs.ta, cs.tb, cs.m, cs.n, cs.k, cs.alpha, a.data(),
               cs.lda, b.data(), cs.ldb, cs.beta, got.data(),
               cs.ldc);
+        PackedWeights packed;
+        packed.pack(Precision::F32, cs.tb, cs.k, cs.n, b.data(),
+                    cs.ldb);
+        std::vector<float> viaPacked = c0;
+        gemm_packed(cs.ta, cs.m, cs.alpha, a.data(), cs.lda, packed,
+                    cs.beta, viaPacked.data(), cs.ldc);
+        ASSERT_EQ(std::memcmp(viaPacked.data(), got.data(),
+                              got.size() * sizeof(float)),
+                  0)
+            << "packed entry differs from sgemm, threads="
+            << threads;
         for (int64_t i = 0; i < cs.m; ++i) {
             for (int64_t j = 0; j < cs.n; ++j) {
                 size_t at = static_cast<size_t>(i * cs.ldc + j);
@@ -215,6 +229,29 @@ TEST(GemmDiff, LargeSingleShapeAgainstReference)
     Case cs{300,  257,  520,  Trans::No, Trans::No,
             520,  257,  257,  1.0f,      0.5f};
     runCase(cs, rng);
+}
+
+/**
+ * Serving shapes: the fully connected orientation (B = W^T, W
+ * row-major) at batch sizes around the MR = 8 row panel and the
+ * MC = 64 row block, n off the NR = 16 panel width, and k across
+ * the KC = 256 slice boundary. Covers the live-row kernel (a short
+ * last row panel) and the N split (fewer row blocks than threads).
+ */
+TEST(GemmDiff, ServingShapesPackedAndRaw)
+{
+    PoolSizeGuard guard;
+    djinn::Rng rng(0x5e7u);
+    const int64_t nk[][2] = {{45, 300}, {250, 520}, {100, 1100}};
+    for (int64_t m : {1, 2, 3, 7, 8, 9, 16, 28, 65, 198}) {
+        for (const auto &[n, k] : nk) {
+            Case cs{m, n, k, Trans::No, Trans::Yes,
+                    k, k, n, 1.0f,      0.0f};
+            runCase(cs, rng);
+            if (testing::Test::HasFatalFailure())
+                return;
+        }
+    }
 }
 
 TEST(GemmDiff, SgemvMatchesSgemm)

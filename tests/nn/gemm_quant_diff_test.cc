@@ -2,9 +2,10 @@
  * @file
  * Differential test battery for the low-precision GEMM kernels
  * (DESIGN.md §14), mirroring gemm_diff_test.cc's structure: shapes
- * × transposes × strides × scales, each run at 1, 2, and 8 compute
- * threads with pad-clobber checks and cross-thread-count bit
- * checksums.
+ * × transposes × strides × scales, each run at 1, 2, 4, and 8
+ * compute threads with pad-clobber checks, cross-thread-count bit
+ * checksums, and a byte comparison of the pre-packed entry against
+ * the raw one.
  *
  * Error contracts under test:
  *
@@ -141,12 +142,24 @@ runBf16Case(const Case &cs, djinn::Rng &rng)
     float bound = bf16Bound(cs.k, cs.alpha);
     uint64_t firstSum = 0;
     bool haveFirst = false;
-    for (int threads : {1, 2, 8}) {
+    for (int threads : {1, 2, 4, 8}) {
         common::setComputeThreads(threads);
         std::vector<float> got = c0;
         gemm_bf16(cs.ta, cs.tb, cs.m, cs.n, cs.k, cs.alpha, a.data(),
                   cs.lda, b.data(), cs.ldb, cs.beta, got.data(),
                   cs.ldc);
+        // The pre-packed entry must write the same bytes.
+        PackedWeights packed;
+        packed.pack(Precision::Bf16, cs.tb, cs.k, cs.n, b.data(),
+                    cs.ldb);
+        std::vector<float> viaPacked = c0;
+        gemm_packed(cs.ta, cs.m, cs.alpha, a.data(), cs.lda, packed,
+                    cs.beta, viaPacked.data(), cs.ldc);
+        ASSERT_EQ(std::memcmp(viaPacked.data(), got.data(),
+                              got.size() * sizeof(float)),
+                  0)
+            << "packed entry differs from gemm_bf16, threads="
+            << threads;
         for (int64_t i = 0; i < cs.m; ++i) {
             for (int64_t j = 0; j < cs.n; ++j) {
                 size_t at = static_cast<size_t>(i * cs.ldc + j);
@@ -205,6 +218,23 @@ TEST(GemmDiffBf16, SweepShapesTransposesStridesScales)
                         return;
                 }
             }
+        }
+    }
+}
+
+/** Serving shapes, as in GemmDiff.ServingShapesPackedAndRaw. */
+TEST(GemmDiffBf16, ServingShapesPackedAndRaw)
+{
+    PoolSizeGuard guard;
+    djinn::Rng rng(0xbf5e7u);
+    const int64_t nk[][2] = {{45, 300}, {250, 520}, {100, 1100}};
+    for (int64_t m : {1, 2, 3, 7, 8, 9, 16, 28, 65, 198}) {
+        for (const auto &[n, k] : nk) {
+            Case cs{m, n, k, Trans::No, Trans::Yes,
+                    k, k, n, 1.0f,      0.0f};
+            runBf16Case(cs, rng);
+            if (testing::Test::HasFatalFailure())
+                return;
         }
     }
 }
@@ -367,7 +397,7 @@ runInt8Case(const Case &cs, bool weightLeft, djinn::Rng &rng)
 
     uint64_t firstSum = 0;
     bool haveFirst = false;
-    for (int threads : {1, 2, 8}) {
+    for (int threads : {1, 2, 4, 8}) {
         common::setComputeThreads(threads);
         std::vector<float> got = c0;
         if (weightLeft) {
@@ -378,6 +408,20 @@ runInt8Case(const Case &cs, bool weightLeft, djinn::Rng &rng)
             gemm_s8(cs.ta, cs.tb, cs.m, cs.n, cs.k, cs.alpha,
                     af.data(), cs.lda, actq, b8.data(), cs.ldb,
                     b_scales.data(), cs.beta, got.data(), cs.ldc);
+            // Packing the f32 weights with the same column scales
+            // yields the same codes, so the same bytes.
+            PackedWeights packed;
+            packed.pack(Precision::Int8, cs.tb, cs.k, cs.n, bf.data(),
+                        cs.ldb, b_scales.data());
+            std::vector<float> viaPacked = c0;
+            gemm_packed(cs.ta, cs.m, cs.alpha, af.data(), cs.lda,
+                        packed, cs.beta, viaPacked.data(), cs.ldc,
+                        actq);
+            ASSERT_EQ(std::memcmp(viaPacked.data(), got.data(),
+                                  got.size() * sizeof(float)),
+                      0)
+                << "packed entry differs from gemm_s8, threads="
+                << threads;
         }
         for (int64_t i = 0; i < cs.m; ++i) {
             for (int64_t j = 0; j < cs.n; ++j) {
@@ -446,6 +490,26 @@ TEST(GemmDiffInt8, SweepShapesTransposesStridesScales)
                         return;
                 }
             }
+        }
+    }
+}
+
+/**
+ * Serving shapes, as in GemmDiff.ServingShapesPackedAndRaw, with k
+ * also across the KC8 = 1024 int8 slice boundary.
+ */
+TEST(GemmDiffInt8, ServingShapesPackedAndRaw)
+{
+    PoolSizeGuard guard;
+    djinn::Rng rng(0x1e85e7u);
+    const int64_t nk[][2] = {{45, 300}, {250, 520}, {100, 1100}};
+    for (int64_t m : {1, 2, 3, 7, 8, 9, 16, 28, 65, 198}) {
+        for (const auto &[n, k] : nk) {
+            Case cs{m, n, k, Trans::No, Trans::Yes,
+                    k, k, n, 1.0f,      0.0f};
+            runInt8Case(cs, false, rng);
+            if (testing::Test::HasFatalFailure())
+                return;
         }
     }
 }

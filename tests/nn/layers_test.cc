@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <thread>
+#include <vector>
 
 #include "common/logging.hh"
 #include "common/rng.hh"
+#include "nn/gemm.hh"
 #include "nn/layers/activation.hh"
 #include "nn/layers/convolution.hh"
 #include "nn/layers/inner_product.hh"
@@ -78,6 +82,51 @@ TEST(InnerProduct, ComputesAffineMap)
     // Row 1: [4+10+18+0.5, 16+25+36-1] = [32.5, 76]
     EXPECT_FLOAT_EQ(out.at(1, 0, 0, 0), 32.5f);
     EXPECT_FLOAT_EQ(out.at(1, 1, 0, 0), 76.0f);
+}
+
+TEST(InnerProduct, ForwardSeesWeightsRewrittenThroughParams)
+{
+    // The layer serves from a packed copy of its weights; a write
+    // through params() after a forward must reach the next one.
+    InnerProductLayer fc("fc", 37, false);
+    fc.setup(Shape(1, 300));
+    Tensor in = randomTensor(Shape(3, 300), 5);
+    for (uint64_t seed : {21u, 22u}) {
+        fillParams(fc, seed);
+        Tensor out;
+        fc.forward(in, out);
+        Tensor want(Shape(3, 37));
+        sgemm_naive(Trans::No, Trans::Yes, 3, 37, 300, 1.0f,
+                    in.data(), 300, fc.weights().data(), 300, 0.0f,
+                    want.data(), 37);
+        for (int64_t i = 0; i < want.elems(); ++i)
+            ASSERT_NEAR(out[i], want[i], 1e-4) << "seed " << seed;
+    }
+}
+
+TEST(InnerProduct, ConcurrentForwardsShareOnePack)
+{
+    // Forwards racing to rebuild a dropped pack must all read the
+    // finished one (check_build runs this under ThreadSanitizer).
+    InnerProductLayer fc("fc", 64, false);
+    fc.setup(Shape(1, 200));
+    fillParams(fc, 31);
+    Tensor in = randomTensor(Shape(2, 200), 6);
+    Tensor want;
+    fc.forward(in, want);
+    fc.setPrecision(Precision::F32); // drops the pack
+    std::vector<Tensor> outs(4);
+    std::vector<std::thread> threads;
+    for (Tensor &out : outs)
+        threads.emplace_back([&fc, &in, &out] { fc.forward(in, out); });
+    for (std::thread &t : threads)
+        t.join();
+    for (const Tensor &out : outs) {
+        ASSERT_EQ(std::memcmp(out.data(), want.data(),
+                              static_cast<size_t>(want.elems()) *
+                                  sizeof(float)),
+                  0);
+    }
 }
 
 TEST(InnerProduct, RejectsWrongInputGeometry)

@@ -2,21 +2,28 @@
  * @file
  * Property-based tests on inference-library invariants: pooling
  * against a naive reference over a geometry sweep, convolution
- * linearity, batch-order independence, and softmax invariances.
+ * linearity, batch-order independence, batch-composition
+ * independence of each row's bits, and softmax invariances.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <ostream>
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include "common/rng.hh"
+#include "common/thread_pool.hh"
 #include "nn/init.hh"
 #include "nn/layers/pooling.hh"
 #include "nn/layers/convolution.hh"
 #include "nn/layers/softmax.hh"
 #include "nn/net_def.hh"
+#include "nn/zoo.hh"
 
 namespace djinn {
 namespace nn {
@@ -173,17 +180,121 @@ TEST_P(BatchOrderProperty, NetworkOutputIndependentOfRowOrder)
                   reversed.sample(batch - 1 - n));
     }
     Tensor out_rev = net->forward(reversed);
-    int64_t out_elems = out.shape().sampleElems();
+    size_t row_bytes =
+        static_cast<size_t>(out.shape().sampleElems()) * sizeof(float);
     for (int64_t n = 0; n < batch; ++n) {
-        for (int64_t i = 0; i < out_elems; ++i) {
-            ASSERT_NEAR(out.sample(n)[i],
-                        out_rev.sample(batch - 1 - n)[i], 1e-5);
-        }
+        ASSERT_EQ(std::memcmp(out.sample(n),
+                              out_rev.sample(batch - 1 - n), row_bytes),
+                  0)
+            << "row " << n;
     }
 }
 
 INSTANTIATE_TEST_SUITE_P(Batches, BatchOrderProperty,
                          ::testing::Values(1, 2, 3, 7, 16));
+
+// Batch composition cannot change a row's bits -----------------------
+
+/** AlexNet's fc6-fc8 shapes, standing alone. */
+const char *const kAlexNetFcDef = "name alexnet_fc\ninput 256 6 6\n"
+                                  "layer fc6 fc out 4096\n"
+                                  "layer relu6 relu\n"
+                                  "layer fc7 fc out 4096\n"
+                                  "layer relu7 relu\n"
+                                  "layer fc8 fc out 1000\n";
+
+struct CompositionCase {
+    const char *model; ///< a zoo model name, or "alexnet_fc"
+    Precision precision;
+};
+
+std::ostream &
+operator<<(std::ostream &os, const CompositionCase &c)
+{
+    return os << c.model << "/" << precisionName(c.precision);
+}
+
+class BatchCompositionProperty
+    : public ::testing::TestWithParam<CompositionCase>
+{};
+
+/**
+ * A query's answer must not depend on which other queries share
+ * its batch: each row served alone (a batch of one, the live-row
+ * kernel) must produce the same output bytes at every position of
+ * a 9-row batch (one full MR = 8 row panel plus an edge row), at
+ * every thread count.
+ */
+TEST_P(BatchCompositionProperty, RowBitsIndependentOfBatchPosition)
+{
+    struct PoolSizeGuard {
+        ~PoolSizeGuard() { common::setComputeThreads(0); }
+    } guard;
+    const CompositionCase cs = GetParam();
+    NetworkPtr net;
+    if (std::string(cs.model) == "alexnet_fc") {
+        net = parseNetDefOrDie(kAlexNetFcDef);
+        initializeWeights(*net, 42);
+        if (cs.precision != Precision::F32)
+            net->quantize(cs.precision, zoo::calibrationBatch(*net));
+    } else {
+        net = zoo::build(zoo::modelFromName(cs.model), cs.precision,
+                         42);
+    }
+    constexpr int64_t kRows = 9;
+    Tensor rows = randomTensor(net->inputShape().withBatch(kRows), 9);
+    int64_t in_elems = net->inputShape().sampleElems();
+    for (int threads : {1, 2, 4}) {
+        common::setComputeThreads(threads);
+        std::vector<Tensor> alone;
+        for (int64_t r = 0; r < kRows; ++r) {
+            Tensor one(net->inputShape().withBatch(1));
+            std::copy(rows.sample(r), rows.sample(r) + in_elems,
+                      one.data());
+            alone.push_back(net->forward(one));
+        }
+        size_t row_bytes = static_cast<size_t>(
+                               alone[0].shape().sampleElems()) *
+                           sizeof(float);
+        // Rotation s puts row r at position (r + s) % kRows, so
+        // every row visits every position once.
+        for (int64_t s = 0; s < kRows; ++s) {
+            Tensor batch(net->inputShape().withBatch(kRows));
+            for (int64_t r = 0; r < kRows; ++r) {
+                std::copy(rows.sample(r), rows.sample(r) + in_elems,
+                          batch.sample((r + s) % kRows));
+            }
+            Tensor out = net->forward(batch);
+            for (int64_t r = 0; r < kRows; ++r) {
+                ASSERT_EQ(std::memcmp(out.sample((r + s) % kRows),
+                                      alone[static_cast<size_t>(r)]
+                                          .data(),
+                                      row_bytes),
+                          0)
+                    << cs.model << "/" << precisionName(cs.precision)
+                    << " threads " << threads << " row " << r
+                    << " at position " << (r + s) % kRows;
+            }
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ServedModels, BatchCompositionProperty,
+    ::testing::Values(
+        CompositionCase{"senna_pos", Precision::F32},
+        CompositionCase{"senna_pos", Precision::Bf16},
+        CompositionCase{"senna_pos", Precision::Int8},
+        CompositionCase{"kaldi_asr", Precision::F32},
+        CompositionCase{"kaldi_asr", Precision::Bf16},
+        CompositionCase{"kaldi_asr", Precision::Int8},
+        CompositionCase{"alexnet_fc", Precision::F32},
+        CompositionCase{"alexnet_fc", Precision::Bf16},
+        CompositionCase{"alexnet_fc", Precision::Int8}),
+    [](const ::testing::TestParamInfo<CompositionCase> &info) {
+        return std::string(info.param.model) + "_" +
+               precisionName(info.param.precision);
+    });
 
 // Softmax invariances ---------------------------------------------------
 
