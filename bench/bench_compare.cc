@@ -15,7 +15,7 @@
  *                                baseline (thread scheduling and
  *                                turbo make tighter bounds flaky)
  *   djinn_bench_service_seconds  lower is better; fail when the
- *                                candidate exceeds 1.5x baseline
+ *   djinn_bench_tonic_seconds    candidate exceeds 1.5x baseline
  *                                plus a 5 ms absolute floor
  *   djinn_bench_cluster_*        virtual-time simulation, bit-
  *                                identical by contract; any
@@ -100,7 +100,7 @@ readFile(const char *path, std::string &out)
 
 enum class Direction {
     HigherBetter, ///< gemm throughput
-    LowerBetter,  ///< service latency
+    LowerBetter,  ///< service latency, tonic front-end time
     Exact,        ///< deterministic simulation
 };
 
@@ -227,6 +227,9 @@ selfTest()
         {"djinn_bench_cluster_latency_seconds{policy=\"rr\","
          "stat=\"p99\"}",
          0.0123456789},
+        {"djinn_bench_tonic_seconds{frames=\"548\","
+         "stage=\"asr_features\"}",
+         0.004},
     };
     int failures = 0;
     auto expect = [&](const char *what, bool got, bool want) {
@@ -262,6 +265,13 @@ selfTest()
     expect("cluster drift fails",
            compareSamples(baseline, mutate(2, 0.0123457289), false)
                == 1,
+           true);
+    expect("tonic front end at O(N^2) again fails",
+           compareSamples(baseline, mutate(3, 0.5), false) == 1,
+           true);
+    expect("new sample passes",
+           compareSamples({baseline.begin(), baseline.end() - 1},
+                          baseline, false) == 0,
            true);
     expect("missing sample fails",
            compareSamples(baseline,

@@ -2,7 +2,7 @@
  * @file
  * bench_suite - the unified perf-regression runner (DESIGN.md §15).
  *
- * Executes the three measurement stages the BENCH_*.json
+ * Executes the four measurement stages the BENCH_*.json
  * trajectories track, with fixed seeds, and emits one
  * schema-versioned JSON document:
  *
@@ -24,6 +24,9 @@
  *        -> djinn_bench_cluster_latency_seconds{policy,stat}
  *           djinn_bench_cluster_shed_fraction{policy}
  *           djinn_bench_cluster_throughput_qps{policy}
+ *   4. The ASR front end (log-mel filterbank over the radix-2 FFT,
+ *      then context splicing) on a Table 3 utterance, best of N
+ *        -> djinn_bench_tonic_seconds{stage="asr_features",frames}
  *
  * Usage:
  *   bench_suite [--quick] [--seed N] [--out FILE]
@@ -64,6 +67,7 @@
 #include "telemetry/exposition.hh"
 #include "telemetry/flight_recorder.hh"
 #include "telemetry/metrics.hh"
+#include "tonic/audio.hh"
 
 using namespace djinn;
 
@@ -456,6 +460,33 @@ runClusterStage(const SuiteConfig &config,
     }
 }
 
+// ---------------------------------------------------------------
+// Stage 4: the ASR front end, the Tonic pre-processing that feeds
+// the Kaldi acoustic model.
+
+void
+runTonicStage(const SuiteConfig &config,
+              std::vector<SuiteSample> &out)
+{
+    // Table 3: one ASR query is 548 feature vectors, 5.5 s of audio
+    // at the 10 ms shift.
+    Rng rng(config.seed);
+    const std::vector<float> samples =
+        tonic::synthesizeUtterance(5.5, rng);
+    const tonic::FeatureConfig features;
+    int64_t frames = 0;
+    double secs = bestSeconds(config.quick ? 3 : 10, [&]() {
+        nn::Tensor spliced = tonic::spliceFrames(
+            tonic::filterbankFeatures(samples, features),
+            features.spliceContext);
+        frames = spliced.shape().n();
+    });
+    emitSample(out, "djinn_bench_tonic_seconds",
+               {{"stage", "asr_features"},
+                {"frames", std::to_string(frames)}},
+               secs);
+}
+
 std::string
 renderSuiteJson(const SuiteConfig &config,
                 const std::vector<SuiteSample> &samples)
@@ -518,6 +549,8 @@ main(int argc, char **argv)
     runServiceStage(config, samples);
     std::fprintf(stderr, "bench_suite: cluster stage...\n");
     runClusterStage(config, samples);
+    std::fprintf(stderr, "bench_suite: tonic stage...\n");
+    runTonicStage(config, samples);
 
     std::string json = renderSuiteJson(config, samples);
     if (config.outPath.empty()) {

@@ -361,11 +361,18 @@ rm -f /tmp/djinn_microbench.json
 # Second, the differential battery and quantization property tests
 # under AddressSanitizer + UBSan: the packed kernels index raw
 # panel buffers with hand-rolled arithmetic, exactly where a
-# fuzzy-but-passing out-of-bounds read would hide.
+# fuzzy-but-passing out-of-bounds read would hide. The FFT front
+# end indexes through a bit-reversal table, and the Tonic apps
+# read fixed-width rows out of server responses that the
+# WrongWidth tests deliberately mis-size.
 cmake -B build-asan -S . -DDJINN_SANITIZE=address,undefined \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo
-cmake --build build-asan -j --target nn_test
+cmake --build build-asan -j --target nn_test tonic_test \
+    tonic_apps_test
 ./build-asan/tests/nn_test --gtest_filter='GemmDiff*:Quant*'
+./build-asan/tests/tonic_test --gtest_filter='Filterbank*:Splice*'
+./build-asan/tests/tonic_apps_test \
+    --gtest_filter='WrongWidth*:AsrPipeline*'
 
 # ThreadSanitizer pass over the concurrency-heavy suites: the
 # compute pool, the threaded GEMM kernel, the batching server, and

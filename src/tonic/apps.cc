@@ -33,15 +33,18 @@ rowArgmax(const std::vector<float> &data, int64_t row, int64_t dim)
         std::max_element(base, base + dim) - base);
 }
 
-/** Wrap a flat score matrix into a (rows, dim) tensor. */
+/** Wrap a flat (rows x dim) score matrix into a tensor. */
 nn::Tensor
 toScoreTensor(const std::vector<float> &data, int64_t rows,
               int64_t dim)
 {
     nn::Tensor t(nn::Shape(rows, dim));
-    std::memcpy(t.data(), data.data(), data.size() * sizeof(float));
+    std::memcpy(t.data(), data.data(), t.elems() * sizeof(float));
     return t;
 }
+
+/** Senone outputs of the Kaldi acoustic model per frame. */
+constexpr int64_t kSenones = 4000;
 
 } // namespace
 
@@ -50,12 +53,20 @@ TonicApp::TonicApp(core::DjinnClient &client, std::string model)
 {}
 
 Result<std::vector<float>>
-TonicApp::invoke(int64_t rows, const std::vector<float> &data,
-                 PhaseTimes &times)
+TonicApp::invoke(int64_t rows, int64_t width,
+                 const std::vector<float> &data, PhaseTimes &times)
 {
     double start = nowSeconds();
     auto result = client_.infer(model_, rows, data);
     times.service += nowSeconds() - start;
+    if (result.isOk() &&
+        static_cast<int64_t>(result.value().size()) != rows * width) {
+        return Status::internal(strprintf(
+            "%s returned %zu outputs, expected %lld rows x %lld",
+            model_.c_str(), result.value().size(),
+            static_cast<long long>(rows),
+            static_cast<long long>(width)));
+    }
     return result;
 }
 
@@ -76,7 +87,7 @@ ImcApp::classify(const Image &image)
                             input.data() + input.elems());
     out.times.preprocess = nowSeconds() - start;
 
-    auto result = invoke(1, data, out.times);
+    auto result = invoke(1, 1000, data, out.times);
     if (!result.isOk())
         return result.status();
 
@@ -117,8 +128,8 @@ DigApp::recognize(const std::vector<Image> &digits)
     }
     out.times.preprocess = nowSeconds() - start;
 
-    auto result = invoke(static_cast<int64_t>(digits.size()), data,
-                         out.times);
+    auto result = invoke(static_cast<int64_t>(digits.size()), 10,
+                         data, out.times);
     if (!result.isOk())
         return result.status();
 
@@ -150,7 +161,7 @@ FaceApp::identify(const Image &image)
                             input.data() + input.elems());
     out.times.preprocess = nowSeconds() - start;
 
-    auto result = invoke(1, data, out.times);
+    auto result = invoke(1, 83, data, out.times);
     if (!result.isOk())
         return result.status();
 
@@ -182,24 +193,26 @@ AsrApp::transcribe(const std::vector<float> &samples)
                             spliced.data() + spliced.elems());
     out.times.preprocess = nowSeconds() - start;
 
-    auto result = invoke(frames, data, out.times);
+    auto result = invoke(frames, kSenones, data, out.times);
     if (!result.isOk())
         return result.status();
 
     start = nowSeconds();
-    // Fold 4000 senone activations down to the 40-phone inventory
-    // (senone s belongs to phone s % 40), then Viterbi with a
-    // self-loop bonus and run collapsing.
+    // Fold the senone activations down to the 40-phone inventory
+    // (senone s belongs to phone s % 40), one 40-wide stride of the
+    // row at a time, then Viterbi with a self-loop bonus and run
+    // collapsing.
     const auto &senones = result.value();
     int64_t phones = static_cast<int64_t>(phoneNames().size());
     nn::Tensor phone_scores(nn::Shape(frames, phones),
                             -1e30f);
     for (int64_t f = 0; f < frames; ++f) {
-        const float *row = senones.data() + f * 4000;
+        const float *row = senones.data() + f * kSenones;
         float *dst = phone_scores.sample(f);
-        for (int64_t s = 0; s < 4000; ++s) {
-            int64_t p = s % phones;
-            dst[p] = std::max(dst[p], row[s]);
+        for (int64_t base = 0; base < kSenones; base += phones) {
+            int64_t width = std::min(phones, kSenones - base);
+            for (int64_t p = 0; p < width; ++p)
+                dst[p] = std::max(dst[p], row[base + p]);
         }
     }
     auto transitions = selfLoopTransitions(phones, 2.0f);
@@ -219,22 +232,20 @@ AsrApp::transcribe(const std::vector<float> &samples)
 
 namespace {
 
+/** TonicApp::invoke, bound to the calling app. */
+using InvokeFn = std::function<Result<std::vector<float>>(
+    int64_t, int64_t, const std::vector<float> &, PhaseTimes &)>;
+
 /**
  * Shared NLP flow: window features -> service -> Viterbi over the
  * tag scores (flat transitions).
  */
 Result<AppOutput>
-tagSentence(TonicApp &app, core::DjinnClient &client,
-            const std::string &model, const std::string &sentence,
+tagSentence(const std::string &sentence,
             const std::vector<std::string> &tag_names,
             const std::vector<int> *aux_tags, PhaseTimes seed_times,
-            std::function<Result<std::vector<float>>(
-                int64_t, const std::vector<float> &, PhaseTimes &)>
-                invoke)
+            const InvokeFn &invoke)
 {
-    (void)app;
-    (void)client;
-    (void)model;
     AppOutput out;
     out.times = seed_times;
     double start = nowSeconds();
@@ -250,12 +261,12 @@ tagSentence(TonicApp &app, core::DjinnClient &client,
                             features.data() + features.elems());
     out.times.preprocess += nowSeconds() - start;
 
-    auto result = invoke(rows, data, out.times);
+    int64_t tags = static_cast<int64_t>(tag_names.size());
+    auto result = invoke(rows, tags, data, out.times);
     if (!result.isOk())
         return result.status();
 
     start = nowSeconds();
-    int64_t tags = static_cast<int64_t>(tag_names.size());
     nn::Tensor scores = toScoreTensor(result.value(), rows, tags);
     std::vector<float> transitions(
         static_cast<size_t>(tags * tags), 0.0f);
@@ -282,11 +293,10 @@ Result<AppOutput>
 PosApp::tag(const std::string &sentence)
 {
     return tagSentence(
-        *this, client_, model_, sentence, posTagNames(), nullptr,
-        PhaseTimes{},
-        [this](int64_t rows, const std::vector<float> &data,
-               PhaseTimes &times) {
-            return invoke(rows, data, times);
+        sentence, posTagNames(), nullptr, PhaseTimes{},
+        [this](int64_t rows, int64_t width,
+               const std::vector<float> &data, PhaseTimes &times) {
+            return invoke(rows, width, data, times);
         });
 }
 
@@ -306,11 +316,10 @@ ChkApp::chunk(const std::string &sentence)
     const AppOutput &pos_out = pos_result.value();
 
     return tagSentence(
-        *this, client_, model_, sentence, chunkTagNames(),
-        &pos_out.labels, pos_out.times,
-        [this](int64_t rows, const std::vector<float> &data,
-               PhaseTimes &times) {
-            return invoke(rows, data, times);
+        sentence, chunkTagNames(), &pos_out.labels, pos_out.times,
+        [this](int64_t rows, int64_t width,
+               const std::vector<float> &data, PhaseTimes &times) {
+            return invoke(rows, width, data, times);
         });
 }
 
@@ -324,11 +333,10 @@ Result<AppOutput>
 NerApp::recognize(const std::string &sentence)
 {
     return tagSentence(
-        *this, client_, model_, sentence, nerTagNames(), nullptr,
-        PhaseTimes{},
-        [this](int64_t rows, const std::vector<float> &data,
-               PhaseTimes &times) {
-            return invoke(rows, data, times);
+        sentence, nerTagNames(), nullptr, PhaseTimes{},
+        [this](int64_t rows, int64_t width,
+               const std::vector<float> &data, PhaseTimes &times) {
+            return invoke(rows, width, data, times);
         });
 }
 

@@ -67,8 +67,12 @@ class TonicApp
     const std::string &model() const { return model_; }
 
   protected:
-    /** Issue the DNN service request and time it. */
-    Result<std::vector<float>> invoke(int64_t rows,
+    /**
+     * Issue the DNN service request and time it. A response that is
+     * not exactly @p rows x @p width floats is an internal error, so
+     * post-processing never reads past it.
+     */
+    Result<std::vector<float>> invoke(int64_t rows, int64_t width,
                                       const std::vector<float> &data,
                                       PhaseTimes &times);
 

@@ -86,8 +86,11 @@ filterbankFeatures(const std::vector<float> &samples,
 
     // FFT length: next power of two >= frame length.
     int64_t nfft = 1;
-    while (nfft < frame_len)
+    int bits = 0;
+    while (nfft < frame_len) {
         nfft <<= 1;
+        ++bits;
+    }
     int64_t nbins = nfft / 2 + 1;
 
     // Precompute the Hamming window.
@@ -97,7 +100,25 @@ filterbankFeatures(const std::vector<float> &samples,
                                            (frame_len - 1));
     }
 
-    // Precompute triangular mel filters over the power bins.
+    // Precompute the FFT's twiddles exp(-2*pi*i*j/nfft) and the
+    // bit-reversal permutation its input is loaded through.
+    std::vector<double> cos_tw(static_cast<size_t>(nfft / 2));
+    std::vector<double> sin_tw(static_cast<size_t>(nfft / 2));
+    for (int64_t j = 0; j < nfft / 2; ++j) {
+        double w = -2.0 * M_PI * j / nfft;
+        cos_tw[j] = std::cos(w);
+        sin_tw[j] = std::sin(w);
+    }
+    std::vector<int64_t> reversed(static_cast<size_t>(nfft), 0);
+    for (int64_t i = 0; i < nfft; ++i) {
+        for (int b = 0; b < bits; ++b) {
+            if (i & (int64_t{1} << b))
+                reversed[i] |= int64_t{1} << (bits - 1 - b);
+        }
+    }
+
+    // Precompute triangular mel filters over the power bins: filter
+    // m weights bins [first[m], first[m] + weights[m].size()).
     double mel_lo = hzToMel(20.0);
     double mel_hi = hzToMel(config.sampleRate / 2.0);
     std::vector<double> centers(
@@ -108,49 +129,70 @@ filterbankFeatures(const std::vector<float> &samples,
         centers[m] = melToHz(mel) / (config.sampleRate / 2.0) *
                      (nbins - 1);
     }
+    std::vector<int64_t> first(static_cast<size_t>(config.melBins));
+    std::vector<std::vector<double>> weights(
+        static_cast<size_t>(config.melBins));
+    for (int64_t m = 0; m < config.melBins; ++m) {
+        double left = centers[m];
+        double center = centers[m + 1];
+        double right = centers[m + 2];
+        int64_t k0 = std::max<int64_t>(
+            static_cast<int64_t>(std::ceil(left)), 0);
+        int64_t k1 = std::min<int64_t>(
+            static_cast<int64_t>(std::floor(right)), nbins - 1);
+        first[m] = k0;
+        for (int64_t k = k0; k <= k1; ++k) {
+            double weight = k <= center
+                ? (k - left) / std::max(center - left, 1e-9)
+                : (right - k) / std::max(right - center, 1e-9);
+            weights[m].push_back(std::clamp(weight, 0.0, 1.0));
+        }
+    }
 
     nn::Tensor features(nn::Shape(frames, config.melBins));
 
-    std::vector<double> re(static_cast<size_t>(nbins));
-    std::vector<double> im(static_cast<size_t>(nbins));
-    std::vector<double> frame(static_cast<size_t>(frame_len));
+    std::vector<double> re(static_cast<size_t>(nfft));
+    std::vector<double> im(static_cast<size_t>(nfft));
+    std::vector<double> power(static_cast<size_t>(nbins));
 
     for (int64_t f = 0; f < frames; ++f) {
         const float *src = samples.data() + f * shift;
-        // Pre-emphasis + window.
-        frame[0] = src[0] * window[0];
+        // Pre-emphasis + window, zero-padded to nfft and loaded in
+        // bit-reversed order.
+        std::fill(re.begin(), re.end(), 0.0);
+        std::fill(im.begin(), im.end(), 0.0);
+        re[reversed[0]] = src[0] * window[0];
         for (int64_t i = 1; i < frame_len; ++i) {
-            frame[i] = (src[i] - config.preEmphasis * src[i - 1]) *
-                       window[i];
+            re[reversed[i]] =
+                (src[i] - config.preEmphasis * src[i - 1]) *
+                window[i];
         }
-        // Real DFT (direct form; frame_len is a few hundred points).
-        for (int64_t k = 0; k < nbins; ++k) {
-            double sr = 0.0, si = 0.0;
-            double w = -2.0 * M_PI * k / nfft;
-            for (int64_t i = 0; i < frame_len; ++i) {
-                sr += frame[i] * std::cos(w * i);
-                si += frame[i] * std::sin(w * i);
+        // Iterative radix-2 FFT: log2(nfft) butterfly stages.
+        for (int64_t len = 2; len <= nfft; len <<= 1) {
+            int64_t half = len / 2;
+            int64_t stride = nfft / len;
+            for (int64_t base = 0; base < nfft; base += len) {
+                for (int64_t j = 0; j < half; ++j) {
+                    int64_t a = base + j;
+                    int64_t b = a + half;
+                    double wr = cos_tw[j * stride];
+                    double wi = sin_tw[j * stride];
+                    double vr = re[b] * wr - im[b] * wi;
+                    double vi = re[b] * wi + im[b] * wr;
+                    re[b] = re[a] - vr;
+                    im[b] = im[a] - vi;
+                    re[a] += vr;
+                    im[a] += vi;
+                }
             }
-            re[k] = sr;
-            im[k] = si;
         }
+        for (int64_t k = 0; k < nbins; ++k)
+            power[k] = re[k] * re[k] + im[k] * im[k];
         // Mel filterbank over the power spectrum, log compressed.
         for (int64_t m = 0; m < config.melBins; ++m) {
-            double left = centers[m];
-            double center = centers[m + 1];
-            double right = centers[m + 2];
             double acc = 0.0;
-            int64_t k0 = std::max<int64_t>(
-                static_cast<int64_t>(std::ceil(left)), 0);
-            int64_t k1 = std::min<int64_t>(
-                static_cast<int64_t>(std::floor(right)), nbins - 1);
-            for (int64_t k = k0; k <= k1; ++k) {
-                double weight = k <= center
-                    ? (k - left) / std::max(center - left, 1e-9)
-                    : (right - k) / std::max(right - center, 1e-9);
-                weight = std::clamp(weight, 0.0, 1.0);
-                acc += weight * (re[k] * re[k] + im[k] * im[k]);
-            }
+            for (size_t k = 0; k < weights[m].size(); ++k)
+                acc += weights[m][k] * power[first[m] + k];
             features.at(f, m, 0, 0) =
                 static_cast<float>(std::log(acc + 1e-10));
         }

@@ -1,10 +1,10 @@
 /**
  * @file
  * Audio front end for the ASR task: waveform synthesis plus a real
- * filterbank feature pipeline (pre-emphasis, framing, Hamming
- * window, DFT power spectrum, mel filterbank, log compression,
- * context splicing), the role Kaldi's feature extraction plays in
- * the paper's ASR preprocessing.
+ * log-mel filterbank feature pipeline (pre-emphasis, framing,
+ * Hamming window, zero-padded radix-2 FFT power spectrum, mel
+ * filterbank, log compression, context splicing), the role Kaldi's
+ * feature extraction plays in the paper's ASR preprocessing.
  */
 
 #ifndef DJINN_TONIC_AUDIO_HH
@@ -48,7 +48,9 @@ std::vector<float> synthesizeUtterance(double seconds, Rng &rng,
                                        double sample_rate = 16000.0);
 
 /**
- * Compute log-mel filterbank features.
+ * Compute log-mel filterbank features. Each frame is transformed by
+ * an iterative radix-2 FFT over the frame zero-padded to the next
+ * power of two, so one utterance costs O(frames * nfft log nfft).
  *
  * @param samples mono waveform.
  * @param config pipeline parameters.

@@ -10,7 +10,12 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
+#include "common/logging.hh"
 #include "core/djinn_server.hh"
+#include "nn/init.hh"
+#include "nn/net_def.hh"
 #include "tonic/audio.hh"
 #include "tonic/labels.hh"
 #include "tonic/text.hh"
@@ -206,12 +211,10 @@ TEST_F(AppsTest, AsrTranscribesShortUtterance)
     auto result = app.transcribe(samples);
     ASSERT_TRUE(result.isOk()) << result.status().toString();
     const AppOutput &out = result.value();
-    EXPECT_FALSE(out.labels.empty());
-    EXPECT_FALSE(out.text.empty());
-    for (int phone : out.labels) {
-        EXPECT_GE(phone, 0);
-        EXPECT_LT(phone, static_cast<int>(phoneNames().size()));
-    }
+    // The sigmoid-stack zoo net with seeded weights settles on one
+    // phone for this utterance.
+    EXPECT_EQ(out.labels, std::vector<int>({11}));
+    EXPECT_EQ(out.text, "er");
     EXPECT_GT(out.times.preprocess, 0.0);
     EXPECT_GT(out.times.postprocess, 0.0);
 }
@@ -224,6 +227,110 @@ TEST_F(AppsTest, PhaseTimesSumToTotal)
     const PhaseTimes &t = result.value().times;
     EXPECT_NEAR(t.total(),
                 t.preprocess + t.service + t.postprocess, 1e-12);
+}
+
+/**
+ * A loopback server over its own registry of small nets: each is
+ * "name <name>, input <input>", an optional <pool> x <pool> max pool
+ * to keep image inputs cheap, then one fc layer of <out> outputs.
+ */
+struct NetServer {
+    struct Net {
+        const char *name;
+        const char *input;
+        int out;
+        int pool = 1;
+    };
+
+    explicit NetServer(const std::vector<Net> &nets)
+    {
+        for (const Net &n : nets) {
+            std::string def =
+                strprintf("name %s\ninput %s\n", n.name, n.input);
+            if (n.pool > 1) {
+                def += strprintf("layer pool maxpool kernel %d "
+                                 "stride %d\n",
+                                 n.pool, n.pool);
+            }
+            def += strprintf("layer fc fc out %d\n", n.out);
+            auto net = nn::parseNetDefOrDie(def);
+            nn::initializeWeights(*net, 3);
+            EXPECT_TRUE(registry.add(std::move(net)).isOk());
+        }
+        server = std::make_unique<core::DjinnServer>(
+            registry, core::ServerConfig{});
+        EXPECT_TRUE(server->start().isOk());
+        EXPECT_TRUE(
+            client.connect("127.0.0.1", server->port()).isOk());
+    }
+
+    // Declared in teardown order: the client goes first, the
+    // registry outlives the server serving it.
+    core::ModelRegistry registry;
+    std::unique_ptr<core::DjinnServer> server;
+    core::DjinnClient client;
+};
+
+TEST(AsrPipeline, TranscriptPinnedThroughLinearNet)
+{
+    // One linear 440 -> 4000 layer keeps the senone scores tracking
+    // the log-mel features, so the phone sequence moves with any
+    // change to the FFT front end or the senone fold.
+    NetServer served({{"kaldi_asr", "440 1 1", 4000}});
+    AsrApp app(served.client);
+    Rng rng(17);
+    auto result = app.transcribe(synthesizeUtterance(0.5, rng));
+    ASSERT_TRUE(result.isOk()) << result.status().toString();
+    EXPECT_EQ(result.value().labels,
+              std::vector<int>({12, 18, 12, 4, 32, 2, 12}));
+    EXPECT_EQ(result.value().text, "ey jh ey aw uh ah ey");
+}
+
+TEST(WrongWidth, EveryAppRejectsAMisSizedResponse)
+{
+    // Each net answers with a row width its app does not expect,
+    // narrower or wider; every app must fail rather than read past
+    // the response or into a too-small score matrix.
+    for (int delta : {-1, 1}) {
+        NetServer served({{"alexnet", "3 227 227", 1000 + delta, 8},
+                          {"mnist", "1 28 28", 10 + delta},
+                          {"deepface", "3 152 152", 83 + delta, 8},
+                          {"kaldi_asr", "440 1 1", 4000 + delta},
+                          {"senna_pos", "250 1 1", 45 + delta},
+                          {"senna_ner", "250 1 1", 9 + delta}});
+        SCOPED_TRACE(delta);
+        Rng rng(5);
+        Image photo = synthesizePhoto(64, 48, 3, rng);
+        std::vector<Image> digits{synthesizeDigit(3, rng)};
+
+        ImcApp imc(served.client);
+        FaceApp face(served.client);
+        DigApp dig(served.client);
+        AsrApp asr(served.client);
+        PosApp pos(served.client);
+        NerApp ner(served.client);
+        auto asr_out = asr.transcribe(synthesizeUtterance(0.1, rng));
+        auto pos_out = pos.tag("the dog runs");
+        EXPECT_FALSE(imc.classify(photo).isOk());
+        EXPECT_FALSE(face.identify(photo).isOk());
+        EXPECT_FALSE(dig.recognize(digits).isOk());
+        ASSERT_FALSE(asr_out.isOk());
+        EXPECT_EQ(asr_out.status().code(), StatusCode::Internal);
+        ASSERT_FALSE(pos_out.isOk());
+        EXPECT_EQ(pos_out.status().code(), StatusCode::Internal);
+        EXPECT_FALSE(ner.recognize("john visited paris").isOk());
+    }
+}
+
+TEST(WrongWidth, ChkRejectsAMisSizedResponseAfterItsPosRequest)
+{
+    // POS answers correctly, so the failure is CHK's own check.
+    NetServer served({{"senna_pos", "250 1 1", 45},
+                      {"senna_chk", "250 1 1", 24}});
+    ChkApp app(served.client);
+    auto result = app.chunk("engineers design systems");
+    ASSERT_FALSE(result.isOk());
+    EXPECT_EQ(result.status().code(), StatusCode::Internal);
 }
 
 TEST(Labels, TagSetSizesMatchNetworks)

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/logging.hh"
@@ -9,6 +10,120 @@
 namespace djinn {
 namespace tonic {
 namespace {
+
+/**
+ * Reference log-mel features through a direct-form real DFT of each
+ * windowed frame: O(frames * nbins * frameLength), every twiddle
+ * evaluated in place. filterbankFeatures must agree with it.
+ */
+nn::Tensor
+directDftFeatures(const std::vector<float> &samples,
+                  const FeatureConfig &config)
+{
+    int64_t frame_len = static_cast<int64_t>(
+        config.frameLength * config.sampleRate);
+    int64_t shift = static_cast<int64_t>(
+        config.frameShift * config.sampleRate);
+    int64_t frames = frameCount(
+        static_cast<int64_t>(samples.size()), config);
+    int64_t nfft = 1;
+    while (nfft < frame_len)
+        nfft <<= 1;
+    int64_t nbins = nfft / 2 + 1;
+
+    std::vector<double> window(static_cast<size_t>(frame_len));
+    for (int64_t i = 0; i < frame_len; ++i) {
+        window[i] = 0.54 - 0.46 * std::cos(2 * M_PI * i /
+                                           (frame_len - 1));
+    }
+    auto hz_to_mel = [](double hz) {
+        return 1127.0 * std::log(1.0 + hz / 700.0);
+    };
+    auto mel_to_hz = [](double mel) {
+        return 700.0 * (std::exp(mel / 1127.0) - 1.0);
+    };
+    double mel_lo = hz_to_mel(20.0);
+    double mel_hi = hz_to_mel(config.sampleRate / 2.0);
+    std::vector<double> centers(
+        static_cast<size_t>(config.melBins) + 2);
+    for (int64_t m = 0; m < config.melBins + 2; ++m) {
+        double mel = mel_lo + (mel_hi - mel_lo) * m /
+                     (config.melBins + 1);
+        centers[m] = mel_to_hz(mel) / (config.sampleRate / 2.0) *
+                     (nbins - 1);
+    }
+
+    nn::Tensor features(nn::Shape(frames, config.melBins));
+    std::vector<double> re(static_cast<size_t>(nbins));
+    std::vector<double> im(static_cast<size_t>(nbins));
+    std::vector<double> frame(static_cast<size_t>(frame_len));
+    for (int64_t f = 0; f < frames; ++f) {
+        const float *src = samples.data() + f * shift;
+        frame[0] = src[0] * window[0];
+        for (int64_t i = 1; i < frame_len; ++i) {
+            frame[i] = (src[i] - config.preEmphasis * src[i - 1]) *
+                       window[i];
+        }
+        for (int64_t k = 0; k < nbins; ++k) {
+            double sr = 0.0, si = 0.0;
+            double w = -2.0 * M_PI * k / nfft;
+            for (int64_t i = 0; i < frame_len; ++i) {
+                sr += frame[i] * std::cos(w * i);
+                si += frame[i] * std::sin(w * i);
+            }
+            re[k] = sr;
+            im[k] = si;
+        }
+        for (int64_t m = 0; m < config.melBins; ++m) {
+            double left = centers[m];
+            double center = centers[m + 1];
+            double right = centers[m + 2];
+            double acc = 0.0;
+            int64_t k0 = std::max<int64_t>(
+                static_cast<int64_t>(std::ceil(left)), 0);
+            int64_t k1 = std::min<int64_t>(
+                static_cast<int64_t>(std::floor(right)), nbins - 1);
+            for (int64_t k = k0; k <= k1; ++k) {
+                double weight = k <= center
+                    ? (k - left) / std::max(center - left, 1e-9)
+                    : (right - k) / std::max(right - center, 1e-9);
+                weight = std::clamp(weight, 0.0, 1.0);
+                acc += weight * (re[k] * re[k] + im[k] * im[k]);
+            }
+            features.at(f, m, 0, 0) =
+                static_cast<float>(std::log(acc + 1e-10));
+        }
+    }
+    return features;
+}
+
+/** Max |fft - direct| over every log-mel feature of @p samples. */
+double
+maxFftDeviation(const std::vector<float> &samples,
+                const FeatureConfig &config)
+{
+    nn::Tensor fft = filterbankFeatures(samples, config);
+    nn::Tensor direct = directDftFeatures(samples, config);
+    EXPECT_EQ(fft.shape(), direct.shape());
+    double worst = 0.0;
+    for (int64_t i = 0; i < fft.elems(); ++i) {
+        worst = std::max(
+            worst, std::fabs(static_cast<double>(fft[i]) - direct[i]));
+    }
+    return worst;
+}
+
+/** @p seconds of a 0.5-amplitude sine at @p freq Hz. */
+std::vector<float>
+pureTone(double freq, double seconds, double sample_rate)
+{
+    std::vector<float> s(static_cast<size_t>(seconds * sample_rate));
+    for (size_t i = 0; i < s.size(); ++i) {
+        s[i] = static_cast<float>(
+            0.5 * std::sin(2 * M_PI * freq * i / sample_rate));
+    }
+    return s;
+}
 
 TEST(Synthesize, UtteranceLengthMatchesDuration)
 {
@@ -96,12 +211,8 @@ TEST(Filterbank, ToneActivatesMatchingBand)
     // A pure 1 kHz tone: the most energetic mel bin for the tone
     // should sit below the most energetic bin of a 4 kHz tone.
     auto tone = [&](double freq) {
-        std::vector<float> s(8000);
-        for (size_t i = 0; i < s.size(); ++i) {
-            s[i] = static_cast<float>(
-                0.5 * std::sin(2 * M_PI * freq * i / 16000.0));
-        }
-        nn::Tensor f = filterbankFeatures(s, config);
+        nn::Tensor f =
+            filterbankFeatures(pureTone(freq, 0.5, 16000.0), config);
         // Use the middle frame.
         int64_t frame = f.shape().n() / 2;
         int64_t best = 0;
@@ -112,6 +223,52 @@ TEST(Filterbank, ToneActivatesMatchingBand)
         return best;
     };
     EXPECT_LT(tone(500.0), tone(4000.0));
+}
+
+TEST(Filterbank, FftMatchesDirectDft)
+{
+    const double bound = 1e-5;
+    FeatureConfig config;
+    for (uint64_t seed : {1, 2, 3, 17}) {
+        Rng rng(seed);
+        EXPECT_LE(maxFftDeviation(synthesizeUtterance(0.3, rng),
+                                  config),
+                  bound)
+            << "seed " << seed;
+    }
+    EXPECT_LE(maxFftDeviation(std::vector<float>(4000, 0.0f), config),
+              bound);
+    // Tones at exact centres of the 512-point transform's bins.
+    for (int bin : {1, 37, 128, 255}) {
+        EXPECT_LE(maxFftDeviation(pureTone(bin * 16000.0 / 512, 0.1,
+                                           16000.0),
+                                  config),
+                  bound)
+            << "bin " << bin;
+    }
+
+    // 8 kHz: 200-sample frames on a 256-point transform.
+    FeatureConfig narrow;
+    narrow.sampleRate = 8000.0;
+    Rng rng(9);
+    EXPECT_LE(maxFftDeviation(synthesizeUtterance(0.3, rng, 8000.0),
+                              narrow),
+              bound);
+    EXPECT_LE(maxFftDeviation(pureTone(40 * 8000.0 / 256, 0.2, 8000.0),
+                              narrow),
+              bound);
+
+    // A frame that already fills its transform (512 samples) and
+    // one padded from 320 samples.
+    for (double frame_length : {0.032, 0.020}) {
+        FeatureConfig sized;
+        sized.frameLength = frame_length;
+        Rng srng(11);
+        EXPECT_LE(maxFftDeviation(synthesizeUtterance(0.3, srng),
+                                  sized),
+                  bound)
+            << "frameLength " << frame_length;
+    }
 }
 
 TEST(Filterbank, TooShortUtteranceFatal)
