@@ -16,7 +16,7 @@
  *                                turbo make tighter bounds flaky)
  *   djinn_bench_service_seconds  lower is better; fail when the
  *   djinn_bench_tonic_seconds    candidate exceeds 1.5x baseline
- *                                plus a 5 ms absolute floor
+ *   djinn_bench_nn_seconds       plus a 5 ms absolute floor
  *   djinn_bench_cluster_*        virtual-time simulation, bit-
  *                                identical by contract; any
  *                                relative difference above 1e-9
@@ -100,7 +100,7 @@ readFile(const char *path, std::string &out)
 
 enum class Direction {
     HigherBetter, ///< gemm throughput
-    LowerBetter,  ///< service latency, tonic front-end time
+    LowerBetter,  ///< service latency, tonic and nn stage times
     Exact,        ///< deterministic simulation
 };
 
@@ -230,6 +230,9 @@ selfTest()
         {"djinn_bench_tonic_seconds{frames=\"548\","
          "stage=\"asr_features\"}",
          0.004},
+        {"djinn_bench_nn_seconds{model=\"alexnet\",part=\"conv\","
+         "precision=\"f32\",threads=\"1\"}",
+         0.026},
     };
     int failures = 0;
     auto expect = [&](const char *what, bool got, bool want) {
@@ -268,6 +271,9 @@ selfTest()
            true);
     expect("tonic front end at O(N^2) again fails",
            compareSamples(baseline, mutate(3, 0.5), false) == 1,
+           true);
+    expect("conv stack at 2x fails",
+           compareSamples(baseline, mutate(4, 0.052), false) == 1,
            true);
     expect("new sample passes",
            compareSamples({baseline.begin(), baseline.end() - 1},

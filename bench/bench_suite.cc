@@ -2,7 +2,7 @@
  * @file
  * bench_suite - the unified perf-regression runner (DESIGN.md §15).
  *
- * Executes the four measurement stages the BENCH_*.json
+ * Executes the five measurement stages the BENCH_*.json
  * trajectories track, with fixed seeds, and emits one
  * schema-versioned JSON document:
  *
@@ -27,6 +27,13 @@
  *   4. The ASR front end (log-mel filterbank over the radix-2 FFT,
  *      then context splicing) on a Table 3 utterance, best of N
  *        -> djinn_bench_tonic_seconds{stage="asr_features",frames}
+ *   5. AlexNet's five conv layers at batch 1, f32 and int8 at 1 and
+ *      2 compute threads, best of N forwards, timed per layer by a
+ *      VectorProfileSink
+ *        -> djinn_bench_nn_seconds{model="alexnet",part="conv",
+ *                                  precision,threads}
+ *      followed by a stderr report of the conv GFLOPS per core
+ *      against the ROADMAP bars (f32 >= 60; int8 >= f32)
  *
  * Usage:
  *   bench_suite [--quick] [--seed N] [--out FILE]
@@ -63,7 +70,9 @@
 #include "nn/gemm.hh"
 #include "nn/init.hh"
 #include "nn/net_def.hh"
+#include "nn/profile.hh"
 #include "nn/quant.hh"
+#include "nn/zoo.hh"
 #include "telemetry/exposition.hh"
 #include "telemetry/flight_recorder.hh"
 #include "telemetry/metrics.hh"
@@ -487,6 +496,79 @@ runTonicStage(const SuiteConfig &config,
                secs);
 }
 
+// ---------------------------------------------------------------
+// Stage 5: AlexNet's conv stack, the largest part of its batch-1
+// forward.
+
+/**
+ * Best-of-@p reps seconds (and the FLOPs) of @p net's conv layers
+ * over one batch-1 forward each, as a VectorProfileSink reads them.
+ */
+double
+bestConvSeconds(const nn::Network &net, int reps, uint64_t seed,
+                double *flops)
+{
+    nn::Tensor in(net.inputShape().withBatch(1));
+    std::vector<float> pixels = randomVec(in.elems(), seed);
+    std::copy(pixels.begin(), pixels.end(), in.data());
+    double best = 1e300;
+    for (int r = 0; r < reps; ++r) {
+        nn::VectorProfileSink sink;
+        net.forward(in, &sink);
+        double secs = 0.0;
+        *flops = 0.0;
+        for (const nn::LayerProfile &layer : sink.profiles()) {
+            if (layer.kind != nn::LayerKind::Convolution)
+                continue;
+            secs += layer.seconds;
+            *flops += static_cast<double>(layer.flops);
+        }
+        best = std::min(best, secs);
+    }
+    return best;
+}
+
+void
+runConvStage(const SuiteConfig &config,
+             std::vector<SuiteSample> &out)
+{
+    const int reps = config.quick ? 3 : 8;
+    const int threadCounts[] = {1, 2};
+    std::map<std::pair<nn::Precision, int>, double> perCore;
+    for (nn::Precision precision :
+         {nn::Precision::F32, nn::Precision::Int8}) {
+        nn::NetworkPtr net =
+            nn::zoo::build(nn::zoo::Model::AlexNet, precision,
+                           config.seed);
+        for (int threads : threadCounts) {
+            common::setComputeThreads(threads);
+            double flops = 0.0;
+            double secs = bestConvSeconds(*net, reps, config.seed + 21,
+                                          &flops);
+            perCore[{precision, threads}] =
+                flops / secs / 1e9 / threads;
+            emitSample(out, "djinn_bench_nn_seconds",
+                       {{"model", "alexnet"},
+                        {"part", "conv"},
+                        {"precision", nn::precisionName(precision)},
+                        {"threads", std::to_string(threads)}},
+                       secs);
+        }
+        common::setComputeThreads(0);
+    }
+    // Measured and reported, not asserted: rates depend on the host.
+    std::fprintf(stderr,
+                 "bench_suite: AlexNet conv vs ROADMAP bars\n");
+    for (int threads : threadCounts) {
+        double f32 = perCore[{nn::Precision::F32, threads}];
+        double int8 = perCore[{nn::Precision::Int8, threads}];
+        std::fprintf(stderr,
+                     "  %d thread(s): f32 %6.1f GF/core (bar >= 60), "
+                     "int8 %6.1f GF/core = %.2fx f32 (bar >= 1.00x)\n",
+                     threads, f32, int8, f32 > 0 ? int8 / f32 : 0.0);
+    }
+}
+
 std::string
 renderSuiteJson(const SuiteConfig &config,
                 const std::vector<SuiteSample> &samples)
@@ -551,6 +633,8 @@ main(int argc, char **argv)
     runClusterStage(config, samples);
     std::fprintf(stderr, "bench_suite: tonic stage...\n");
     runTonicStage(config, samples);
+    std::fprintf(stderr, "bench_suite: conv stage...\n");
+    runConvStage(config, samples);
 
     std::string json = renderSuiteJson(config, samples);
     if (config.outPath.empty()) {

@@ -29,15 +29,16 @@ if [ -n "$bad" ]; then
     exit 1
 fi
 
-# Lint: FC weights are packed once per precision (DESIGN.md §8).
-# The inner product layer runs gemm_packed on its PackedWeights; a
-# raw-operand GEMM call there would re-pack the weights on every
-# forward pass.
-bad=$(grep -nE '\b(sgemm|gemm_bf16|gemm_s8)\(' \
-    src/nn/layers/inner_product.cc || true)
+# Lint: FC and conv weights are packed once per precision
+# (DESIGN.md §8). The inner product and convolution layers run
+# gemm_packed on their PackedWeights; a raw-operand GEMM call there
+# would re-pack the weights on every forward pass.
+bad=$(grep -nE '\b(sgemm|gemm_bf16|gemm_s8|gemm_s8_wl)\(' \
+    src/nn/layers/inner_product.cc src/nn/layers/convolution.cc \
+    || true)
 if [ -n "$bad" ]; then
-    echo "lint: raw-operand GEMM in src/nn/layers/inner_product.cc;" \
-         "serve FC layers through gemm_packed:" >&2
+    echo "lint: raw-operand GEMM in a packed-weight layer;" \
+         "serve FC and conv layers through gemm_packed:" >&2
     echo "$bad" >&2
     exit 1
 fi
@@ -361,7 +362,8 @@ rm -f /tmp/djinn_microbench.json
 # Second, the differential battery and quantization property tests
 # under AddressSanitizer + UBSan: the packed kernels index raw
 # panel buffers with hand-rolled arithmetic, exactly where a
-# fuzzy-but-passing out-of-bounds read would hide. The FFT front
+# fuzzy-but-passing out-of-bounds read would hide, and the conv
+# layer's im2row indexes the image the same way. The FFT front
 # end indexes through a bit-reversal table, and the Tonic apps
 # read fixed-width rows out of server responses that the
 # WrongWidth tests deliberately mis-size.
@@ -369,7 +371,7 @@ cmake -B build-asan -S . -DDJINN_SANITIZE=address,undefined \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build build-asan -j --target nn_test tonic_test \
     tonic_apps_test
-./build-asan/tests/nn_test --gtest_filter='GemmDiff*:Quant*'
+./build-asan/tests/nn_test --gtest_filter='GemmDiff*:Quant*:Convolution*'
 ./build-asan/tests/tonic_test --gtest_filter='Filterbank*:Splice*'
 ./build-asan/tests/tonic_apps_test \
     --gtest_filter='WrongWidth*:AsrPipeline*'
@@ -385,9 +387,10 @@ cmake --build build-tsan -j --target common_test nn_test core_test \
     --gtest_filter='ThreadPool*:ComputePool*'
 # GemmDiff* covers the f32, bf16, and int8 batteries (all three
 # run the threaded driver); Quant* rides along for the scalar
-# primitives; InnerProduct* races forwards to rebuild a dropped
-# packed-weight copy.
-./build-tsan/tests/nn_test --gtest_filter='GemmDiff*:Quant*:InnerProduct*'
+# primitives; InnerProduct* and Convolution* race forwards to
+# rebuild a dropped packed-weight copy.
+./build-tsan/tests/nn_test \
+    --gtest_filter='GemmDiff*:Quant*:InnerProduct*:Convolution*'
 ./build-tsan/tests/core_test \
     --gtest_filter='*Batcher*:*Server*:*Robustness*:*Retry*:*FrameIo*:*Observability*:*Sched*'
 # The flight recorder's seqlock ring and the histogram exemplar

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <numeric>
 #include <vector>
 
 #include "common/logging.hh"
@@ -334,12 +335,14 @@ GemmTiles::GemmTiles(int64_t m, int64_t npanels)
     : m_(m), npanels_(npanels)
 {
     mblocks_ = (m + MC - 1) / MC;
-    // Fewer row blocks than executors: split N too, keeping at
-    // least kMinPanels panels per tile so the live-row kernel
-    // still streams several panels per A load.
-    int64_t threads = common::computePool().size();
-    if (mblocks_ < threads) {
-        int64_t want = (threads + mblocks_ - 1) / mblocks_;
+    // Under two row blocks per executor, not dividing evenly over
+    // them (one at batch 1, three on the transposed conv3-5): split N
+    // into a multiple of the pool size too, keeping kMinPanels per
+    // tile. A call from a pool task runs inline, so it splits nothing.
+    int64_t threads = common::ThreadPool::inParallelRegion()
+        ? 1 : common::computePool().size();
+    if (mblocks_ % threads != 0 && mblocks_ < 2 * threads) {
+        int64_t want = threads / std::gcd(mblocks_, threads);
         ranges_ = std::max<int64_t>(
             1, std::min(want, npanels / kMinPanels));
     }

@@ -101,11 +101,11 @@ void gemm_bf16(Trans trans_a, Trans trans_b, int64_t m, int64_t n,
                int64_t ldc);
 
 /**
- * int8 GEMM, activations on the left (the fully connected layer
- * orientation): C = alpha * deq(q(A) * Bq) + beta * C.
+ * int8 GEMM: C = alpha * deq(q(A) * Bq) + beta * C.
  *
- * op(A) (m x k, f32) is quantized to unsigned 8-bit codes with the
- * per-tensor affine mapping @p aq as it is packed; @p b holds
+ * op(A) (m x k, f32) is quantized with the per-tensor affine
+ * mapping @p aq as it is packed (a signed-8 mapping, the conv
+ * layer's, biased +128 onto the kernel's u8 side); @p b holds
  * pre-quantized signed 8-bit weight codes in the same storage
  * layout sgemm expects of B (ldb-strided, trans_b applies), with
  * symmetric per-output-channel scales @p b_scales — one per column
@@ -122,28 +122,13 @@ void gemm_s8(Trans trans_a, Trans trans_b, int64_t m, int64_t n,
              int64_t ldc);
 
 /**
- * int8 GEMM, weights on the left (the convolution orientation):
- * C = alpha * deq(Aq * q(B)) + beta * C.
- *
- * op(A) (m x k) holds pre-quantized signed 8-bit weight codes with
- * symmetric per-output-channel scales @p a_scales — one per row i
- * of op(A); op(B) (k x n, f32) is quantized per tensor with the
- * affine signed-8 mapping @p bq as it is packed. Same accumulation
- * and determinism guarantees as gemm_s8.
- */
-void gemm_s8_wl(Trans trans_a, Trans trans_b, int64_t m, int64_t n,
-                int64_t k, float alpha, const int8_t *a, int64_t lda,
-                const float *a_scales, const float *b, int64_t ldb,
-                const QuantParams &bq, float beta, float *c,
-                int64_t ldc);
-
-/**
  * A weight operand op(B) (k x n) packed once for every GEMM that
- * reuses it: the fully connected layer builds one per precision
- * (DESIGN.md §8, §14). Panel-major: NR-wide column panel pj holds
- * columns [pj*NR, pj*NR+NR) for all k in ascending order,
- * zero-padded at the right edge, so a thread owning a range of
- * panels walks every k slice without a barrier.
+ * reuses it: the fully connected layer builds one per precision,
+ * the convolution layer one per group (DESIGN.md §8, §14).
+ * Panel-major: NR-wide column panel pj holds columns
+ * [pj*NR, pj*NR+NR) for all k in ascending order, zero-padded at
+ * the right edge, so a thread owning a range of panels walks every
+ * k slice without a barrier.
  *
  *  - F32: f32 panels, [panel][k][NR].
  *  - Bf16: the same panels, each value rounded to bf16.

@@ -40,9 +40,10 @@ bool prologue(const char *who, int64_t m, int64_t n, int64_t k,
 
 /**
  * The drivers' work split (DESIGN.md §8): MC-row blocks, and, when
- * there are fewer blocks than compute-pool executors, (row block x
- * N-panel range) tiles. Chosen from the shape and pool size only;
- * each C element lands in exactly one tile either way.
+ * there are fewer than two blocks per compute-pool executor and
+ * they do not divide evenly over them, (row block x N-panel range)
+ * tiles. Chosen from the shape and pool size only; each C element
+ * lands in exactly one tile either way.
  */
 class GemmTiles
 {

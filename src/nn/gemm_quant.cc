@@ -51,12 +51,13 @@ static_assert(KC8 % 4 == 0, "int8 panels pack k in groups of 4");
 // the slice/tile structure cannot affect the result bits.
 //
 // The left panel is always the unsigned operand (VNNI's vpdpbusd
-// multiplies u8 by s8): real u8 activation codes in gemm_s8, or
-// s8 weight codes biased by +128 in gemm_s8_wl. The epilogue
-// removes both offsets exactly:
+// multiplies u8 by s8): activation codes under a u8 mapping as
+// they are, or under a signed-8 mapping (conv's affineS8) biased
+// by +128, with the zero point biased alike. The right panel holds
+// symmetric weight codes (zero point 0), so the epilogue removes
+// the left offset exactly:
 //
-//   sum_real (qa - oa)(qb - ob)
-//     = acc - oa * colsum_b - ob * rowsum_a + k * oa * ob
+//   sum_real (qa - oa) * qb = acc - oa * colsum_b
 // ---------------------------------------------------------------
 
 /**
@@ -227,59 +228,52 @@ packBS8All(int64_t k, int64_t n, const Code &code, int8_t *bpack,
 
 /** The left operand of the shared u8 x s8 driver. */
 struct LeftCodes {
-    const uint8_t *codes;  ///< op(A) as u8 codes, row-major m x k
-    const int32_t *rowsum; ///< each row's code sum
-    const float *scales;   ///< per-row scales, or null for scale
+    const uint8_t *codes; ///< op(A) as u8 codes, row-major m x k
     float scale;
-    int32_t offset;        ///< oa, removed in the epilogue
+    int32_t offset;       ///< oa, removed in the epilogue
 };
 
 /**
- * Code op(A) (m x k, codes from @p code(i, p)) into row-major u8
- * once per call, across the pool, with each row's code sum, so
- * tiles that share a row block do not each redo the quantization.
+ * The bias that puts @p aq's codes in u8 range: 0 for an unsigned
+ * mapping, 128 for a signed one.
  */
-template <typename Code>
-LeftCodes
-codeLeft(int64_t m, int64_t k, const Code &code, const float *scales,
-         float scale, int32_t offset)
+int32_t
+activationBias(const QuantParams &aq)
 {
-    // Thread-local so repeated calls from the same thread reuse it.
-    static thread_local std::vector<uint8_t> codes_tls;
-    static thread_local std::vector<int32_t> rowsum_tls;
-    std::vector<uint8_t> &codes = codes_tls;
-    std::vector<int32_t> &rowsum = rowsum_tls;
-    codes.resize(static_cast<size_t>(m * k));
-    rowsum.resize(static_cast<size_t>(m));
-    int64_t grain = std::max<int64_t>(1, 16384 / k);
-    common::computePool().parallelFor(
-        0, m, grain, [&](int64_t r0, int64_t r1) {
-            for (int64_t i = r0; i < r1; ++i) {
-                int32_t sum = 0;
-                for (int64_t p = 0; p < k; ++p) {
-                    int32_t q = code(i, p);
-                    sum += q;
-                    codes[static_cast<size_t>(i * k + p)] =
-                        static_cast<uint8_t>(q);
-                }
-                rowsum[static_cast<size_t>(i)] = sum;
-            }
-        });
-    return LeftCodes{codes.data(), rowsum.data(), scales, scale,
-                     offset};
+    int32_t bias = aq.qmin < 0 ? 128 : 0;
+    if (aq.qmin + bias < 0 || aq.qmax + bias > 255)
+        fatal("gemm_s8: activation params must be an 8-bit mapping "
+              "(qmin %d, qmax %d)", aq.qmin, aq.qmax);
+    return bias;
 }
 
-/** codeLeft for f32 activations under the u8 mapping @p aq. */
+/**
+ * Code f32 op(A) (m x k) under @p aq into row-major u8 once per
+ * call, across the pool, so tiles that share a row block do not
+ * each redo the quantization.
+ */
 LeftCodes
 codeActivations(Trans trans_a, int64_t m, int64_t k, const float *a,
                 int64_t lda, const QuantParams &aq)
 {
-    return codeLeft(
-        m, k,
-        [&](int64_t i, int64_t p) {
-            return aq.quantize(fetch(a, lda, trans_a, i, p));
-        },
-        nullptr, aq.scale, aq.zeroPoint);
+    int32_t bias = activationBias(aq);
+    // Thread-local so repeated calls from the same thread reuse it.
+    static thread_local std::vector<uint8_t> codes_tls;
+    std::vector<uint8_t> &codes = codes_tls;
+    codes.resize(static_cast<size_t>(m * k));
+    int64_t grain = std::max<int64_t>(1, 16384 / k);
+    common::computePool().parallelFor(
+        0, m, grain, [&](int64_t r0, int64_t r1) {
+            for (int64_t i = r0; i < r1; ++i) {
+                for (int64_t p = 0; p < k; ++p) {
+                    codes[static_cast<size_t>(i * k + p)] =
+                        static_cast<uint8_t>(
+                            aq.quantize(fetch(a, lda, trans_a, i, p)) +
+                            bias);
+                }
+            }
+        });
+    return LeftCodes{codes.data(), aq.scale, aq.zeroPoint + bias};
 }
 
 /**
@@ -308,9 +302,7 @@ packAU8(const uint8_t *codes, int64_t k, int64_t i0, int64_t mb,
 struct RightPanels {
     const int8_t *panels; ///< [panel][k/4][NR][4]
     const int32_t *colsum;
-    const float *scales;  ///< per-column scales, or null for scale
-    float scale;
-    int32_t offset;       ///< ob, removed in the epilogue
+    const float *scales;  ///< per-column scales
 };
 
 /**
@@ -365,22 +357,15 @@ driveS8(int64_t m, int64_t n, int64_t k, float alpha,
                 int64_t j0 = tile.pj0 * NR;
                 int64_t j1 = std::min(n, tile.pj1 * NR);
                 for (int64_t ii = 0; ii < tile.mb; ++ii) {
-                    int64_t i = tile.i0 + ii;
-                    float sa = l.scales ? l.scales[i] : l.scale;
-                    int64_t rcorr =
-                        static_cast<int64_t>(r.offset) * l.rowsum[i] -
-                        k * static_cast<int64_t>(l.offset) * r.offset;
                     const int32_t *arow = acc.data() + ii * w;
-                    float *crow = c + i * ldc;
+                    float *crow = c + (tile.i0 + ii) * ldc;
                     for (int64_t j = j0; j < j1; ++j) {
-                        float sb = r.scales ? r.scales[j] : r.scale;
                         int64_t v =
                             static_cast<int64_t>(arow[j - j0]) -
                             static_cast<int64_t>(l.offset) *
-                                r.colsum[j] -
-                            rcorr;
-                        crow[j] +=
-                            alpha * sa * sb * static_cast<float>(v);
+                                r.colsum[j];
+                        crow[j] += alpha * l.scale * r.scales[j] *
+                                   static_cast<float>(v);
                     }
                 }
             }
@@ -396,33 +381,6 @@ prologueS8(int64_t m, int64_t n, int64_t k, float alpha, float beta,
         fatal("gemm_s8: k=%ld exceeds the int32 accumulator bound "
               "(max %ld)", k, int64_t{1} << 16);
     return detail::prologue("gemm_s8", m, n, k, alpha, beta, c, ldc);
-}
-
-/**
- * The raw-operand int8 GEMM after the prologue: pack this call's
- * right operand (codes from @p code) over all of k, then run the
- * shared driver on it.
- */
-template <typename Code>
-void
-gemmS8Raw(int64_t m, int64_t n, int64_t k, float alpha,
-          const LeftCodes &l, const Code &code,
-          const float *b_scales, float b_scale, int32_t ob, float *c,
-          int64_t ldc)
-{
-    // Thread-local so repeated calls from the same thread reuse it.
-    static thread_local std::vector<int8_t> bpack_tls;
-    static thread_local std::vector<int32_t> colsum_tls;
-    std::vector<int8_t> &bpack = bpack_tls;
-    std::vector<int32_t> &colsum = colsum_tls;
-    bpack.resize(static_cast<size_t>((n + NR - 1) / NR) *
-                 ((k + 3) / 4) * NR * 4);
-    colsum.resize(static_cast<size_t>(n));
-    packBS8All(k, n, code, bpack.data(), colsum.data());
-    driveS8(m, n, k, alpha, l,
-            RightPanels{bpack.data(), colsum.data(), b_scales, b_scale,
-                        ob},
-            c, ldc);
 }
 
 } // namespace
@@ -451,16 +409,12 @@ gemmS8Packed(Trans trans_a, int64_t m, float alpha, const float *a,
              int64_t lda, const QuantParams &aq,
              const PackedWeights &b, float beta, float *c, int64_t ldc)
 {
-    if (aq.qmin < 0 || aq.qmax > 255)
-        fatal("gemm_s8: activation params must be an unsigned-8 "
-              "mapping (qmin %d, qmax %d)", aq.qmin, aq.qmax);
     if (!prologueS8(m, b.n(), b.k(), alpha, beta, c, ldc))
         return;
     driveS8(m, b.n(), b.k(), alpha,
             codeActivations(trans_a, m, b.k(), a, lda, aq),
-            RightPanels{b.panels8(), b.colSums(), b.colScales(), 1.0f,
-                        0},
-            c, ldc);
+            RightPanels{b.panels8(), b.colSums(), b.colScales()}, c,
+            ldc);
 }
 
 } // namespace detail
@@ -471,41 +425,26 @@ gemm_s8(Trans trans_a, Trans trans_b, int64_t m, int64_t n,
         const QuantParams &aq, const int8_t *b, int64_t ldb,
         const float *b_scales, float beta, float *c, int64_t ldc)
 {
-    if (aq.qmin < 0 || aq.qmax > 255)
-        fatal("gemm_s8: activation params must be an unsigned-8 "
-              "mapping (qmin %d, qmax %d)", aq.qmin, aq.qmax);
     if (!prologueS8(m, n, k, alpha, beta, c, ldc))
         return;
-    gemmS8Raw(m, n, k, alpha,
-              codeActivations(trans_a, m, k, a, lda, aq),
-              [&](int64_t p, int64_t j) -> int32_t {
-                  return fetch(b, ldb, trans_b, p, j);
-              },
-              b_scales, 1.0f, 0, c, ldc);
-}
-
-void
-gemm_s8_wl(Trans trans_a, Trans trans_b, int64_t m, int64_t n,
-           int64_t k, float alpha, const int8_t *a, int64_t lda,
-           const float *a_scales, const float *b, int64_t ldb,
-           const QuantParams &bq, float beta, float *c, int64_t ldc)
-{
-    if (bq.qmin < -128 || bq.qmax > 127)
-        fatal("gemm_s8_wl: activation params must be a signed-8 "
-              "mapping (qmin %d, qmax %d)", bq.qmin, bq.qmax);
-    if (!prologueS8(m, n, k, alpha, beta, c, ldc))
-        return;
-    gemmS8Raw(m, n, k, alpha,
-              codeLeft(
-                  m, k,
-                  [&](int64_t i, int64_t p) {
-                      return fetch(a, lda, trans_a, i, p) + 128;
-                  },
-                  a_scales, 1.0f, 128),
-              [&](int64_t p, int64_t j) {
-                  return bq.quantize(fetch(b, ldb, trans_b, p, j));
-              },
-              nullptr, bq.scale, bq.zeroPoint, c, ldc);
+    // Thread-local so repeated calls from the same thread reuse it.
+    static thread_local std::vector<int8_t> bpack_tls;
+    static thread_local std::vector<int32_t> colsum_tls;
+    std::vector<int8_t> &bpack = bpack_tls;
+    std::vector<int32_t> &colsum = colsum_tls;
+    bpack.resize(static_cast<size_t>((n + NR - 1) / NR) *
+                 ((k + 3) / 4) * NR * 4);
+    colsum.resize(static_cast<size_t>(n));
+    packBS8All(
+        k, n,
+        [&](int64_t p, int64_t j) -> int32_t {
+            return fetch(b, ldb, trans_b, p, j);
+        },
+        bpack.data(), colsum.data());
+    driveS8(m, n, k, alpha,
+            codeActivations(trans_a, m, k, a, lda, aq),
+            RightPanels{bpack.data(), colsum.data(), b_scales}, c,
+            ldc);
 }
 
 } // namespace nn

@@ -1,9 +1,12 @@
 #include "nn/layers/activation.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "common/logging.hh"
+#include "common/thread_pool.hh"
 
 namespace djinn {
 namespace nn {
@@ -31,30 +34,40 @@ ActivationLayer::setupImpl(const Shape &input)
 void
 ActivationLayer::forwardImpl(const Tensor &in, Tensor &out) const
 {
-    int64_t total = in.elems();
     const float *src = in.data();
     float *dst = out.data();
 
-    switch (kind()) {
-      case LayerKind::ReLU:
-        for (int64_t i = 0; i < total; ++i)
-            dst[i] = src[i] > 0.0f ? src[i] : 0.0f;
-        break;
-      case LayerKind::Tanh:
-        for (int64_t i = 0; i < total; ++i)
-            dst[i] = std::tanh(src[i]);
-        break;
-      case LayerKind::Sigmoid:
-        for (int64_t i = 0; i < total; ++i)
-            dst[i] = 1.0f / (1.0f + std::exp(-src[i]));
-        break;
-      case LayerKind::HardTanh:
-        for (int64_t i = 0; i < total; ++i)
-            dst[i] = std::clamp(src[i], -1.0f, 1.0f);
-        break;
-      default:
-        panic("unreachable activation kind");
-    }
+    // Element ranges split across the compute pool; tensors under
+    // one grain (SENNA's) run inline.
+    constexpr int64_t kGrain = 16384;
+    common::computePool().parallelFor(
+        0, in.elems(), kGrain, [&](int64_t i0, int64_t i1) {
+            switch (kind()) {
+              case LayerKind::ReLU:
+                // x > 0 ? x : 0 (-0, NaN give +0) as a mask: a select
+                // compiles to a branch on a conv output's coin-flip sign.
+                for (int64_t i = i0; i < i1; ++i) {
+                    uint32_t keep = -static_cast<uint32_t>(src[i] > 0.0f);
+                    dst[i] = std::bit_cast<float>(
+                        std::bit_cast<uint32_t>(src[i]) & keep);
+                }
+                break;
+              case LayerKind::Tanh:
+                for (int64_t i = i0; i < i1; ++i)
+                    dst[i] = std::tanh(src[i]);
+                break;
+              case LayerKind::Sigmoid:
+                for (int64_t i = i0; i < i1; ++i)
+                    dst[i] = 1.0f / (1.0f + std::exp(-src[i]));
+                break;
+              case LayerKind::HardTanh:
+                for (int64_t i = i0; i < i1; ++i)
+                    dst[i] = std::clamp(src[i], -1.0f, 1.0f);
+                break;
+              default:
+                panic("unreachable activation kind");
+            }
+        });
 }
 
 } // namespace nn

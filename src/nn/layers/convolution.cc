@@ -1,5 +1,6 @@
 #include "nn/layers/convolution.hh"
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -88,6 +89,55 @@ col2im(const float *col, int64_t channels, int64_t height,
     }
 }
 
+namespace {
+
+/**
+ * im2col transposed, for output rows [oh0, oh1): position (oh, ow)
+ * gets row oh * out_w + ow of @p rows, its receptive field in the
+ * filter layout (c, kh, kw), zero where the window overhangs. Each
+ * input row is scattered across an output row's positions at once.
+ */
+void
+im2row(const float *data, int64_t channels, int64_t height,
+       int64_t width, int64_t kernel, int64_t pad, int64_t stride,
+       int64_t oh0, int64_t oh1, float *rows)
+{
+    int64_t out_w = convOutSize(width, kernel, pad, stride);
+    int64_t row_len = channels * kernel * kernel;
+    // Positions [ow0, ow1) have their window inside the image width.
+    int64_t ow0 = std::min(out_w, (pad + stride - 1) / stride);
+    int64_t last = width + pad - kernel;
+    int64_t ow1 =
+        last < 0 ? ow0 : std::clamp(last / stride + 1, ow0, out_w);
+    for (int64_t oh = oh0; oh < oh1; ++oh) {
+        for (int64_t c = 0; c < channels; ++c) {
+            for (int64_t kh = 0; kh < kernel; ++kh) {
+                int64_t ih = oh * stride - pad + kh;
+                const float *src = ih >= 0 && ih < height
+                    ? data + (c * height + ih) * width
+                    : nullptr;
+                float *dst = rows + oh * out_w * row_len +
+                             (c * kernel + kh) * kernel;
+                for (int64_t ow = 0; ow < out_w; ++ow, dst += row_len) {
+                    int64_t iw0 = ow * stride - pad;
+                    if (src && ow >= ow0 && ow < ow1) {
+                        for (int64_t kw = 0; kw < kernel; ++kw)
+                            dst[kw] = src[iw0 + kw];
+                        continue;
+                    }
+                    for (int64_t kw = 0; kw < kernel; ++kw) {
+                        int64_t iw = iw0 + kw;
+                        dst[kw] = src && iw >= 0 && iw < width ? src[iw]
+                                                               : 0.0f;
+                    }
+                }
+            }
+        }
+    }
+}
+
+} // namespace
+
 ConvolutionLayer::ConvolutionLayer(std::string name,
                                    int64_t out_channels, int64_t kernel,
                                    int64_t stride, int64_t pad,
@@ -145,130 +195,114 @@ ConvolutionLayer::calibrate(const Tensor &in) const
     LayerQuant q;
     float lo, hi;
     minMax(in.data(), in.elems(), &lo, &hi);
-    // The quantized operand is the im2col buffer: input values plus
-    // zero padding. affineS8 widens the range to include 0, so the
-    // input min/max covers the padded columns too. Activations ride
-    // the signed side here because the weights take the unsigned
-    // (left) slot of the u8 x s8 kernel.
+    // The quantized operand is the im2row buffer, input plus zero
+    // padding: affineS8's range includes 0, so it covers both.
     q.act = QuantParams::affineS8(lo, hi);
-    int64_t per_filter = weights_.elems() / outChannels_;
-    q.weightScales.resize(static_cast<size_t>(outChannels_));
-    for (int64_t o = 0; o < outChannels_; ++o) {
-        q.weightScales[static_cast<size_t>(o)] =
-            QuantParams::symmetricS8(
-                maxAbs(weights_.data() + o * per_filter, per_filter))
-                .scale;
-    }
+    q.weightScales = channelScales(weights_.data(), outChannels_,
+                                   weights_.elems() / outChannels_);
     return q;
 }
 
 void
 ConvolutionLayer::onPrecisionChanged()
 {
-    if (precision() != Precision::Int8) {
-        weights8_.clear();
+    if (precision() != Precision::Int8)
         return;
-    }
     LayerQuant &q = mutableQuant();
-    int64_t per_filter = weights_.elems() / outChannels_;
     if (q.weightScales.empty()) {
-        q.weightScales.resize(static_cast<size_t>(outChannels_));
-        for (int64_t o = 0; o < outChannels_; ++o) {
-            q.weightScales[static_cast<size_t>(o)] =
-                QuantParams::symmetricS8(
-                    maxAbs(weights_.data() + o * per_filter,
-                           per_filter))
-                    .scale;
-        }
+        q.weightScales = channelScales(weights_.data(), outChannels_,
+                                       weights_.elems() / outChannels_);
     }
     if (q.weightScales.size() != static_cast<size_t>(outChannels_)) {
         fatal("conv layer '%s': %zu weight scales for %ld filters",
               name().c_str(), q.weightScales.size(), outChannels_);
     }
-    weights8_.resize(static_cast<size_t>(weights_.elems()));
-    for (int64_t o = 0; o < outChannels_; ++o) {
-        QuantParams wq;
-        wq.scale = q.weightScales[static_cast<size_t>(o)];
-        const float *w = weights_.data() + o * per_filter;
-        int8_t *w8 = weights8_.data() + o * per_filter;
-        for (int64_t i = 0; i < per_filter; ++i)
-            w8[i] = static_cast<int8_t>(wq.quantize(w[i]));
+}
+
+void
+ConvolutionLayer::invalidatePacked()
+{
+    std::lock_guard<std::mutex> lock(packMutex_);
+    packValid_ = false;
+}
+
+void
+ConvolutionLayer::packWeights() const
+{
+    std::lock_guard<std::mutex> lock(packMutex_);
+    if (packValid_)
+        return;
+    int64_t out_per_group = outChannels_ / groups_;
+    int64_t patch = weights_.elems() / outChannels_;
+    bool int8 = precision() == Precision::Int8;
+    packed_.resize(static_cast<size_t>(groups_));
+    for (int64_t g = 0; g < groups_; ++g) {
+        // op(B) = W_g^T: k = patch, n = out_per_group, W_g
+        // row-major (Trans::Yes), per-filter scales per column.
+        int64_t o0 = g * out_per_group;
+        packed_[static_cast<size_t>(g)].pack(
+            precision(), Trans::Yes, patch, out_per_group,
+            weights_.data() + o0 * patch, patch,
+            int8 ? quant().weightScales.data() + o0 : nullptr);
     }
+    packValid_ = true;
 }
 
 void
 ConvolutionLayer::forwardImpl(const Tensor &in, Tensor &out) const
 {
+    packWeights();
     const Shape &is = inputShape();
     const Shape &os = outputShape();
-    int64_t in_per_group = is.c() / groups_;
-    int64_t out_per_group = outChannels_ / groups_;
     int64_t cols = os.h() * os.w();
-    int64_t patch = in_per_group * kernel_ * kernel_;
+    int64_t row_len = is.c() * kernel_ * kernel_;
+    int64_t patch = row_len / groups_;
+    int64_t out_per_group = outChannels_ / groups_;
+    const float *b = hasBias_ ? bias_.data() : nullptr;
+    auto &pool = common::computePool();
 
-    // Batch images are partitioned across the compute pool; each
-    // worker keeps its own im2col scratch. For batch 1 the loop
-    // runs inline and the GEMM itself parallelizes instead (nested
-    // parallelFor calls run serially, so the two levels compose).
-    common::computePool().parallelFor(
-        0, in.shape().n(), 1, [&](int64_t n0, int64_t n1) {
-            static thread_local std::vector<float> col_tls;
-            std::vector<float> &col_buf = col_tls;
-            col_buf.resize(static_cast<size_t>(patch) * cols);
-            for (int64_t n = n0; n < n1; ++n) {
-                const float *src = in.sample(n);
-                float *dst = out.sample(n);
-                for (int64_t g = 0; g < groups_; ++g) {
-                    const float *src_g =
-                        src + g * in_per_group * is.h() * is.w();
-                    float *dst_g = dst + g * out_per_group * cols;
-                    im2col(src_g, in_per_group, is.h(), is.w(),
-                           kernel_, kernel_, pad_, stride_,
-                           col_buf.data());
-                    // dst_g[out_per_group x cols] =
-                    //     W_g[out_per_group x patch] *
-                    //     col[patch x cols]
-                    switch (precision()) {
-                      case Precision::Int8:
-                        gemm_s8_wl(
-                            Trans::No, Trans::No, out_per_group,
-                            cols, patch, 1.0f,
-                            weights8_.data() +
-                                g * out_per_group * patch,
-                            patch,
-                            quant().weightScales.data() +
-                                g * out_per_group,
-                            col_buf.data(), cols, quant().act, 0.0f,
-                            dst_g, cols);
-                        break;
-                      case Precision::Bf16:
-                        gemm_bf16(Trans::No, Trans::No,
-                                  out_per_group, cols, patch, 1.0f,
-                                  weights_.data() +
-                                      g * out_per_group * patch,
-                                  patch, col_buf.data(), cols, 0.0f,
-                                  dst_g, cols);
-                        break;
-                      case Precision::F32:
-                        sgemm(Trans::No, Trans::No, out_per_group,
-                              cols, patch, 1.0f,
-                              weights_.data() +
-                                  g * out_per_group * patch,
-                              patch, col_buf.data(), cols, 0.0f,
-                              dst_g, cols);
-                        break;
-                    }
-                }
-                if (hasBias_) {
-                    const float *b = bias_.data();
-                    for (int64_t c = 0; c < outChannels_; ++c) {
-                        float *plane = dst + c * cols;
-                        for (int64_t i = 0; i < cols; ++i)
-                            plane[i] += b[c];
-                    }
-                }
+    // A batch that fills the pool splits by image, each image's passes
+    // inline on its executor (nested parallelFor calls run inline). A
+    // smaller one (range <= grain) runs here, an image at a time with
+    // each pass split across the pool: the output positions, as M,
+    // fill it even at batch 1. The bits are the same either way.
+    int64_t batch = in.shape().n();
+    pool.parallelFor(0, batch, batch >= pool.size() ? 1 : batch,
+                     [&](int64_t n0, int64_t n1) {
+        // Thread-local so repeated forwards from a thread reuse them.
+        static thread_local std::vector<float> rows_tls, ct_tls;
+        std::vector<float> &rows = rows_tls;
+        std::vector<float> &ct = ct_tls;
+        rows.resize(static_cast<size_t>(cols * row_len));
+        ct.resize(static_cast<size_t>(cols * outChannels_));
+        for (int64_t n = n0; n < n1; ++n) {
+            const float *src = in.sample(n);
+            pool.parallelFor(0, os.h(), 1, [&](int64_t oh0,
+                                               int64_t oh1) {
+                im2row(src, is.c(), is.h(), is.w(), kernel_, pad_,
+                       stride_, oh0, oh1, rows.data());
+            });
+            // ct[cols x outChannels], group g's columns =
+            //     rows_g[cols x patch] * W_g^T[patch x out_per_group]
+            for (int64_t g = 0; g < groups_; ++g) {
+                gemm_packed(Trans::No, cols, 1.0f,
+                            rows.data() + g * patch, row_len,
+                            packed_[static_cast<size_t>(g)], 0.0f,
+                            ct.data() + g * out_per_group, outChannels_,
+                            quant().act);
             }
-        });
+            // Back to NCHW; the bias lands after the full sum.
+            float *dst = out.sample(n);
+            pool.parallelFor(0, outChannels_, 1, [&](int64_t c0,
+                                                     int64_t c1) {
+                for (int64_t pos = 0; pos < cols; ++pos) {
+                    const float *crow = ct.data() + pos * outChannels_;
+                    for (int64_t c = c0; c < c1; ++c)
+                        dst[c * cols + pos] = b ? crow[c] + b[c] : crow[c];
+                }
+            });
+        }
+    });
 }
 
 } // namespace nn

@@ -1,13 +1,18 @@
 /**
  * @file
  * 2D convolution layer with stride, zero padding, and grouped
- * convolution (as used by AlexNet), implemented Caffe-style as
- * im2col followed by SGEMM.
+ * convolution (as used by AlexNet). Each group is one GEMM on its
+ * packed filters, transposed from Caffe's im2col + SGEMM: the input
+ * expanded one row per output position times W_g^T, so M is the
+ * output positions (DESIGN.md §8). im2col/col2im serve training.
  */
 
 #ifndef DJINN_NN_LAYERS_CONVOLUTION_HH
 #define DJINN_NN_LAYERS_CONVOLUTION_HH
 
+#include <mutex>
+
+#include "nn/gemm.hh"
 #include "nn/layer.hh"
 
 namespace djinn {
@@ -92,6 +97,10 @@ class ConvolutionLayer : public Layer
 
     LayerQuant calibrate(const Tensor &in) const override;
 
+    /** Pack each group's filters for the current precision if stale. */
+    void packWeights() const override;
+    void invalidatePacked() override;
+
   protected:
     std::vector<Tensor *> paramTensors() override;
     Shape setupImpl(const Shape &input) override;
@@ -108,8 +117,10 @@ class ConvolutionLayer : public Layer
     Tensor weights_;
     Tensor bias_;
 
-    /** int8 filter codes (same layout), rebuilt on lowering. */
-    std::vector<int8_t> weights8_;
+    /** W_g^T per group at precision(); rebuilt after it is dropped. */
+    mutable std::mutex packMutex_;
+    mutable std::vector<PackedWeights> packed_; ///< guarded by packMutex_
+    mutable bool packValid_ = false; ///< guarded by packMutex_
 };
 
 } // namespace nn

@@ -55,13 +55,7 @@ InnerProductLayer::calibrate(const Tensor &in) const
     minMax(in.data(), in.elems(), &lo, &hi);
     // Activations ride the unsigned side of the u8 x s8 kernel.
     q.act = QuantParams::affineU8(lo, hi);
-    q.weightScales.resize(static_cast<size_t>(outputs_));
-    for (int64_t o = 0; o < outputs_; ++o) {
-        q.weightScales[static_cast<size_t>(o)] =
-            QuantParams::symmetricS8(
-                maxAbs(weights_.data() + o * inputs_, inputs_))
-                .scale;
-    }
+    q.weightScales = channelScales(weights_.data(), outputs_, inputs_);
     return q;
 }
 
@@ -71,17 +65,10 @@ InnerProductLayer::onPrecisionChanged()
     if (precision() != Precision::Int8)
         return;
     LayerQuant &q = mutableQuant();
-    if (q.weightScales.empty()) {
-        // Derive per-output-channel scales from the weights; the
-        // derivation is deterministic so it matches serialized sets.
-        q.weightScales.resize(static_cast<size_t>(outputs_));
-        for (int64_t o = 0; o < outputs_; ++o) {
-            q.weightScales[static_cast<size_t>(o)] =
-                QuantParams::symmetricS8(
-                    maxAbs(weights_.data() + o * inputs_, inputs_))
-                    .scale;
-        }
-    }
+    // Derive per-output-channel scales from the weights; the
+    // derivation is deterministic so it matches serialized sets.
+    if (q.weightScales.empty())
+        q.weightScales = channelScales(weights_.data(), outputs_, inputs_);
     if (q.weightScales.size() != static_cast<size_t>(outputs_)) {
         fatal("fc layer '%s': %zu weight scales for %ld outputs",
               name().c_str(), q.weightScales.size(), outputs_);

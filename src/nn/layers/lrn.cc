@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/logging.hh"
+#include "common/thread_pool.hh"
 
 namespace djinn {
 namespace nn {
@@ -31,25 +32,28 @@ LrnLayer::forwardImpl(const Tensor &in, Tensor &out) const
     int64_t plane = is.h() * is.w();
     int64_t half = size_ / 2;
 
-    for (int64_t n = 0; n < in.shape().n(); ++n) {
-        const float *src = in.sample(n);
-        float *dst = out.sample(n);
-        for (int64_t c = 0; c < is.c(); ++c) {
-            int64_t c0 = std::max<int64_t>(c - half, 0);
-            int64_t c1 = std::min<int64_t>(c + half, is.c() - 1);
-            for (int64_t i = 0; i < plane; ++i) {
-                float sq = 0.0f;
-                for (int64_t cc = c0; cc <= c1; ++cc) {
-                    float v = src[cc * plane + i];
-                    sq += v * v;
+    // (image, channel) planes split across the compute pool; each
+    // output element's window sum and pow are unchanged.
+    int64_t grain = std::max<int64_t>(1, 16384 / (plane * size_));
+    common::computePool().parallelFor(
+        0, in.shape().n() * is.c(), grain, [&](int64_t p0, int64_t p1) {
+            for (int64_t p = p0; p < p1; ++p) {
+                int64_t c = p % is.c();
+                const float *src = in.sample(p / is.c());
+                float *dst = out.sample(p / is.c()) + c * plane;
+                int64_t c0 = std::max<int64_t>(c - half, 0);
+                int64_t c1 = std::min<int64_t>(c + half, is.c() - 1);
+                for (int64_t i = 0; i < plane; ++i) {
+                    float sq = 0.0f;
+                    for (int64_t cc = c0; cc <= c1; ++cc) {
+                        float v = src[cc * plane + i];
+                        sq += v * v;
+                    }
+                    float scale = k_ + alpha_ / static_cast<float>(size_) * sq;
+                    dst[i] = src[c * plane + i] / std::pow(scale, beta_);
                 }
-                float scale = k_ + alpha_ / static_cast<float>(size_) *
-                              sq;
-                dst[c * plane + i] =
-                    src[c * plane + i] / std::pow(scale, beta_);
             }
-        }
-    }
+        });
 }
 
 } // namespace nn

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <type_traits>
 
 #include "common/logging.hh"
 #include "common/thread_pool.hh"
@@ -49,50 +50,53 @@ PoolingLayer::forwardImpl(const Tensor &in, Tensor &out) const
 {
     const Shape &is = inputShape();
     const Shape &os = outputShape();
-    bool is_max = kind() == LayerKind::MaxPool;
 
     // Each (sample, channel) plane is independent; partition the
-    // flattened plane index across the compute pool.
-    int64_t planes = in.shape().n() * is.c();
-    common::computePool().parallelFor(
-        0, planes, 4, [&](int64_t p0, int64_t p1) {
-        for (int64_t pi = p0; pi < p1; ++pi) {
-            int64_t n = pi / is.c();
-            int64_t c = pi % is.c();
-            const float *plane =
-                in.sample(n) + c * is.h() * is.w();
-            float *dst = out.sample(n) + c * os.h() * os.w();
-            for (int64_t oh = 0; oh < os.h(); ++oh) {
-                for (int64_t ow = 0; ow < os.w(); ++ow) {
-                    int64_t h0 = std::max<int64_t>(
-                        oh * stride_ - pad_, 0);
-                    int64_t w0 = std::max<int64_t>(
-                        ow * stride_ - pad_, 0);
-                    int64_t h1 = std::min(oh * stride_ - pad_ +
-                                          kernel_, is.h());
-                    int64_t w1 = std::min(ow * stride_ - pad_ +
-                                          kernel_, is.w());
-                    float acc = is_max ?
-                        -std::numeric_limits<float>::infinity() : 0.0f;
-                    for (int64_t h = h0; h < h1; ++h) {
-                        for (int64_t w = w0; w < w1; ++w) {
-                            float v = plane[h * is.w() + w];
-                            if (is_max)
-                                acc = std::max(acc, v);
-                            else
-                                acc += v;
+    // flattened plane index across the compute pool. The pool kind
+    // is a template argument, so the window loop does not branch.
+    auto run = [&](auto max_pool) {
+        constexpr bool is_max = decltype(max_pool)::value;
+        constexpr float init =
+            is_max ? -std::numeric_limits<float>::infinity() : 0.0f;
+        auto body = [&](int64_t p0, int64_t p1) {
+            for (int64_t pi = p0; pi < p1; ++pi) {
+                const float *plane = in.sample(pi / is.c()) +
+                                     (pi % is.c()) * is.h() * is.w();
+                float *dst = out.sample(pi / is.c()) +
+                             (pi % is.c()) * os.h() * os.w();
+                for (int64_t oh = 0; oh < os.h(); ++oh) {
+                    int64_t h0 = std::max<int64_t>(oh * stride_ - pad_, 0);
+                    int64_t h1 =
+                        std::min(oh * stride_ - pad_ + kernel_, is.h());
+                    for (int64_t ow = 0; ow < os.w(); ++ow) {
+                        int64_t w0 =
+                            std::max<int64_t>(ow * stride_ - pad_, 0);
+                        int64_t w1 = std::min(
+                            ow * stride_ - pad_ + kernel_, is.w());
+                        float acc = init;
+                        for (int64_t h = h0; h < h1; ++h) {
+                            for (int64_t w = w0; w < w1; ++w) {
+                                float v = plane[h * is.w() + w];
+                                if constexpr (is_max)
+                                    acc = std::max(acc, v);
+                                else
+                                    acc += v;
+                            }
                         }
+                        if constexpr (!is_max) {
+                            acc /= static_cast<float>(std::max<int64_t>(
+                                (h1 - h0) * (w1 - w0), 1));
+                        }
+                        dst[oh * os.w() + ow] = acc;
                     }
-                    if (!is_max) {
-                        int64_t count = (h1 - h0) * (w1 - w0);
-                        acc /= static_cast<float>(std::max<int64_t>(
-                            count, 1));
-                    }
-                    dst[oh * os.w() + ow] = acc;
                 }
             }
-        }
-    });
+        };
+        common::computePool().parallelFor(0, in.shape().n() * is.c(), 4,
+                                          body);
+    };
+    kind() == LayerKind::MaxPool ? run(std::true_type{})
+                                 : run(std::false_type{});
 }
 
 } // namespace nn

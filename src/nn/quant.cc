@@ -120,5 +120,16 @@ maxAbs(const float *data, int64_t n)
     return m;
 }
 
+std::vector<float>
+channelScales(const float *w, int64_t rows, int64_t cols)
+{
+    std::vector<float> scales(static_cast<size_t>(rows));
+    for (int64_t r = 0; r < rows; ++r) {
+        scales[static_cast<size_t>(r)] =
+            QuantParams::symmetricS8(maxAbs(w + r * cols, cols)).scale;
+    }
+    return scales;
+}
+
 } // namespace nn
 } // namespace djinn

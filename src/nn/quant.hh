@@ -170,6 +170,13 @@ void minMax(const float *data, int64_t n, float *lo, float *hi);
 /** Largest absolute value over @p n floats (0 when n == 0). */
 float maxAbs(const float *data, int64_t n);
 
+/**
+ * The symmetric s8 scale of each row of a row-major @p rows x
+ * @p cols weight matrix (one per output channel).
+ */
+std::vector<float> channelScales(const float *w, int64_t rows,
+                                 int64_t cols);
+
 } // namespace nn
 } // namespace djinn
 

@@ -14,8 +14,11 @@
  *    inputs drifts by at most ~k * 2^-8, plus the usual f32
  *    reassociation term.
  *
- *  - gemm_s8 / gemm_s8_wl: integer accumulation is *exact*, so the
- *    kernels are compared two ways: (a) against a scalar integer
+ *  - gemm_s8 / gemm_packed at int8, under an unsigned-8 activation
+ *    mapping (the fully connected layer's) or a signed-8 one (the
+ *    convolution layer's, biased +128 onto the kernel's u8 side):
+ *    integer accumulation is *exact*, so the kernels are compared
+ *    two ways: (a) against a scalar integer
  *    reference within a few ulps of the dequant arithmetic — this
  *    pins the quantized semantics exactly — and (b) against the f32
  *    reference within the quantization-step bound
@@ -271,19 +274,19 @@ int8Bound(int64_t k, float alpha, float sa, float sb, float amax,
 }
 
 /**
- * Shared int8 case runner. @p weightLeft selects gemm_s8_wl (s8
- * codes on the left, f32 activations quantized on the right) versus
- * gemm_s8 (f32 activations quantized on the left, s8 codes on the
- * right). Checks, per thread count: exact agreement (few ulps) with
- * a scalar integer reference, the quantization-step bound against
- * the f32 reference, pad preservation, and cross-thread bit
- * identity.
+ * Shared int8 case runner: f32 activations quantized on the left
+ * under an affineS8 (@p signedAct) or affineU8 mapping, s8 weight
+ * codes on the right, through gemm_s8 and through gemm_packed.
+ * Checks, per thread count: byte equality of the two entries, exact
+ * agreement (few ulps) with a scalar integer reference, the
+ * quantization-step bound against the f32 reference, pad
+ * preservation, and cross-thread bit identity.
  */
 void
-runInt8Case(const Case &cs, bool weightLeft, djinn::Rng &rng)
+runInt8Case(const Case &cs, bool signedAct, djinn::Rng &rng)
 {
     SCOPED_TRACE(testing::Message()
-                 << (weightLeft ? "wl " : "al ") << "m=" << cs.m
+                 << (signedAct ? "s8 " : "u8 ") << "m=" << cs.m
                  << " n=" << cs.n << " k=" << cs.k << " ta="
                  << (cs.ta == Trans::Yes) << " tb="
                  << (cs.tb == Trans::Yes) << " lda=" << cs.lda
@@ -305,80 +308,45 @@ runInt8Case(const Case &cs, bool weightLeft, djinn::Rng &rng)
                 cs.lda, bf.data(), cs.ldb, cs.beta, f32ref.data(),
                 cs.ldc);
 
-    // Quantize the weight-side operand per output channel (columns
-    // of op(B) for gemm_s8, rows of op(A) for gemm_s8_wl) and build
-    // the activation-side per-tensor mapping.
-    std::vector<int8_t> a8(af.size()), b8(bf.size());
-    std::vector<float> a_scales(static_cast<size_t>(cs.m));
+    // Quantize the weights per output channel (columns of op(B))
+    // and build the activations' per-tensor mapping.
+    std::vector<int8_t> b8(bf.size());
     std::vector<float> b_scales(static_cast<size_t>(cs.n));
-    QuantParams actq;
-    if (weightLeft) {
-        for (int64_t i = 0; i < cs.m; ++i) {
-            float mx = 0.0f;
-            for (int64_t p = 0; p < cs.k; ++p)
-                mx = std::max(mx, std::fabs(opA(af, cs, i, p)));
-            QuantParams wq = QuantParams::symmetricS8(mx);
-            a_scales[static_cast<size_t>(i)] = wq.scale;
-            for (int64_t p = 0; p < cs.k; ++p) {
-                size_t at = cs.ta == Trans::No
-                    ? static_cast<size_t>(i * cs.lda + p)
-                    : static_cast<size_t>(p * cs.lda + i);
-                a8[at] = static_cast<int8_t>(wq.quantize(af[at]));
-            }
+    for (int64_t j = 0; j < cs.n; ++j) {
+        float mx = 0.0f;
+        for (int64_t p = 0; p < cs.k; ++p)
+            mx = std::max(mx, std::fabs(opB(bf, cs, p, j)));
+        QuantParams wq = QuantParams::symmetricS8(mx);
+        b_scales[static_cast<size_t>(j)] = wq.scale;
+        for (int64_t p = 0; p < cs.k; ++p) {
+            size_t at = cs.tb == Trans::No
+                ? static_cast<size_t>(p * cs.ldb + j)
+                : static_cast<size_t>(j * cs.ldb + p);
+            b8[at] = static_cast<int8_t>(wq.quantize(bf[at]));
         }
-        float lo, hi;
-        minMax(bf.data(), static_cast<int64_t>(bf.size()), &lo, &hi);
-        actq = QuantParams::affineS8(lo, hi);
-    } else {
-        for (int64_t j = 0; j < cs.n; ++j) {
-            float mx = 0.0f;
-            for (int64_t p = 0; p < cs.k; ++p)
-                mx = std::max(mx, std::fabs(opB(bf, cs, p, j)));
-            QuantParams wq = QuantParams::symmetricS8(mx);
-            b_scales[static_cast<size_t>(j)] = wq.scale;
-            for (int64_t p = 0; p < cs.k; ++p) {
-                size_t at = cs.tb == Trans::No
-                    ? static_cast<size_t>(p * cs.ldb + j)
-                    : static_cast<size_t>(j * cs.ldb + p);
-                b8[at] = static_cast<int8_t>(wq.quantize(bf[at]));
-            }
-        }
-        float lo, hi;
-        minMax(af.data(), static_cast<int64_t>(af.size()), &lo, &hi);
-        actq = QuantParams::affineU8(lo, hi);
     }
+    float lo, hi;
+    minMax(af.data(), static_cast<int64_t>(af.size()), &lo, &hi);
+    QuantParams actq = signedAct ? QuantParams::affineS8(lo, hi)
+                                 : QuantParams::affineU8(lo, hi);
 
     // Scalar integer reference: the exact accumulator the kernel
     // must produce, dequantized with the same float expression.
     auto intRef = [&](int64_t i, int64_t j) -> float {
         int64_t acc = 0;
         for (int64_t p = 0; p < cs.k; ++p) {
-            int64_t qa, qb;
-            if (weightLeft) {
-                size_t at = cs.ta == Trans::No
-                    ? static_cast<size_t>(i * cs.lda + p)
-                    : static_cast<size_t>(p * cs.lda + i);
-                qa = a8[at];
-                qb = actq.quantize(opB(bf, cs, p, j)) -
-                     actq.zeroPoint;
-            } else {
-                qa = actq.quantize(opA(af, cs, i, p)) -
-                     actq.zeroPoint;
-                size_t at = cs.tb == Trans::No
-                    ? static_cast<size_t>(p * cs.ldb + j)
-                    : static_cast<size_t>(j * cs.ldb + p);
-                qb = b8[at];
-            }
-            acc += qa * qb;
+            int64_t qa = actq.quantize(opA(af, cs, i, p)) -
+                         actq.zeroPoint;
+            size_t at = cs.tb == Trans::No
+                ? static_cast<size_t>(p * cs.ldb + j)
+                : static_cast<size_t>(j * cs.ldb + p);
+            acc += qa * b8[at];
         }
-        float sa = weightLeft ? a_scales[static_cast<size_t>(i)]
-                              : actq.scale;
-        float sb = weightLeft ? actq.scale
-                              : b_scales[static_cast<size_t>(j)];
         size_t at = static_cast<size_t>(i * cs.ldc + j);
         float base = cs.beta == 0.0f ? 0.0f : c0[at] * cs.beta;
-        return base +
-               cs.alpha * sa * sb * static_cast<float>(acc);
+        return base + cs.alpha * actq.scale *
+                          b_scales[static_cast<size_t>(j)] *
+                          static_cast<float>(acc);
     };
 
     float a_lo, a_hi, b_lo, b_hi;
@@ -386,43 +354,32 @@ runInt8Case(const Case &cs, bool weightLeft, djinn::Rng &rng)
     minMax(bf.data(), static_cast<int64_t>(bf.size()), &b_lo, &b_hi);
     float amax = std::max(std::fabs(a_lo), std::fabs(a_hi));
     float bmax = std::max(std::fabs(b_lo), std::fabs(b_hi));
-    float sa_rep = weightLeft
-        ? *std::max_element(a_scales.begin(), a_scales.end())
-        : actq.scale;
-    float sb_rep = weightLeft
-        ? actq.scale
-        : *std::max_element(b_scales.begin(), b_scales.end());
-    float qbound =
-        int8Bound(cs.k, cs.alpha, sa_rep, sb_rep, amax, bmax);
+    float qbound = int8Bound(
+        cs.k, cs.alpha, actq.scale,
+        *std::max_element(b_scales.begin(), b_scales.end()), amax,
+        bmax);
 
     uint64_t firstSum = 0;
     bool haveFirst = false;
     for (int threads : {1, 2, 4, 8}) {
         common::setComputeThreads(threads);
         std::vector<float> got = c0;
-        if (weightLeft) {
-            gemm_s8_wl(cs.ta, cs.tb, cs.m, cs.n, cs.k, cs.alpha,
-                       a8.data(), cs.lda, a_scales.data(), bf.data(),
-                       cs.ldb, actq, cs.beta, got.data(), cs.ldc);
-        } else {
-            gemm_s8(cs.ta, cs.tb, cs.m, cs.n, cs.k, cs.alpha,
-                    af.data(), cs.lda, actq, b8.data(), cs.ldb,
-                    b_scales.data(), cs.beta, got.data(), cs.ldc);
-            // Packing the f32 weights with the same column scales
-            // yields the same codes, so the same bytes.
-            PackedWeights packed;
-            packed.pack(Precision::Int8, cs.tb, cs.k, cs.n, bf.data(),
-                        cs.ldb, b_scales.data());
-            std::vector<float> viaPacked = c0;
-            gemm_packed(cs.ta, cs.m, cs.alpha, af.data(), cs.lda,
-                        packed, cs.beta, viaPacked.data(), cs.ldc,
-                        actq);
-            ASSERT_EQ(std::memcmp(viaPacked.data(), got.data(),
-                                  got.size() * sizeof(float)),
-                      0)
-                << "packed entry differs from gemm_s8, threads="
-                << threads;
-        }
+        gemm_s8(cs.ta, cs.tb, cs.m, cs.n, cs.k, cs.alpha, af.data(),
+                cs.lda, actq, b8.data(), cs.ldb, b_scales.data(),
+                cs.beta, got.data(), cs.ldc);
+        // Packing the f32 weights with the same column scales yields
+        // the same codes, so the same bytes.
+        PackedWeights packed;
+        packed.pack(Precision::Int8, cs.tb, cs.k, cs.n, bf.data(),
+                    cs.ldb, b_scales.data());
+        std::vector<float> viaPacked = c0;
+        gemm_packed(cs.ta, cs.m, cs.alpha, af.data(), cs.lda, packed,
+                    cs.beta, viaPacked.data(), cs.ldc, actq);
+        ASSERT_EQ(std::memcmp(viaPacked.data(), got.data(),
+                              got.size() * sizeof(float)),
+                  0)
+            << "packed entry differs from gemm_s8, threads="
+            << threads;
         for (int64_t i = 0; i < cs.m; ++i) {
             for (int64_t j = 0; j < cs.n; ++j) {
                 size_t at = static_cast<size_t>(i * cs.ldc + j);
@@ -483,8 +440,8 @@ TEST(GemmDiffInt8, SweepShapesTransposesStridesScales)
                     cs.ldc = n + 1 + (spin + 2 * tc) % 4;
                     cs.alpha = scales[(spin + tc) % 4];
                     cs.beta = scales[(spin / 4 + tc) % 4];
-                    // Alternate orientations across the sweep so
-                    // both entry points cover the full grid.
+                    // Alternate the activation mapping across the
+                    // sweep so both cover the full grid.
                     runInt8Case(cs, (spin + tc) % 2 == 1, rng);
                     if (testing::Test::HasFatalFailure())
                         return;
@@ -514,16 +471,40 @@ TEST(GemmDiffInt8, ServingShapesPackedAndRaw)
     }
 }
 
+/**
+ * The transposed convolution shapes: M = output positions (169 is
+ * AlexNet's conv3-5, three row blocks with a short edge), k = patch
+ * (past the KC8 slice for conv4/5), n = filters per group, op(A) a
+ * group's lda-strided slice of the position-major rows, under a
+ * signed activation mapping.
+ */
+TEST(GemmDiffInt8, ConvShapesSignedActivations)
+{
+    PoolSizeGuard guard;
+    djinn::Rng rng(0xc0471u);
+    const int64_t mkn[][3] = {{169, 1728, 48}, {30, 363, 96},
+                              {9, 250, 20}};
+    for (const auto &[m, k, n] : mkn) {
+        for (int64_t groups : {1, 2}) {
+            Case cs{m, n, k, Trans::No, Trans::Yes, k * groups, k,
+                    n * groups, 1.0f, 0.0f};
+            runInt8Case(cs, true, rng);
+            if (testing::Test::HasFatalFailure())
+                return;
+        }
+    }
+}
+
 TEST(GemmDiffInt8, LargeShapeAcrossSliceBoundaries)
 {
     PoolSizeGuard guard;
     djinn::Rng rng(0x1e85);
     // k > 1024 forces multiple int8 KC slices (accumulator carried
     // across slices), m > 64 multiple row blocks.
-    for (bool weightLeft : {false, true}) {
+    for (bool signedAct : {false, true}) {
         Case cs{130,  97,   1500, Trans::No, Trans::No,
                 1500, 97,   101,  1.0f,      0.5f};
-        runInt8Case(cs, weightLeft, rng);
+        runInt8Case(cs, signedAct, rng);
         if (testing::Test::HasFatalFailure())
             return;
     }

@@ -3,10 +3,12 @@
 #include <cmath>
 #include <cstring>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/logging.hh"
 #include "common/rng.hh"
+#include "common/thread_pool.hh"
 #include "nn/gemm.hh"
 #include "nn/layers/activation.hh"
 #include "nn/layers/convolution.hh"
@@ -253,6 +255,161 @@ TEST(Convolution, WindowLargerThanInputFatal)
     EXPECT_THROW(conv.setup(Shape(1, 1, 4, 4)), FatalError);
 }
 
+/**
+ * The Caffe-style conv forward kept as the reference: im2col per
+ * image and group, then the raw-operand GEMM with the filters on
+ * the left (W_g x col), the bias added after the full sum. At int8
+ * the reference is the exact integer sum of filter codes times
+ * activation codes less the zero point, dequantized as s_w * s_act.
+ */
+Tensor
+rawGemmConv(const Tensor &in, const ConvolutionLayer &conv)
+{
+    const Shape &is = conv.inputShape();
+    const Shape &os = conv.outputShape();
+    int64_t in_per_group = is.c() / conv.groups();
+    int64_t out_per_group = os.c() / conv.groups();
+    int64_t cols = os.h() * os.w();
+    int64_t patch = in_per_group * conv.kernel() * conv.kernel();
+    const LayerQuant &q = conv.quant();
+    Tensor out(os.withBatch(in.shape().n()));
+    std::vector<float> col(static_cast<size_t>(patch * cols));
+    for (int64_t n = 0; n < in.shape().n(); ++n) {
+        for (int64_t g = 0; g < conv.groups(); ++g) {
+            im2col(in.sample(n) + g * in_per_group * is.h() * is.w(),
+                   in_per_group, is.h(), is.w(), conv.kernel(),
+                   conv.kernel(), conv.pad(), conv.stride(),
+                   col.data());
+            const float *w =
+                conv.weights().data() + g * out_per_group * patch;
+            float *dst = out.sample(n) + g * out_per_group * cols;
+            if (conv.precision() == Precision::F32) {
+                sgemm(Trans::No, Trans::No, out_per_group, cols,
+                      patch, 1.0f, w, patch, col.data(), cols, 0.0f,
+                      dst, cols);
+                continue;
+            }
+            if (conv.precision() == Precision::Bf16) {
+                gemm_bf16(Trans::No, Trans::No, out_per_group, cols,
+                          patch, 1.0f, w, patch, col.data(), cols,
+                          0.0f, dst, cols);
+                continue;
+            }
+            for (int64_t o = 0; o < out_per_group; ++o) {
+                QuantParams wq;
+                wq.scale = q.weightScales[static_cast<size_t>(
+                    g * out_per_group + o)];
+                for (int64_t pos = 0; pos < cols; ++pos) {
+                    int64_t acc = 0;
+                    for (int64_t p = 0; p < patch; ++p) {
+                        acc += int64_t{wq.quantize(w[o * patch + p])} *
+                               (q.act.quantize(col[static_cast<size_t>(
+                                    p * cols + pos)]) -
+                                q.act.zeroPoint);
+                    }
+                    dst[o * cols + pos] =
+                        0.0f + 1.0f * wq.scale * q.act.scale *
+                                   static_cast<float>(acc);
+                }
+            }
+        }
+        const Tensor &bias = *std::as_const(conv).params()[1];
+        float *dst = out.sample(n);
+        for (int64_t c = 0; c < os.c(); ++c) {
+            for (int64_t i = 0; i < cols; ++i)
+                dst[c * cols + i] += bias[c];
+        }
+    }
+    return out;
+}
+
+TEST(Convolution, PackedMatchesRawGemm)
+{
+    // The transposed product on the packed filters must reproduce
+    // the filters-left raw GEMM byte for byte: the same products,
+    // summed in the same KC slices, the bias added after the sum.
+    struct PoolSizeGuard {
+        ~PoolSizeGuard() { common::setComputeThreads(0); }
+    } guard;
+    struct Geometry {
+        int64_t in_c, in_h, out_c, kernel, stride, pad;
+    };
+    const Geometry geometries[] = {
+        {4, 19, 12, 5, 1, 2},  // 361 positions: row blocks + edge
+        {24, 13, 40, 3, 1, 1}, // conv3-5's 13x13 map
+        {6, 23, 8, 7, 3, 0},   // patch 294: two f32 k slices
+        {32, 9, 34, 3, 2, 1},  // odd filters per group, stride 2
+    };
+    uint64_t seed = 0;
+    for (const Geometry &geo : geometries) {
+        for (int64_t groups : {1, 2}) {
+            for (Precision precision :
+                 {Precision::F32, Precision::Bf16, Precision::Int8}) {
+                for (int64_t batch : {1, 3}) {
+                    ++seed;
+                    ConvolutionLayer conv("conv", geo.out_c,
+                                          geo.kernel, geo.stride,
+                                          geo.pad, groups);
+                    conv.setup(
+                        Shape(1, geo.in_c, geo.in_h, geo.in_h));
+                    fillParams(conv, seed);
+                    Tensor in = randomTensor(
+                        Shape(batch, geo.in_c, geo.in_h, geo.in_h),
+                        100 + seed);
+                    conv.setPrecision(precision,
+                                      precision == Precision::Int8
+                                          ? conv.calibrate(in)
+                                          : LayerQuant{});
+                    Tensor want = rawGemmConv(in, conv);
+                    for (int threads : {1, 2, 4}) {
+                        common::setComputeThreads(threads);
+                        Tensor got;
+                        conv.forward(in, got);
+                        ASSERT_EQ(got.shape(), want.shape());
+                        ASSERT_EQ(std::memcmp(got.data(), want.data(),
+                                              static_cast<size_t>(
+                                                  want.elems()) *
+                                                  sizeof(float)),
+                                  0)
+                            << "in_c " << geo.in_c << " groups "
+                            << groups << " "
+                            << precisionName(precision) << " batch "
+                            << batch << " threads " << threads;
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(Convolution, ConcurrentForwardsShareOnePack)
+{
+    // Forwards racing to rebuild a dropped per-group pack must all
+    // read the finished one (check_build runs this under
+    // ThreadSanitizer).
+    ConvolutionLayer conv("conv", 16, 3, 1, 1, 2);
+    conv.setup(Shape(1, 8, 10, 10));
+    fillParams(conv, 41);
+    Tensor in = randomTensor(Shape(2, 8, 10, 10), 7);
+    Tensor want;
+    conv.forward(in, want);
+    conv.setPrecision(Precision::F32); // drops the packs
+    std::vector<Tensor> outs(4);
+    std::vector<std::thread> threads;
+    for (Tensor &out : outs) {
+        threads.emplace_back(
+            [&conv, &in, &out] { conv.forward(in, out); });
+    }
+    for (std::thread &t : threads)
+        t.join();
+    for (const Tensor &out : outs) {
+        ASSERT_EQ(std::memcmp(out.data(), want.data(),
+                              static_cast<size_t>(want.elems()) *
+                                  sizeof(float)),
+                  0);
+    }
+}
+
 TEST(Im2col, IdentityKernelCopiesPixels)
 {
     // 1x1 kernel, stride 1: columns are just the flattened image.
@@ -428,6 +585,32 @@ TEST(Activation, ReluClampsNegative)
     EXPECT_FLOAT_EQ(out[1], 0);
     EXPECT_FLOAT_EQ(out[2], 0);
     EXPECT_FLOAT_EQ(out[3], 3);
+}
+
+TEST(Activation, ReluKeepsTheSelectBits)
+{
+    // x > 0 ? x : 0 bit for bit, signed zero and NaN included, on a
+    // tensor large enough to split across the pool.
+    struct PoolSizeGuard {
+        ~PoolSizeGuard() { common::setComputeThreads(0); }
+    } guard;
+    const float specials[] = {-0.0f, 0.0f, NAN, -NAN, INFINITY,
+                              -INFINITY, 1e-45f, -1e-45f};
+    Tensor in = randomTensor(Shape(1, 40000), 3);
+    for (size_t i = 0; i < std::size(specials); ++i)
+        in[static_cast<int64_t>(i) * 4999] = specials[i];
+    ActivationLayer relu("relu", LayerKind::ReLU);
+    relu.setup(Shape(1, 40000));
+    for (int threads : {1, 3}) {
+        common::setComputeThreads(threads);
+        Tensor out;
+        relu.forward(in, out);
+        for (int64_t i = 0; i < in.elems(); ++i) {
+            float want = in[i] > 0.0f ? in[i] : 0.0f;
+            ASSERT_EQ(std::memcmp(&out[i], &want, sizeof(float)), 0)
+                << "at " << i << " threads " << threads;
+        }
+    }
 }
 
 TEST(Activation, TanhMatchesStd)

@@ -203,8 +203,22 @@ const char *const kAlexNetFcDef = "name alexnet_fc\ninput 256 6 6\n"
                                   "layer relu7 relu\n"
                                   "layer fc8 fc out 1000\n";
 
+/**
+ * AlexNet's conv front end in miniature: conv -> relu -> lrn ->
+ * pool -> grouped conv, with a 15x15 first map (four row blocks of
+ * the transposed product, the last a short edge) and a 300-deep
+ * grouped patch (two f32 k slices).
+ */
+const char *const kAlexNetConvDef =
+    "name alexnet_conv\ninput 3 67 67\n"
+    "layer conv1 conv out 24 kernel 11 stride 4\n"
+    "layer relu1 relu\n"
+    "layer norm1 lrn size 5\n"
+    "layer pool1 maxpool kernel 3 stride 2\n"
+    "layer conv2 conv out 32 kernel 5 pad 2 group 2\n";
+
 struct CompositionCase {
-    const char *model; ///< a zoo model name, or "alexnet_fc"
+    const char *model; ///< a zoo model name, or a def above
     Precision precision;
 };
 
@@ -232,8 +246,10 @@ TEST_P(BatchCompositionProperty, RowBitsIndependentOfBatchPosition)
     } guard;
     const CompositionCase cs = GetParam();
     NetworkPtr net;
-    if (std::string(cs.model) == "alexnet_fc") {
-        net = parseNetDefOrDie(kAlexNetFcDef);
+    std::string model = cs.model;
+    if (model == "alexnet_fc" || model == "alexnet_conv") {
+        net = parseNetDefOrDie(model == "alexnet_fc" ? kAlexNetFcDef
+                                                     : kAlexNetConvDef);
         initializeWeights(*net, 42);
         if (cs.precision != Precision::F32)
             net->quantize(cs.precision, zoo::calibrationBatch(*net));
@@ -290,7 +306,13 @@ INSTANTIATE_TEST_SUITE_P(
         CompositionCase{"kaldi_asr", Precision::Int8},
         CompositionCase{"alexnet_fc", Precision::F32},
         CompositionCase{"alexnet_fc", Precision::Bf16},
-        CompositionCase{"alexnet_fc", Precision::Int8}),
+        CompositionCase{"alexnet_fc", Precision::Int8},
+        CompositionCase{"mnist", Precision::F32},
+        CompositionCase{"mnist", Precision::Bf16},
+        CompositionCase{"mnist", Precision::Int8},
+        CompositionCase{"alexnet_conv", Precision::F32},
+        CompositionCase{"alexnet_conv", Precision::Bf16},
+        CompositionCase{"alexnet_conv", Precision::Int8}),
     [](const ::testing::TestParamInfo<CompositionCase> &info) {
         return std::string(info.param.model) + "_" +
                precisionName(info.param.precision);

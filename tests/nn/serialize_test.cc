@@ -18,7 +18,13 @@ class SerializeTest : public ::testing::Test
     void
     SetUp() override
     {
-        path_ = ::testing::TempDir() + "/weights_test.djw";
+        // One file per test: ctest -j runs the tests of this suite
+        // as concurrent processes.
+        path_ = ::testing::TempDir() + "/weights_test_" +
+                ::testing::UnitTest::GetInstance()
+                    ->current_test_info()
+                    ->name() +
+                ".djw";
     }
 
     void
