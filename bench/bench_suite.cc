@@ -322,7 +322,6 @@ runServiceStage(const SuiteConfig &config,
         core::ServerConfig server_config;
         server_config.batching = true;
         server_config.batchOptions.maxQueries = batch;
-        server_config.batchOptions.maxDelay = 200e-6;
         core::DjinnServer server(registry, server_config);
         if (!server.start().isOk()) {
             std::fprintf(stderr,
@@ -390,7 +389,6 @@ runClusterStage(const SuiteConfig &config,
         cc.nodeCount = 4;
         cc.node.gpus = 1;
         cc.node.maxBatch = 4;
-        cc.node.batchTimeout = 1e-3;
         cc.policy = policy;
         cc.sampleInterval = 0.1;
         cc.deadlineSeconds =
@@ -435,7 +433,6 @@ runClusterStage(const SuiteConfig &config,
         cc.nodeCount = 4;
         cc.node.gpus = 1;
         cc.node.maxBatch = 4;
-        cc.node.batchTimeout = 1e-3;
         cc.policy = cluster::RoutePolicy::JoinShortestQueue;
         cc.sampleInterval = 0.1;
         cc.deadlineSeconds = 0.05;

@@ -87,7 +87,6 @@ BM_BatcherThroughput(benchmark::State &state)
     (void)registry.add(std::move(net));
     core::BatchOptions options;
     options.maxQueries = static_cast<int64_t>(state.range(0));
-    options.maxDelay = 100e-6;
     core::BatchingExecutor executor(registry, options);
 
     std::vector<float> payload(16, 0.5f);
@@ -232,7 +231,6 @@ liveServiceSnapshot()
     core::ServerConfig config;
     config.batching = true;
     config.batchOptions.maxQueries = 8;
-    config.batchOptions.maxDelay = 200e-6;
     core::DjinnServer server(registry, config);
     if (!server.start().isOk())
         return {};

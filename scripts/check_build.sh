@@ -29,6 +29,22 @@ if [ -n "$bad" ]; then
     exit 1
 fi
 
+# Lint: work-conserving batch assembly (DESIGN.md §16). A query for
+# an idle model runs at once and peers gather only behind a forward
+# in flight, so the executor never waits on a timer for peers: the
+# only timed wait in batcher.cc is the dispatch gate's 1 ms recheck.
+bad=$(tr '\n' ' ' < src/core/batcher.cc \
+    | grep -oE '\b(wait_for|wait_until|sleep_for|sleep_until)\([^;]*;' \
+    | tr -s ' ' \
+    | grep -vxE 'wait_for\( ?lock, std::chrono::milliseconds\(1\)\);' \
+    || true)
+if [ -n "$bad" ]; then
+    echo "lint: timed wait in src/core/batcher.cc other than the" \
+         "dispatch gate's 1 ms recheck:" >&2
+    echo "$bad" >&2
+    exit 1
+fi
+
 # Lint: FC and conv weights are packed once per precision
 # (DESIGN.md §8). The inner product and convolution layers run
 # gemm_packed on their PackedWeights; a raw-operand GEMM call there
@@ -388,9 +404,10 @@ cmake --build build-tsan -j --target common_test nn_test core_test \
 # GemmDiff* covers the f32, bf16, and int8 batteries (all three
 # run the threaded driver); Quant* rides along for the scalar
 # primitives; InnerProduct* and Convolution* race forwards to
-# rebuild a dropped packed-weight copy.
+# rebuild a dropped packed-weight copy. *BatchComposition* runs the
+# composition property through the live batcher's dispatcher too.
 ./build-tsan/tests/nn_test \
-    --gtest_filter='GemmDiff*:Quant*:InnerProduct*:Convolution*'
+    --gtest_filter='GemmDiff*:Quant*:InnerProduct*:Convolution*:*BatchComposition*'
 ./build-tsan/tests/core_test \
     --gtest_filter='*Batcher*:*Server*:*Robustness*:*Retry*:*FrameIo*:*Observability*:*Sched*'
 # The flight recorder's seqlock ring and the histogram exemplar

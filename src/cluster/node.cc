@@ -81,9 +81,9 @@ ClusterNode::maybeSchedTick()
     // arrival/completion events; idle nodes simply stop ticking.
     if (lastSchedTick_ >= 0.0 && now - lastSchedTick_ < 0.1)
         return;
-    for (const auto &[app, aq] : queues_) {
+    for (const auto &[app, queue] : queues_) {
         sched_->setBacklog(serve::appName(app),
-                           static_cast<int64_t>(aq.queue.size()));
+                           static_cast<int64_t>(queue.size()));
     }
     sched_->tick(now);
     lastSchedTick_ = now;
@@ -102,34 +102,14 @@ ClusterNode::enqueue(const Request &request)
     }
     if (sched_)
         sched_->observeArrival(serve::appName(request.app), 1);
-    AppQueue &aq = it->second;
     Request admitted = request;
     admitted.admitTime = eq_.now();
     admitted.admitDepth = totalQueued_;
-    aq.queue.push_back(admitted);
+    it->second.push_back(admitted);
     ++totalQueued_;
     maxQueued_ = std::max(maxQueued_, totalQueued_);
     maybeSchedTick();
-
-    if (static_cast<int64_t>(aq.queue.size()) >=
-        effectiveMaxBatch(request.app)) {
-        if (aq.timer != sim::InvalidEventId) {
-            eq_.cancel(aq.timer);
-            aq.timer = sim::InvalidEventId;
-        }
-        aq.ready = true;
-        pump();
-    } else if (!aq.ready && aq.timer == sim::InvalidEventId) {
-        if (spec_.batchTimeout <= 0.0) {
-            aq.ready = true;
-            pump();
-        } else {
-            serve::App app = request.app;
-            aq.timer = eq_.scheduleAfter(
-                spec_.batchTimeout,
-                [this, app]() { onTimer(app); });
-        }
-    }
+    pump();
     return true;
 }
 
@@ -151,24 +131,6 @@ ClusterNode::view() const
 }
 
 void
-ClusterNode::onTimer(serve::App app)
-{
-    AppQueue &aq = queues_[app];
-    aq.timer = sim::InvalidEventId;
-    aq.ready = true;
-    pump();
-}
-
-bool
-ClusterNode::dispatchable(const AppQueue &aq, serve::App app) const
-{
-    if (aq.queue.empty())
-        return false;
-    return aq.ready || static_cast<int64_t>(aq.queue.size()) >=
-                           effectiveMaxBatch(app);
-}
-
-void
 ClusterNode::pump()
 {
     while (freeGpus_ > 0 && !order_.empty()) {
@@ -186,7 +148,7 @@ ClusterNode::pump()
             for (size_t probe = 0; probe < order_.size(); ++probe) {
                 size_t i = (cursor_ + probe) % order_.size();
                 serve::App app = order_[i];
-                if (!dispatchable(queues_[app], app))
+                if (queues_[app].empty())
                     continue;
                 double deficit =
                     sched_->tenantDeficit(tenantOf_.at(app));
@@ -205,7 +167,7 @@ ClusterNode::pump()
             for (size_t probe = 0; probe < order_.size(); ++probe) {
                 size_t i = (cursor_ + probe) % order_.size();
                 serve::App app = order_[i];
-                if (dispatchable(queues_[app], app)) {
+                if (!queues_[app].empty()) {
                     cursor_ = (i + 1) % order_.size();
                     dispatch(app);
                     found = true;
@@ -221,42 +183,23 @@ ClusterNode::pump()
 void
 ClusterNode::dispatch(serve::App app)
 {
-    AppQueue &aq = queues_[app];
+    std::deque<Request> &queue = queues_[app];
     int64_t limit = effectiveMaxBatch(app);
     double now = eq_.now();
 
     // Deadline enforcement at dequeue, before the forward pass:
     // queries whose budget already expired are shed, not computed.
     std::vector<Request> batch;
-    while (!aq.queue.empty() &&
+    while (!queue.empty() &&
            static_cast<int64_t>(batch.size()) < limit) {
-        Request request = aq.queue.front();
-        aq.queue.pop_front();
+        Request request = queue.front();
+        queue.pop_front();
         --totalQueued_;
         if (request.deadline < now)
             onDeadlineShed_(request);
         else
             batch.push_back(request);
     }
-
-    // Rebuild the queue's batching state for what remains.
-    if (aq.timer != sim::InvalidEventId) {
-        eq_.cancel(aq.timer);
-        aq.timer = sim::InvalidEventId;
-    }
-    if (aq.queue.empty()) {
-        aq.ready = false;
-    } else if (static_cast<int64_t>(aq.queue.size()) < limit) {
-        aq.ready = false;
-        if (spec_.batchTimeout <= 0.0) {
-            aq.ready = true;
-        } else {
-            aq.timer = eq_.scheduleAfter(
-                spec_.batchTimeout,
-                [this, app]() { onTimer(app); });
-        }
-    }
-    // else: still a full batch waiting; ready stays true.
 
     if (batch.empty())
         return;

@@ -1,9 +1,11 @@
 /**
  * @file
  * One simulated DjiNN server node: per-application batch queues
- * with a bounded admission limit, DjiNN-style batch formation
- * (dispatch at maxBatch queries or after a batch timeout), a pool
- * of parallel GPU executors, and deadline enforcement at batch
+ * with a bounded admission limit, work-conserving batch formation
+ * (a free GPU takes up to maxBatch queued queries at once, so
+ * batches fill only while the GPUs are busy, as in the live
+ * BatchingExecutor), a pool of parallel GPU executors, and
+ * deadline enforcement at batch
  * dequeue — the PR 5 lifecycle semantics (shed `Overloaded` at
  * enqueue, `DeadlineExceeded` before the forward pass) transplanted
  * into the discrete-event world.
@@ -52,13 +54,6 @@ struct NodeSpec {
      * (Table 3).
      */
     int64_t maxBatch = 0;
-
-    /**
-     * Seconds a partial batch waits before dispatching anyway
-     * (the BatchingExecutor's maxDelay). <= 0 dispatches
-     * immediately.
-     */
-    double batchTimeout = 2e-3;
 
     /** Relative node speed; 2.0 serves twice as fast. */
     double speedFactor = 1.0;
@@ -185,19 +180,8 @@ class ClusterNode
     int id() const { return id_; }
 
   private:
-    struct AppQueue {
-        std::deque<Request> queue;
-        sim::EventId timer = sim::InvalidEventId;
-
-        /** True once the batch timeout fired (or the queue hit
-         * maxBatch): dispatch as soon as an executor frees. */
-        bool ready = false;
-    };
-
     int64_t effectiveMaxBatch(serve::App app) const;
-    void onTimer(serve::App app);
     void pump();
-    bool dispatchable(const AppQueue &aq, serve::App app) const;
     void dispatch(serve::App app);
     void onBatchDone(std::vector<Request> batch, double serviceTime,
                      double dispatchTime);
@@ -211,7 +195,7 @@ class ClusterNode
     CompleteFn onComplete_;
     DeadlineShedFn onDeadlineShed_;
 
-    std::map<serve::App, AppQueue> queues_;
+    std::map<serve::App, std::deque<Request>> queues_;
     std::vector<serve::App> order_;  ///< apps in first-seen order
     size_t cursor_ = 0;              ///< round-robin scan start
 

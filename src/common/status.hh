@@ -167,6 +167,17 @@ class Result
         return std::get<T>(data_);
     }
 
+    /** Mutable access to the value; panics if this holds an
+     * error. */
+    T &
+    value()
+    {
+        if (!isOk())
+            panic("Result::value() on error: %s",
+                  std::get<Status>(data_).toString().c_str());
+        return std::get<T>(data_);
+    }
+
     /** Move the value out; panics if this holds an error. */
     T &&
     takeValue()

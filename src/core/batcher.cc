@@ -30,8 +30,6 @@ BatchingExecutor::BatchingExecutor(const ModelRegistry &registry,
 {
     if (options.maxQueries <= 0)
         fatal("BatchingExecutor: maxQueries must be positive");
-    if (options.maxDelay < 0.0)
-        fatal("BatchingExecutor: maxDelay must be non-negative");
     if (options.maxQueueDepth < 0)
         fatal("BatchingExecutor: maxQueueDepth must be "
               "non-negative");
@@ -150,9 +148,19 @@ BatchingExecutor::startDispatcherLocked(ModelQueue *queue)
             "djinn_shed_total",
             {{"model", model}, {"reason", "queue_full"}});
     }
-    queue->dispatcher = std::thread([this, queue]() {
-        dispatchLoop(queue);
-    });
+    // The thread is named before the first submit() returns, so a
+    // caller whose query ran inline still sees the model's
+    // dispatcher.
+    std::promise<void> named;
+    std::future<void> started = named.get_future();
+    queue->dispatcher = std::thread(
+        [this, queue, named = std::move(named)]() mutable {
+            common::setCurrentThreadName(
+                ("batch-" + queue->name).c_str());
+            named.set_value();
+            dispatchLoop(queue);
+        });
+    started.wait();
 }
 
 std::future<InferenceResult>
@@ -179,6 +187,7 @@ BatchingExecutor::submit(const std::string &model, int64_t rows,
         return future;
     }
 
+    std::vector<Pending> batch;
     {
         std::lock_guard<std::mutex> lock(queue->mutex);
         if (queue->stopping) {
@@ -188,44 +197,83 @@ BatchingExecutor::submit(const std::string &model, int64_t rows,
         }
         if (!queue->dispatcher.joinable())
             startDispatcherLocked(queue);
-        // Admission control: reject at enqueue instead of queueing
-        // without bound. The caller sees Overloaded and may retry
-        // after backoff; the query was never executed. The cap is
-        // re-derived from the live dispatch target on every
-        // submit, so a scheduler that shrinks the batch tightens
-        // admission with it.
-        if (static_cast<int64_t>(queue->pending.size()) >=
-            options_.queueDepthCapFor(queue->target.load(
-                std::memory_order_relaxed))) {
-            shedQueueFull_.fetch_add(1, std::memory_order_relaxed);
-            if (queue->shedQueueFullCounter)
-                queue->shedQueueFullCounter->inc();
-            promise.set_value(
-                {Status::overloaded(strprintf(
-                     "model '%s' queue full (%lld queued)",
-                     model.c_str(),
-                     static_cast<long long>(
-                         queue->pending.size()))),
-                 {}});
+        // Work-conserving: an idle model runs the query now, on
+        // this thread. Nothing queued ahead of it means no query is
+        // overtaken; the busy mark makes peers that arrive meanwhile
+        // queue behind this forward.
+        if (!queue->busy && queue->pending.empty() &&
+            (!gate_ || gate_(queue->name))) {
+            queue->busy = true;
+            batch.push_back({rows, std::move(data), std::move(promise),
+                             std::chrono::steady_clock::now(), trace,
+                             parent_span,
+                             tracer_ ? telemetry::traceNowUs() : 0,
+                             deadline, 0});
+        } else {
+            // Admission control: reject at enqueue instead of
+            // queueing without bound. The caller sees Overloaded
+            // and may retry after backoff; the query was never
+            // executed. The cap is re-derived from the live
+            // dispatch target on every submit, so a scheduler that
+            // shrinks the batch tightens admission with it.
+            if (static_cast<int64_t>(queue->pending.size()) >=
+                options_.queueDepthCapFor(queue->target.load(
+                    std::memory_order_relaxed))) {
+                shedQueueFull_.fetch_add(1, std::memory_order_relaxed);
+                if (queue->shedQueueFullCounter)
+                    queue->shedQueueFullCounter->inc();
+                promise.set_value(
+                    {Status::overloaded(strprintf(
+                         "model '%s' queue full (%lld queued)",
+                         model.c_str(),
+                         static_cast<long long>(
+                             queue->pending.size()))),
+                     {}});
+                return future;
+            }
+            int64_t admit_depth =
+                static_cast<int64_t>(queue->pending.size());
+            queue->pending.push_back(
+                {rows, std::move(data), std::move(promise),
+                 std::chrono::steady_clock::now(), trace, parent_span,
+                 tracer_ ? telemetry::traceNowUs() : 0, deadline,
+                 admit_depth});
+            pendingTotal_.fetch_add(1, std::memory_order_relaxed);
+            if (queue->admitDepthHist)
+                queue->admitDepthHist->record(
+                    static_cast<double>(admit_depth));
+            if (queue->depthGauge) {
+                queue->depthGauge->set(
+                    static_cast<double>(queue->pending.size()));
+            }
+            // A busy model's dispatcher is woken when its forward
+            // clears, not by every arrival behind it.
+            if (!queue->busy)
+                queue->cv.notify_all();
             return future;
         }
-        int64_t admit_depth =
-            static_cast<int64_t>(queue->pending.size());
-        queue->pending.push_back(
-            {rows, std::move(data), std::move(promise),
-             std::chrono::steady_clock::now(), trace, parent_span,
-             tracer_ ? telemetry::traceNowUs() : 0, deadline,
-             admit_depth});
-        pendingTotal_.fetch_add(1, std::memory_order_relaxed);
-        if (queue->admitDepthHist)
-            queue->admitDepthHist->record(
-                static_cast<double>(admit_depth));
-        if (queue->depthGauge) {
-            queue->depthGauge->set(
-                static_cast<double>(queue->pending.size()));
-        }
-        queue->cv.notify_all();
     }
+
+    // Inline: the query waited for nothing, and its spans land on
+    // this thread's track (the connection worker's, in the server).
+    struct ClearBusy {
+        ModelQueue &queue;
+        ~ClearBusy()
+        {
+            std::lock_guard<std::mutex> lock(queue.mutex);
+            queue.busy = false;
+            if (!queue.pending.empty())
+                queue.cv.notify_all();
+        }
+    } clear_busy{*queue};
+    if (queue->admitDepthHist)
+        queue->admitDepthHist->record(0.0);
+    const std::string track =
+        tracer_ ? common::currentThreadName() : std::string();
+    markDispatched(*queue, batch, batch[0].enqueued,
+                   batch[0].enqueuedUs, track);
+    execute(*queue, batch,
+            queue->target.load(std::memory_order_relaxed), track);
     return future;
 }
 
@@ -258,12 +306,6 @@ BatchingExecutor::run(const std::string &model, int64_t rows,
 void
 BatchingExecutor::dispatchLoop(ModelQueue *queue)
 {
-    common::setCurrentThreadName(
-        ("batch-" + queue->name).c_str());
-    using Clock = std::chrono::steady_clock;
-    const auto max_delay = std::chrono::duration_cast<
-        Clock::duration>(std::chrono::duration<double>(
-        options_.maxDelay));
     const std::string track = "batch-" + queue->network->name();
 
     while (true) {
@@ -271,39 +313,29 @@ BatchingExecutor::dispatchLoop(ModelQueue *queue)
         int64_t target = options_.maxQueries;
         {
             std::unique_lock<std::mutex> lock(queue->mutex);
+            // No timed wait for peers: the queue fills only while a
+            // forward is in flight, and is taken the moment it
+            // clears.
             queue->cv.wait(lock, [&]() {
-                return queue->stopping || !queue->pending.empty();
+                return !queue->busy &&
+                       (queue->stopping || !queue->pending.empty());
             });
             if (queue->stopping && queue->pending.empty())
                 return;
-            // Give peers a chance to join the batch, up to the
-            // live dispatch target (re-read inside the predicate:
-            // a retarget mid-wait takes effect immediately).
-            target = queue->target.load(std::memory_order_relaxed);
-            if (static_cast<int64_t>(queue->pending.size()) <
-                target && !queue->stopping) {
-                queue->cv.wait_for(lock, max_delay, [&]() {
-                    target = queue->target.load(
-                        std::memory_order_relaxed);
-                    return queue->stopping ||
-                           static_cast<int64_t>(
-                               queue->pending.size()) >= target;
-                });
-            }
-            // Fair-share gate: hold the assembled-but-undispatched
-            // batch until the scheduler grants this model's tenant
-            // a dispatch slot. The queue mutex is released while
-            // parked, so admission keeps running; a shutdown wakes
-            // the wait and dispatches the remainder.
+            // Fair-share gate: hold the queued batch until the
+            // scheduler grants this model's tenant a dispatch slot.
+            // The queue mutex is released while parked, so
+            // admission keeps running (a non-empty queue keeps
+            // submit() from running inline); a shutdown wakes the
+            // wait and dispatches the remainder.
             if (gate_ && !queue->stopping) {
                 const std::string &name = queue->name;
                 while (!queue->stopping && !gate_(name)) {
                     queue->cv.wait_for(
                         lock, std::chrono::milliseconds(1));
                 }
-                target = queue->target.load(
-                    std::memory_order_relaxed);
             }
+            target = queue->target.load(std::memory_order_relaxed);
             int64_t take = std::min<int64_t>(
                 target,
                 static_cast<int64_t>(queue->pending.size()));
@@ -313,41 +345,51 @@ BatchingExecutor::dispatchLoop(ModelQueue *queue)
                                         take));
             queue->pending.erase(queue->pending.begin(),
                                  queue->pending.begin() + take);
+            queue->busy = true;
             pendingTotal_.fetch_sub(take, std::memory_order_relaxed);
             if (queue->depthGauge) {
                 queue->depthGauge->set(
                     static_cast<double>(queue->pending.size()));
             }
         }
-        if (batch.empty())
-            continue;
 
         // Queue wait ends here, at dispatch, for every query taken
         // (including any execute() then sheds for its deadline).
-        auto dispatch_time = Clock::now();
-        int64_t dispatch_us = tracer_ ? telemetry::traceNowUs() : 0;
-        for (Pending &p : batch) {
-            p.queueWaitSeconds = std::chrono::duration<double>(
-                dispatch_time - p.enqueued).count();
-            if (queue->queueWaitHist)
-                queue->queueWaitHist->record(p.queueWaitSeconds);
-            if (!tracer_ || !p.trace.valid() || !p.trace.sampled())
-                continue;
-            telemetry::TraceEvent e;
-            e.name = "queue_wait";
-            e.category = "batch";
-            e.track = track;
-            e.traceId = p.trace.traceId;
-            e.spanId = tracer_->nextSpanId();
-            e.parentSpanId = p.parentSpan;
-            e.startUs = p.enqueuedUs;
-            e.durationUs = dispatch_us - p.enqueuedUs;
-            e.args.emplace_back(
-                "rows", strprintf("%lld",
-                                  static_cast<long long>(p.rows)));
-            tracer_->record(std::move(e));
-        }
+        markDispatched(*queue, batch, std::chrono::steady_clock::now(),
+                       tracer_ ? telemetry::traceNowUs() : 0, track);
         execute(*queue, batch, target, track);
+        std::lock_guard<std::mutex> lock(queue->mutex);
+        queue->busy = false;
+    }
+}
+
+void
+BatchingExecutor::markDispatched(
+    ModelQueue &queue, std::vector<Pending> &batch,
+    std::chrono::steady_clock::time_point dispatch,
+    int64_t dispatch_us, const std::string &track)
+{
+    for (Pending &p : batch) {
+        p.queueWaitSeconds =
+            std::chrono::duration<double>(dispatch - p.enqueued)
+                .count();
+        if (queue.queueWaitHist)
+            queue.queueWaitHist->record(p.queueWaitSeconds);
+        if (!tracer_ || !p.trace.valid() || !p.trace.sampled())
+            continue;
+        telemetry::TraceEvent e;
+        e.name = "queue_wait";
+        e.category = "batch";
+        e.track = track;
+        e.traceId = p.trace.traceId;
+        e.spanId = tracer_->nextSpanId();
+        e.parentSpanId = p.parentSpan;
+        e.startUs = p.enqueuedUs;
+        e.durationUs = dispatch_us - p.enqueuedUs;
+        e.args.emplace_back(
+            "rows",
+            strprintf("%lld", static_cast<long long>(p.rows)));
+        tracer_->record(std::move(e));
     }
 }
 

@@ -41,12 +41,6 @@ struct BatchOptions {
     int64_t maxQueries = 16;
 
     /**
-     * Dispatch a partial batch after this long, so a lone query is
-     * never stranded waiting for peers. Seconds.
-     */
-    double maxDelay = 2e-3;
-
-    /**
      * Admission control: cap on queued queries per model. A submit
      * against a full queue is rejected immediately with an
      * Overloaded status instead of growing the queue without
@@ -100,7 +94,8 @@ struct InferenceResult {
     int64_t admitQueueDepth = 0;
 
     /** Seconds this query waited between enqueue and dispatch
-     * (0 for run(), which never queues). */
+     * (0 for run() and for a query submit() ran inline, which
+     * never queue). */
     double queueWaitSeconds = 0.0;
 
     /** Seconds of the combined forward pass that served it. */
@@ -109,10 +104,15 @@ struct InferenceResult {
 
 /**
  * Batches inference requests per model and executes combined
- * forward passes on dispatcher threads (one per model, started by
- * the model's first submit()). run() executes a batch of one on the
- * calling thread through the same execute step, so batched and
- * unbatched serving share one forward path. Thread-safe.
+ * forward passes. Assembly is work-conserving: at most one forward
+ * per model is in flight, and a query that finds its model idle
+ * runs at once on the submitting thread. Queries that arrive while
+ * a forward runs queue behind it, and when it returns the model's
+ * dispatcher thread (started by its first submit()) takes up to
+ * the dispatch target of them as one batch, with no timed wait.
+ * run() executes a batch of one on the calling thread through the
+ * same execute step, so batched and unbatched serving share one
+ * forward path. Thread-safe.
  */
 class BatchingExecutor
 {
@@ -152,6 +152,12 @@ class BatchingExecutor
      * Submit one query: @p rows inputs for @p model, flattened into
      * @p data (rows x sample elements).
      *
+     * When the model has no forward in flight, nothing queued,
+     * and the dispatch gate (if set) admits, the query runs inline
+     * as a batch of one on the calling thread, and the returned
+     * future is already resolved (queue wait 0). Otherwise it
+     * queues for the dispatcher.
+     *
      * Admission control applies: a submit against a full queue
      * resolves immediately with an Overloaded status (the query is
      * never executed). A query whose @p deadline has passed when
@@ -180,10 +186,12 @@ class BatchingExecutor
 
     /**
      * Run one query as a batch of one on the calling thread: the
-     * dispatcher's execute step without the queue, the wait for
-     * peers, the dispatch gate, or a dispatcher thread. Validation
-     * and deadline shedding match submit(). Traced spans land on
-     * the calling thread's track under @p parent_span.
+     * dispatcher's execute step without the queue, the dispatch
+     * gate, or a dispatcher thread, and without the one-forward-
+     * per-model rule (unbatched serving runs a model's queries
+     * side by side). Validation and deadline shedding match
+     * submit(). Traced spans land on the calling thread's track
+     * under @p parent_span.
      */
     InferenceResult run(
         const std::string &model, int64_t rows,
@@ -198,11 +206,12 @@ class BatchingExecutor
     void setTracer(telemetry::Tracer *tracer) { tracer_ = tracer; }
 
     /**
-     * May @p model dispatch a batch right now? A dispatcher whose
-     * gate answers false parks (rechecking every millisecond and
-     * on queue activity) with its queue intact — the fair-share
-     * scheduler's deficit accounting hook. Call before serving
-     * traffic.
+     * May @p model dispatch a batch right now? A submit() the gate
+     * refuses queues instead of running inline, and a dispatcher
+     * whose gate answers false parks (rechecking every millisecond
+     * and on queue activity) with its queue intact — the fair-
+     * share scheduler's deficit accounting hook. Call before
+     * serving traffic.
      */
     using DispatchGate = std::function<bool(const std::string &)>;
     void setDispatchGate(DispatchGate gate)
@@ -215,7 +224,8 @@ class BatchingExecutor
      * number of queries served, and the pass's service seconds —
      * the scheduler's service-time calibration and dispatch-charge
      * hook. Runs on the thread that executed the pass (the
-     * dispatcher, or run()'s caller); call before serving traffic.
+     * dispatcher, or the caller of run() or of an inline submit());
+     * call before serving traffic.
      */
     using BatchObserver = std::function<void(
         const std::string &, int64_t, double)>;
@@ -297,7 +307,7 @@ class BatchingExecutor
         int64_t admitDepth = 0;
 
         /** Enqueue-to-dispatch seconds, set when the batch is
-         * assembled; 0 for run(). */
+         * assembled; 0 for run() and inline queries. */
         double queueWaitSeconds = 0.0;
     };
 
@@ -318,6 +328,11 @@ class BatchingExecutor
          * run() never starts it. */
         std::thread dispatcher;
         bool stopping = false;
+
+        /** A forward for this model is in flight, inline or
+         * dispatched: new queries queue behind it, and the
+         * dispatcher waits for it to clear. */
+        bool busy = false;
 
         /** Live dispatch target in [1, maxQueries]; atomic so the
          * scheduler can retarget without the queue mutex. */
@@ -347,9 +362,18 @@ class BatchingExecutor
         telemetry::Counter *shedDeadlineCounter = nullptr;
     };
 
-    /** Assemble: wait for peers, pass the gate, take a batch,
-     * record its queue wait; then execute() it. */
+    /** Assemble: wait for queued queries and an idle model, pass
+     * the gate, take a batch, record its queue wait; then execute()
+     * it. */
     void dispatchLoop(ModelQueue *queue);
+
+    /** End the queue wait of every query in @p batch at
+     * @p dispatch (@p dispatch_us on the tracer timeline): record
+     * each wait, and a queue_wait span on @p track for traced
+     * queries. */
+    void markDispatched(ModelQueue &queue, std::vector<Pending> &batch,
+                        std::chrono::steady_clock::time_point dispatch,
+                        int64_t dispatch_us, const std::string &track);
 
     /**
      * Execute: shed expired deadlines, stack the inputs, run one

@@ -610,7 +610,12 @@ DjinnServer::serveConnection(int fd)
         std::optional<telemetry::RequestTrace> trace;
         if (request.isOk() &&
             request.value().type == RequestType::Inference) {
-            trace.emplace(metrics_, request.value().model);
+            const std::string &model = request.value().model;
+            if (ModelInstruments *instruments =
+                    modelInstruments(model))
+                trace.emplace(instruments->phases);
+            else
+                trace.emplace(metrics_, model);
             trace->record(telemetry::Phase::Decode, decode_seconds);
             trace->recordWork(telemetry::Phase::Decode,
                               decode_delta);
@@ -758,7 +763,7 @@ DjinnServer::serveConnection(int fd)
 }
 
 Response
-DjinnServer::handleRequest(const Request &request,
+DjinnServer::handleRequest(Request &request,
                            telemetry::RequestTrace *trace,
                            const WireSpan *wire,
                            std::chrono::steady_clock::time_point
@@ -821,6 +826,24 @@ DjinnServer::handleRequest(const Request &request,
     response.status = WireStatus::BadRequest;
     response.message = "unknown request type";
     return response;
+}
+
+DjinnServer::ModelInstruments *
+DjinnServer::modelInstruments(const std::string &model)
+{
+    std::lock_guard<std::mutex> lock(instrumentsMutex_);
+    auto it = instruments_.find(model);
+    if (it != instruments_.end())
+        return it->second.get();
+    // Only registered models get an entry, so clients naming
+    // arbitrary models cannot grow the map.
+    if (!registry_.find(model))
+        return nullptr;
+    auto instruments =
+        std::make_unique<ModelInstruments>(metrics_, model);
+    ModelInstruments *raw = instruments.get();
+    instruments_.emplace(model, std::move(instruments));
+    return raw;
 }
 
 DebugRoutes
@@ -891,7 +914,7 @@ DjinnServer::stats() const
 }
 
 Response
-DjinnServer::handleInference(const Request &request,
+DjinnServer::handleInference(Request &request,
                              telemetry::RequestTrace *trace,
                              const WireSpan *wire,
                              std::chrono::steady_clock::time_point
@@ -923,17 +946,22 @@ DjinnServer::handleInference(const Request &request,
     if (config_.batching) {
         // The executor records the queue-wait and (per-pass)
         // forward phases itself, and emits the batch and per-layer
-        // spans for traced requests. Cycle accounting: the worker's
-        // blocked span (submit to resolution) is this request's
-        // queue_wait work — near zero cycles while parked, honestly
-        // reflecting that waiting burns no CPU — while the pass's
-        // forward cycles are recorded per batch by the dispatcher.
+        // spans for traced requests. A query for an idle model runs
+        // inside submit() on this thread; otherwise it waits for
+        // the dispatcher. Cycle accounting: the pass's forward
+        // cycles are recorded per batch by the thread that ran it,
+        // and the worker's blocked span (after submit, to
+        // resolution) is this request's queue_wait work — near zero
+        // cycles while parked, honestly reflecting that waiting
+        // burns no CPU.
         if (scheduler_)
             scheduler_->observeArrival(request.model, 1);
+        std::future<InferenceResult> pending =
+            batcher_.submit(request.model, rows,
+                            std::move(request.payload), trace_ctx,
+                            parent_span, deadline);
         telemetry::CounterScope wait_scope;
-        result = batcher_.submit(request.model, rows,
-                                 request.payload, trace_ctx,
-                                 parent_span, deadline).get();
+        result = pending.get();
         if (trace) {
             trace->recordWork(telemetry::Phase::QueueWait,
                               wait_scope.stop());
@@ -941,8 +969,9 @@ DjinnServer::handleInference(const Request &request,
     } else {
         // A batch of one on this worker thread: the same execute
         // step, with no queue and no dispatcher hop.
-        result = batcher_.run(request.model, rows, request.payload,
-                              trace_ctx, parent_span, deadline);
+        result = batcher_.run(request.model, rows,
+                              std::move(request.payload), trace_ctx,
+                              parent_span, deadline);
     }
     if (flight) {
         flight->queueWaitSeconds = result.queueWaitSeconds;
@@ -965,9 +994,26 @@ DjinnServer::handleInference(const Request &request,
         std::chrono::steady_clock::now() - start).count();
     if (trace)
         trace->record(telemetry::Phase::Service, seconds);
-    telemetry::LabelMap model_label{{"model", request.model}};
+    const telemetry::LabelMap model_label{{"model", request.model}};
+    ModelInstruments *instruments = modelInstruments(request.model);
+    // A slot caches its counter; a model unloaded since the forward
+    // has no instruments and looks the counter up.
+    auto counter = [&](std::atomic<telemetry::Counter *>
+                           ModelInstruments::*slot,
+                       const char *name) -> telemetry::Counter & {
+        if (!instruments)
+            return metrics_.counter(name, model_label);
+        std::atomic<telemetry::Counter *> &cached =
+            instruments->*slot;
+        telemetry::Counter *c = cached.load(std::memory_order_acquire);
+        if (!c) {
+            c = &metrics_.counter(name, model_label);
+            cached.store(c, std::memory_order_release);
+        }
+        return *c;
+    };
     telemetry::Counter &requests =
-        metrics_.counter(requestsTotalName, model_label);
+        counter(&ModelInstruments::requests, requestsTotalName);
     if (config_.sloTargetSeconds > 0.0) {
         if (requests.value() == 0) {
             // The model's first success registers its whole SLO
@@ -982,14 +1028,14 @@ DjinnServer::handleInference(const Request &request,
                            model_label);
         }
         const bool good = seconds <= config_.sloTargetSeconds;
-        metrics_
-            .counter(good ? telemetry::sloGoodMetricName
-                          : telemetry::sloBadMetricName,
-                     model_label)
+        (good ? counter(&ModelInstruments::sloGood,
+                        telemetry::sloGoodMetricName)
+              : counter(&ModelInstruments::sloBad,
+                        telemetry::sloBadMetricName))
             .inc();
     }
     requests.inc();
-    metrics_.counter(rowsTotalName, model_label)
+    counter(&ModelInstruments::rows, rowsTotalName)
         .inc(static_cast<uint64_t>(rows));
     return response;
 }

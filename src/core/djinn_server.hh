@@ -375,13 +375,40 @@ class DjinnServer
      * (the store and monitor are rebuilt by every start()). */
     DebugRoutes debugRoutes();
 
-    Response handleRequest(const Request &request,
+    /**
+     * One served model's request-path instruments, so a request
+     * does no registry lookup (see telemetry::PhaseInstruments):
+     * the phase histograms behind its RequestTraces, and the
+     * per-success counters, resolved at the model's first success
+     * (when their families are first exported).
+     */
+    struct ModelInstruments {
+        ModelInstruments(telemetry::MetricRegistry &metrics,
+                         const std::string &model)
+            : phases(metrics, model)
+        {}
+
+        telemetry::PhaseInstruments phases;
+        std::atomic<telemetry::Counter *> requests{nullptr};
+        std::atomic<telemetry::Counter *> rows{nullptr};
+        std::atomic<telemetry::Counter *> sloGood{nullptr};
+        std::atomic<telemetry::Counter *> sloBad{nullptr};
+    };
+
+    /** @p model's instruments, created on its first request and
+     * never erased; null for a name the model registry does not
+     * hold. */
+    ModelInstruments *modelInstruments(const std::string &model);
+
+    /** Serve one decoded request. An inference request's payload
+     * is moved into the executor (the caller keeps the rest). */
+    Response handleRequest(Request &request,
                            telemetry::RequestTrace *trace,
                            const WireSpan *wire,
                            std::chrono::steady_clock::time_point
                                deadline,
                            telemetry::FlightRecord *flight);
-    Response handleInference(const Request &request,
+    Response handleInference(Request &request,
                              telemetry::RequestTrace *trace,
                              const WireSpan *wire,
                              std::chrono::steady_clock::time_point
@@ -391,6 +418,11 @@ class DjinnServer
     const ModelRegistry &registry_;
     ServerConfig config_;
     telemetry::MetricRegistry metrics_;
+
+    std::mutex instrumentsMutex_;
+    std::map<std::string, std::unique_ptr<ModelInstruments>>
+        instruments_;
+
     telemetry::Tracer tracer_;
     telemetry::FlightRecorder flightRecorder_;
     /** Serves both modes: batching submits to its per-model

@@ -2,9 +2,9 @@
  * @file
  * SLO-driven adaptive batching and multi-tenant fair sharing.
  *
- * DjiNN dispatches with a static tuned batch (Table 3) and a fixed
- * 2 ms delay; the throughput-vs-latency tradeoff that policy bakes
- * in (paper Section 5.1 / Fig 9) is decided once, offline. The
+ * DjiNN dispatches with a static tuned batch (Table 3); the
+ * throughput-vs-latency tradeoff that policy bakes in (paper
+ * Section 5.1 / Fig 9) is decided once, offline. The
  * AdaptiveScheduler decides it continuously instead: each model's
  * dispatch target grows toward its tuned maximum while the
  * predicted latency — queue drain + batch assembly + calibrated

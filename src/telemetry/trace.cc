@@ -21,54 +21,106 @@ phaseName(Phase phase)
     return "unknown";
 }
 
+PhaseInstruments::PhaseInstruments(MetricRegistry &registry,
+                                   std::string model)
+    : registry_(registry), model_(std::move(model)),
+      inflight_(registry.gauge(inflightMetricName))
+{}
+
+LogHistogram &
+PhaseInstruments::histogram(Family family, Phase phase)
+{
+    static const char *const names[FamilyCount] = {
+        phaseMetricName,         phaseCyclesMetricName,
+        phaseInstructionsMetricName,
+        phaseIpcMetricName,      phaseCacheMissMetricName,
+        requestCyclesMetricName, requestIpcMetricName};
+    const bool phased = family < RequestCycles;
+    std::atomic<LogHistogram *> &slot =
+        slots_[family][phased ? static_cast<int>(phase) : 0];
+    LogHistogram *h = slot.load(std::memory_order_acquire);
+    if (!h) {
+        // Racing first uses resolve the same registry entry.
+        LabelMap labels{{"model", model_}};
+        if (phased)
+            labels.emplace("phase", phaseName(phase));
+        h = &registry_.histogram(names[family], labels);
+        slot.store(h, std::memory_order_release);
+    }
+    return *h;
+}
+
+void
+PhaseInstruments::record(Phase phase, double seconds)
+{
+    histogram(Seconds, phase).record(seconds);
+}
+
+void
+PhaseInstruments::recordWork(Phase phase, const CounterDelta &delta)
+{
+    histogram(Cycles, phase).record(static_cast<double>(delta.work()));
+    if (!delta.hardware)
+        return;
+    histogram(Instructions, phase)
+        .record(static_cast<double>(delta.instructions));
+    histogram(Ipc, phase).record(delta.ipc());
+    histogram(CacheMisses, phase)
+        .record(static_cast<double>(delta.cacheMisses));
+}
+
+void
+PhaseInstruments::recordRequestWork(const CounterDelta &delta)
+{
+    histogram(RequestCycles).record(static_cast<double>(delta.work()));
+    if (delta.hardware)
+        histogram(RequestIpc).record(delta.ipc());
+}
+
 RequestTrace::RequestTrace(MetricRegistry &registry,
                            std::string model)
-    : registry_(registry), model_(std::move(model))
+    : owned_(std::make_unique<PhaseInstruments>(registry,
+                                                std::move(model))),
+      instruments_(owned_.get())
 {
-    registry_.gauge(inflightMetricName).add(1.0);
+    instruments_->inflight().add(1.0);
+}
+
+RequestTrace::RequestTrace(PhaseInstruments &instruments)
+    : instruments_(&instruments)
+{
+    instruments_->inflight().add(1.0);
 }
 
 RequestTrace::~RequestTrace()
 {
-    registry_.gauge(inflightMetricName).add(-1.0);
+    instruments_->inflight().add(-1.0);
+}
+
+void
+RequestTrace::setModel(std::string model)
+{
+    owned_ = std::make_unique<PhaseInstruments>(
+        instruments_->registry(), std::move(model));
+    instruments_ = owned_.get();
 }
 
 void
 RequestTrace::record(Phase phase, double seconds)
 {
-    registry_
-        .histogram(phaseMetricName,
-                   {{"model", model_}, {"phase", phaseName(phase)}})
-        .record(seconds);
+    instruments_->record(phase, seconds);
 }
 
 void
 RequestTrace::recordWork(Phase phase, const CounterDelta &delta)
 {
-    const LabelMap labels{{"model", model_},
-                          {"phase", phaseName(phase)}};
-    registry_.histogram(phaseCyclesMetricName, labels)
-        .record(static_cast<double>(delta.work()));
-    if (!delta.hardware)
-        return;
-    registry_.histogram(phaseInstructionsMetricName, labels)
-        .record(static_cast<double>(delta.instructions));
-    registry_.histogram(phaseIpcMetricName, labels)
-        .record(delta.ipc());
-    registry_.histogram(phaseCacheMissMetricName, labels)
-        .record(static_cast<double>(delta.cacheMisses));
+    instruments_->recordWork(phase, delta);
 }
 
 void
 RequestTrace::recordRequestWork(const CounterDelta &delta)
 {
-    const LabelMap labels{{"model", model_}};
-    registry_.histogram(requestCyclesMetricName, labels)
-        .record(static_cast<double>(delta.work()));
-    if (delta.hardware) {
-        registry_.histogram(requestIpcMetricName, labels)
-            .record(delta.ipc());
-    }
+    instruments_->recordRequestWork(delta);
 }
 
 } // namespace telemetry

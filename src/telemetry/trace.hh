@@ -11,6 +11,8 @@
 #ifndef DJINN_TELEMETRY_TRACE_HH
 #define DJINN_TELEMETRY_TRACE_HH
 
+#include <atomic>
+#include <memory>
 #include <string>
 
 #include "telemetry/metrics.hh"
@@ -76,6 +78,64 @@ inline const char *const inflightMetricName =
     "djinn_inflight_requests";
 
 /**
+ * One model's request-path instruments: the histograms its
+ * RequestTraces record into, and the in-flight gauge. Each
+ * histogram is looked up in the registry on first use and cached,
+ * so a server that keeps one per model does no registry lookup per
+ * request (a lookup walks the registry's map, which after a forward
+ * pass has cooled the caches costs microseconds). Thread-safe.
+ */
+class PhaseInstruments
+{
+  public:
+    PhaseInstruments(MetricRegistry &registry, std::string model);
+
+    PhaseInstruments(const PhaseInstruments &) = delete;
+    PhaseInstruments &operator=(const PhaseInstruments &) = delete;
+
+    /** The model label. */
+    const std::string &model() const { return model_; }
+
+    /** The registry the instruments live in. */
+    MetricRegistry &registry() const { return registry_; }
+
+    /** `djinn_inflight_requests` (shared by every model). */
+    Gauge &inflight() const { return inflight_; }
+
+    /** See RequestTrace::record. */
+    void record(Phase phase, double seconds);
+
+    /** See RequestTrace::recordWork. */
+    void recordWork(Phase phase, const CounterDelta &delta);
+
+    /** See RequestTrace::recordRequestWork. */
+    void recordRequestWork(const CounterDelta &delta);
+
+  private:
+    /** The histogram families; the last two carry no phase label. */
+    enum Family {
+        Seconds,
+        Cycles,
+        Instructions,
+        Ipc,
+        CacheMisses,
+        RequestCycles,
+        RequestIpc,
+        FamilyCount
+    };
+    static constexpr int kPhases = static_cast<int>(Phase::Service) + 1;
+
+    /** @p family's histogram for @p phase (ignored for the request
+     * families), resolved on first use. */
+    LogHistogram &histogram(Family family, Phase phase = Phase::Decode);
+
+    MetricRegistry &registry_;
+    std::string model_;
+    Gauge &inflight_;
+    std::atomic<LogHistogram *> slots_[FamilyCount][kPhases] = {};
+};
+
+/**
  * One request's trace. Construct when a request enters the service
  * path; phases recorded through it land in
  * `djinn_phase_seconds{model=..., phase=...}`.
@@ -90,6 +150,10 @@ class RequestTrace
     explicit RequestTrace(MetricRegistry &registry,
                           std::string model = "");
 
+    /** Record through @p instruments, which must outlive the
+     * trace. */
+    explicit RequestTrace(PhaseInstruments &instruments);
+
     /** Decrements the in-flight gauge. */
     ~RequestTrace();
 
@@ -97,10 +161,10 @@ class RequestTrace
     RequestTrace &operator=(const RequestTrace &) = delete;
 
     /** Set the model label (known only after decode). */
-    void setModel(std::string model) { model_ = std::move(model); }
+    void setModel(std::string model);
 
     /** The current model label. */
-    const std::string &model() const { return model_; }
+    const std::string &model() const { return instruments_->model(); }
 
     /** Record @p seconds spent in @p phase. */
     void record(Phase phase, double seconds);
@@ -120,8 +184,9 @@ class RequestTrace
     void recordRequestWork(const CounterDelta &delta);
 
   private:
-    MetricRegistry &registry_;
-    std::string model_;
+    /** Set when the trace was built from a registry. */
+    std::unique_ptr<PhaseInstruments> owned_;
+    PhaseInstruments *instruments_;
 };
 
 } // namespace telemetry

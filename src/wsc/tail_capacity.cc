@@ -57,11 +57,6 @@ probeFeasible(serve::App app, double perServerQps, double slo,
     // random-walks upward and p99 blows through any finite SLO,
     // which is exactly the signal the binary search needs.
     cc.node.queueLimit = std::numeric_limits<int64_t>::max() / 2;
-    // Batching should not wait longer than a slice of the SLO for
-    // stragglers, or the timeout floor masks the queueing signal
-    // for tight-deadline apps.
-    cc.node.batchTimeout =
-        std::min(cc.node.batchTimeout, 0.1 * slo);
     cc.deadlineSeconds = 0.0;
     cc.retryShedRequests = false;
     cc.sampleInterval = 0.0;  // probes only need the summary

@@ -54,7 +54,6 @@ smallCluster(double sampleInterval = 0.25)
     config.nodeCount = 4;
     config.node.gpus = 1;
     config.node.maxBatch = 4;
-    config.node.batchTimeout = 1e-3;
     config.node.queueLimit = 64;
     config.policy = RoutePolicy::RoundRobin;
     config.sampleInterval = sampleInterval;

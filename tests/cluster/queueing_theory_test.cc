@@ -31,7 +31,6 @@ singleServer(ServiceModel model)
     config.nodeCount = 1;
     config.node.gpus = 1;
     config.node.maxBatch = 1;
-    config.node.batchTimeout = 0.0;
     config.node.queueLimit =
         std::numeric_limits<int64_t>::max() / 2;
     config.policy = RoutePolicy::RoundRobin;

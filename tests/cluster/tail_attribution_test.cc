@@ -49,7 +49,6 @@ smallCluster(RoutePolicy policy)
     config.nodeCount = 4;
     config.node.gpus = 1;
     config.node.maxBatch = 4;
-    config.node.batchTimeout = 1e-3;
     config.policy = policy;
     config.sampleInterval = 0.1;
     config.serviceModel = flatModel();

@@ -7,6 +7,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
@@ -54,7 +55,6 @@ TEST_F(BatcherTest, SingleQueryCompletes)
 {
     BatchOptions options;
     options.maxQueries = 4;
-    options.maxDelay = 1e-3;
     BatchingExecutor executor(registry_, options);
     auto future = executor.submit("tiny", 1, {1, 2, 3, 4});
     InferenceResult result = future.get();
@@ -91,9 +91,13 @@ TEST_F(BatcherTest, ConcurrentQueriesGetCombined)
 {
     BatchOptions options;
     options.maxQueries = 8;
-    options.maxDelay = 200e-3; // generous window to coalesce even
-                               // on a loaded machine
     BatchingExecutor executor(registry_, options);
+
+    // Park dispatch so the burst queues instead of each query
+    // finding the model idle and running inline.
+    std::atomic<bool> open{false};
+    executor.setDispatchGate(
+        [&open](const std::string &) { return open.load(); });
 
     std::vector<std::future<InferenceResult>> futures;
     for (int i = 0; i < 8; ++i) {
@@ -101,6 +105,7 @@ TEST_F(BatcherTest, ConcurrentQueriesGetCombined)
             "tiny", 1,
             {static_cast<float>(i), 0, 0, 0}));
     }
+    open.store(true);
     for (auto &f : futures)
         ASSERT_TRUE(f.get().status.isOk());
     EXPECT_EQ(executor.queriesServed(), 8u);
@@ -115,14 +120,19 @@ TEST_F(BatcherTest, BatchedResultsMatchUnbatched)
     // result is bit-identical to the same query run alone.
     BatchOptions options;
     options.maxQueries = 4;
-    options.maxDelay = 10e-3;
     BatchingExecutor executor(registry_, options);
+
+    // Queue all three behind a parked gate so they share a batch.
+    std::atomic<bool> open{false};
+    executor.setDispatchGate(
+        [&open](const std::string &) { return open.load(); });
 
     std::vector<std::vector<float>> inputs = {
         {1, 2, 3, 4}, {5, 6, 7, 8}, {-1, 0, 1, 2}};
     std::vector<std::future<InferenceResult>> futures;
     for (const auto &in : inputs)
         futures.push_back(executor.submit("tiny", 1, in));
+    open.store(true);
 
     for (size_t i = 0; i < inputs.size(); ++i) {
         InferenceResult result = futures[i].get();
@@ -196,6 +206,96 @@ TEST_F(BatcherTest, RunExecutesOnCallingThreadWithoutDispatcher)
     EXPECT_EQ(threadsNamed("batch-tiny"), 1);
 }
 
+TEST_F(BatcherTest, SubmitOnIdleModelRunsInlineOnCaller)
+{
+    // Work-conserving assembly: a lone query finds its model idle
+    // and runs at once on the submitting thread — no wait for
+    // peers, no hop to the dispatcher.
+    telemetry::MetricRegistry metrics;
+    BatchingExecutor executor(registry_, BatchOptions{}, &metrics);
+    std::thread::id observed;
+    executor.setBatchObserver(
+        [&observed](const std::string &, int64_t, double) {
+            observed = std::this_thread::get_id();
+        });
+
+    auto future = executor.submit("tiny", 1, {1, 2, 3, 4});
+    ASSERT_EQ(future.wait_for(std::chrono::seconds(0)),
+              std::future_status::ready);
+    InferenceResult result = future.get();
+    ASSERT_TRUE(result.status.isOk()) << result.status.toString();
+    EXPECT_EQ(observed, std::this_thread::get_id());
+    EXPECT_EQ(result.batchQueries, 1);
+    EXPECT_EQ(result.batchPosition, 0);
+    EXPECT_EQ(result.admitQueueDepth, 0);
+    EXPECT_EQ(result.queueWaitSeconds, 0.0);
+    EXPECT_EQ(executor.queueDepthTotal(), 0);
+
+    // Still one queue_wait sample per batched query: a zero.
+    bool saw_wait = false;
+    for (const telemetry::MetricSample &s : metrics.snapshot()) {
+        if (s.name != telemetry::phaseMetricName ||
+            s.labels.at("phase") != "queue_wait")
+            continue;
+        saw_wait = true;
+        EXPECT_EQ(s.histogram.count, 1u);
+        EXPECT_EQ(s.histogram.sum, 0.0);
+    }
+    EXPECT_TRUE(saw_wait);
+}
+
+TEST_F(BatcherTest, PeersGatherBehindInFlightForward)
+{
+    // While a forward is in flight, new queries queue behind it;
+    // when it returns, the dispatcher takes up to the target of
+    // them as one batch.
+    BatchOptions options;
+    options.maxQueries = 4;
+    BatchingExecutor executor(registry_, options);
+
+    std::promise<void> entered;
+    std::promise<void> release;
+    std::shared_future<void> released = release.get_future().share();
+    std::atomic<int> passes{0};
+    executor.setBatchObserver(
+        [&](const std::string &, int64_t, double) {
+            if (passes.fetch_add(1) == 0) {
+                entered.set_value();
+                released.wait();
+            }
+        });
+
+    InferenceResult first;
+    std::thread holder([&]() {
+        first = executor.submit("tiny", 1, {1, 2, 3, 4}).get();
+    });
+    entered.get_future().wait();
+
+    // Pass 1 is still in flight (held in its observer).
+    constexpr int peers = 6;
+    std::vector<std::future<InferenceResult>> futures;
+    for (int i = 0; i < peers; ++i) {
+        futures.push_back(executor.submit(
+            "tiny", 1, {static_cast<float>(i), 0, 0, 0}));
+    }
+    EXPECT_EQ(executor.queueDepth("tiny"), peers);
+    release.set_value();
+    holder.join();
+
+    ASSERT_TRUE(first.status.isOk());
+    EXPECT_EQ(first.batchQueries, 1);
+    for (int i = 0; i < peers; ++i) {
+        InferenceResult r = futures[static_cast<size_t>(i)].get();
+        ASSERT_TRUE(r.status.isOk()) << "peer " << i;
+        // Pass 2 takes min(peers, target) = 4; pass 3 the rest.
+        EXPECT_EQ(r.batchQueries, i < 4 ? 4 : peers - 4) << i;
+        EXPECT_EQ(r.batchPosition, i < 4 ? i : i - 4) << i;
+        EXPECT_EQ(r.admitQueueDepth, i) << i;
+        EXPECT_GT(r.queueWaitSeconds, 0.0) << i;
+    }
+    EXPECT_EQ(executor.batchesExecuted(), 3u);
+}
+
 TEST_F(BatcherTest, MultiRowQueryKeepsRowOrder)
 {
     auto net = registry_.find("tiny");
@@ -216,8 +316,18 @@ TEST_F(BatcherTest, ManyThreadsStress)
 {
     BatchOptions options;
     options.maxQueries = 16;
-    options.maxDelay = 1e-3;
     BatchingExecutor executor(registry_, options);
+
+    // One forward per model at a time, inline or dispatched.
+    std::atomic<int> running{0};
+    std::atomic<int> overlaps{0};
+    executor.setBatchObserver(
+        [&running, &overlaps](const std::string &, int64_t, double) {
+            if (running.fetch_add(1) != 0)
+                ++overlaps;
+            std::this_thread::sleep_for(std::chrono::microseconds(50));
+            running.fetch_sub(1);
+        });
 
     constexpr int threads = 8;
     constexpr int per_thread = 25;
@@ -236,6 +346,7 @@ TEST_F(BatcherTest, ManyThreadsStress)
     for (auto &w : workers)
         w.join();
     EXPECT_EQ(failures.load(), 0);
+    EXPECT_EQ(overlaps.load(), 0);
     EXPECT_EQ(executor.queriesServed(),
               static_cast<uint64_t>(threads * per_thread));
 }
@@ -246,9 +357,6 @@ TEST_F(BatcherTest, InvalidOptionsFatal)
     options.maxQueries = 0;
     EXPECT_THROW(BatchingExecutor(registry_, options), FatalError);
     options.maxQueries = 4;
-    options.maxDelay = -1.0;
-    EXPECT_THROW(BatchingExecutor(registry_, options), FatalError);
-    options.maxDelay = 1e-3;
     options.maxQueueDepth = -1;
     EXPECT_THROW(BatchingExecutor(registry_, options), FatalError);
 }
@@ -264,20 +372,23 @@ TEST_F(BatcherTest, QueueDepthCapDerivesFromBatchSize)
 
 TEST_F(BatcherTest, FullQueueShedsWithOverloaded)
 {
-    // Admission control: with dispatch stalled inside its
-    // wait-for-peers window (giant maxDelay, giant batch size),
-    // rapid submits keep the queue populated, so the D+1st..Nth
-    // submits must be rejected immediately with Overloaded rather
-    // than growing the queue without bound.
+    // Admission control: with dispatch parked at the gate, rapid
+    // submits keep the queue populated, so the D+1st..Nth submits
+    // must be rejected immediately with Overloaded rather than
+    // growing the queue without bound.
     BatchOptions options;
     options.maxQueries = 64;   // never fills a batch in this test
-    options.maxDelay = 0.5;    // dispatcher waits for peers
     options.maxQueueDepth = 4; // cap D
     BatchingExecutor executor(registry_, options);
+
+    std::atomic<bool> open{false};
+    executor.setDispatchGate(
+        [&open](const std::string &) { return open.load(); });
 
     std::vector<std::future<InferenceResult>> futures;
     for (int i = 0; i < 12; ++i)
         futures.push_back(executor.submit("tiny", 1, {1, 2, 3, 4}));
+    open.store(true);
 
     int ok = 0, overloaded = 0;
     for (auto &f : futures) {
@@ -287,9 +398,6 @@ TEST_F(BatcherTest, FullQueueShedsWithOverloaded)
         else if (result.status.code() == StatusCode::Overloaded)
             ++overloaded;
     }
-    // The dispatcher may drain a query from the queue between two
-    // submits, so a few extra admissions are possible; the bulk of
-    // the burst must still shed.
     EXPECT_GE(overloaded, 4) << ok << " ok";
     EXPECT_GE(ok, 4);
     EXPECT_EQ(ok + overloaded, 12);
@@ -306,7 +414,6 @@ TEST_F(BatcherTest, AdmissionCapTracksShrunkenBatchTarget)
     // (4 x 16 = 64) none of the 40 submits below would shed.
     BatchOptions options;
     options.maxQueries = 16;
-    options.maxDelay = 1.0; // dispatcher waits for peers
     BatchingExecutor executor(registry_, options);
 
     // Park the dispatcher so nothing drains while the burst lands.
@@ -341,7 +448,6 @@ TEST_F(BatcherTest, OccupancyReportsAgainstCurrentTarget)
     telemetry::MetricRegistry metrics;
     BatchOptions options;
     options.maxQueries = 16;
-    options.maxDelay = 1.0;
     BatchingExecutor executor(registry_, options, &metrics);
 
     std::atomic<bool> open{false};
@@ -371,7 +477,6 @@ TEST_F(BatcherTest, ExpiredDeadlineShedsBeforeForward)
     // assembled must be shed with DeadlineExceeded, not computed.
     BatchOptions options;
     options.maxQueries = 4;
-    options.maxDelay = 20e-3;
     BatchingExecutor executor(registry_, options);
 
     auto past = std::chrono::steady_clock::now() -
@@ -390,7 +495,6 @@ TEST_F(BatcherTest, FutureDeadlineDoesNotShed)
 {
     BatchOptions options;
     options.maxQueries = 4;
-    options.maxDelay = 1e-3;
     BatchingExecutor executor(registry_, options);
     auto deadline = std::chrono::steady_clock::now() +
                     std::chrono::seconds(30);

@@ -67,7 +67,6 @@ TEST_F(ObservabilityTest, TopSeriesAndHealthOverWire)
     ServerConfig config;
     config.batching = true;
     config.batchOptions.maxQueries = 4;
-    config.batchOptions.maxDelay = 100e-6;
     config.samplerPeriod = 0.01; // fast ticks for the test
     startServer(config);
 
@@ -372,7 +371,6 @@ TEST_F(ObservabilityTest, SamplerTickVsStopRace)
         ServerConfig config;
         config.batching = true;
         config.batchOptions.maxQueries = 2;
-        config.batchOptions.maxDelay = 50e-6;
         config.samplerPeriod = 0.0005;
         DjinnServer server(registry_, config);
         ASSERT_TRUE(server.start().isOk());

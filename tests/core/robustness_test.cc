@@ -14,9 +14,12 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstring>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -27,7 +30,10 @@
 #include "core/http_endpoint.hh"
 #include "core/protocol.hh"
 #include "nn/init.hh"
-#include "nn/net_def.hh"
+#include "nn/layer.hh"
+#include "nn/layers/inner_product.hh"
+#include "nn/layers/softmax.hh"
+#include "nn/network.hh"
 #include "telemetry/exposition.hh"
 
 namespace djinn {
@@ -168,17 +174,110 @@ TEST(FrameIoFaults, MidFrameCloseTruncatesThePeer)
 }
 
 /** Server-side battery over a real loopback server. */
+/** First input value of a query whose forward HoldLayer parks. */
+constexpr float kHoldMarker = 1e6f;
+
+/** A latch a test closes to keep one forward pass in flight. */
+struct ForwardHold {
+    std::mutex mutex;
+    std::condition_variable cv;
+    bool closed = false;
+    bool entered = false;
+
+    void
+    close()
+    {
+        std::lock_guard<std::mutex> lock(mutex);
+        closed = true;
+        entered = false;
+    }
+
+    void
+    open()
+    {
+        std::lock_guard<std::mutex> lock(mutex);
+        closed = false;
+        cv.notify_all();
+    }
+
+    /** Block until a held forward is parked in HoldLayer (or 10 s
+     * pass, so a broken test fails instead of hanging). */
+    void
+    awaitEntered()
+    {
+        std::unique_lock<std::mutex> lock(mutex);
+        cv.wait_for(lock, std::chrono::seconds(10),
+                    [this]() { return entered; });
+    }
+};
+
+/**
+ * Pass-through layer: a batch whose first input is kHoldMarker
+ * parks here while the hold is closed, so the model has a forward
+ * in flight and later queries queue behind it.
+ */
+class HoldLayer : public nn::Layer
+{
+  public:
+    explicit HoldLayer(ForwardHold *hold)
+        : Layer("hold", nn::LayerKind::Flatten), hold_(hold)
+    {}
+
+  protected:
+    nn::Shape
+    setupImpl(const nn::Shape &input) override
+    {
+        return input;
+    }
+
+    void
+    forwardImpl(const nn::Tensor &in, nn::Tensor &out) const override
+    {
+        if (in[0] == kHoldMarker) {
+            std::unique_lock<std::mutex> lock(hold_->mutex);
+            hold_->entered = true;
+            hold_->cv.notify_all();
+            hold_->cv.wait(lock, [this]() { return !hold_->closed; });
+        }
+        std::copy(in.data(), in.data() + in.elems(), out.data());
+    }
+
+  private:
+    ForwardHold *hold_;
+};
+
 class RobustnessTest : public ::testing::Test
 {
   protected:
     void
     SetUp() override
     {
-        auto net = nn::parseNetDefOrDie(
-            "name tiny\ninput 1 2 2\nlayer fc fc out 3\n"
-            "layer prob softmax\n");
+        auto net = std::make_unique<nn::Network>(
+            "tiny", nn::Shape(1, 1, 2, 2));
+        net->add(std::make_unique<HoldLayer>(&hold_));
+        net->add(std::make_unique<nn::InnerProductLayer>("fc", 3));
+        net->add(std::make_unique<nn::SoftmaxLayer>("prob"));
+        net->finalize();
         nn::initializeWeights(*net, 5);
         ASSERT_TRUE(registry_.add(std::move(net)).isOk());
+    }
+
+    /**
+     * Close the hold and send one marker query from a new thread;
+     * returns once its forward is parked in flight. open() the
+     * hold, then join the thread.
+     */
+    std::thread
+    holdForward()
+    {
+        hold_.close();
+        std::thread held([this]() {
+            DjinnClient client;
+            if (connect(client).isOk())
+                (void)client.infer("tiny", 1, {kHoldMarker, 0, 0, 0});
+        });
+        hold_.awaitEntered();
+        return held;
     }
 
     void
@@ -241,6 +340,7 @@ class RobustnessTest : public ::testing::Test
         return false;
     }
 
+    ForwardHold hold_;
     ModelRegistry registry_;
     std::unique_ptr<DjinnServer> server_;
 };
@@ -282,10 +382,11 @@ TEST_F(RobustnessTest, OverloadBurstShedsAndRetriesSucceed)
     ServerConfig config;
     config.batching = true;
     config.batchOptions.maxQueries = 64;
-    config.batchOptions.maxDelay = 0.05;
     config.batchOptions.maxQueueDepth = 4;
     startServer(config);
 
+    // The burst queues behind a forward held in flight.
+    std::thread held = holdForward();
     constexpr int burst = 16; // 4 x the queue cap
     std::atomic<int> ok{0}, overloaded{0}, other{0};
     std::vector<std::thread> clients;
@@ -306,6 +407,12 @@ TEST_F(RobustnessTest, OverloadBurstShedsAndRetriesSucceed)
                 ++other;
         });
     }
+    // Release the held forward once everything past the cap shed.
+    (void)waitForMetric("djinn_shed_total",
+                        {{"model", "tiny"}, {"reason", "queue_full"}},
+                        burst - 4);
+    hold_.open();
+    held.join();
     for (auto &c : clients)
         c.join();
     EXPECT_EQ(other.load(), 0);
@@ -352,19 +459,28 @@ TEST_F(RobustnessTest, OverloadBurstShedsAndRetriesSucceed)
 
 TEST_F(RobustnessTest, DeadlineExpiredInQueueIsShedNotServed)
 {
-    // A 1 ms budget cannot survive a 100 ms batch window: the
-    // server must shed at dequeue (before the forward pass) with
-    // DeadlineExceeded, and count the shed.
+    // A 1 ms budget cannot survive queueing behind a forward held
+    // in flight: the server must shed at dequeue (before the
+    // forward pass) with DeadlineExceeded, and count the shed.
     ServerConfig config;
     config.batching = true;
     config.batchOptions.maxQueries = 64;
-    config.batchOptions.maxDelay = 0.1;
     startServer(config);
 
     DjinnClient client;
     ASSERT_TRUE(connect(client).isOk());
+    std::thread held = holdForward();
+    // Release once the query is queued and its budget is spent.
+    std::thread release([this]() {
+        (void)waitForMetric("djinn_batch_queue_depth",
+                            {{"model", "tiny"}}, 1.0);
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        hold_.open();
+    });
     client.setDeadlineMs(1);
     auto result = client.infer("tiny", 1, {1, 2, 3, 4});
+    release.join();
+    held.join();
     ASSERT_FALSE(result.isOk());
     EXPECT_EQ(result.status().code(), StatusCode::DeadlineExceeded);
     EXPECT_GE(metric("djinn_shed_total",
@@ -392,31 +508,32 @@ TEST_F(RobustnessTest, StopUnderLoadDrainsInflightResponses)
 {
     // Acceptance: stop() during an in-flight request must flush
     // that request's response (drain), not cut the connection
-    // under it. The batch window keeps the request in flight long
-    // enough for stop() to overlap it.
+    // under it. The request queues behind a forward held in flight,
+    // which is released 30 ms into stop().
     ServerConfig config;
     config.batching = true;
     config.batchOptions.maxQueries = 64;
-    config.batchOptions.maxDelay = 0.1;
     config.drainTimeoutSeconds = 5.0;
     startServer(config);
 
+    std::thread held = holdForward();
     std::atomic<bool> ok{false};
-    std::atomic<bool> sent{false};
-    std::thread inflight([this, &ok, &sent]() {
+    std::thread inflight([this, &ok]() {
         DjinnClient client;
         if (!connect(client).isOk())
             return;
-        sent.store(true);
         auto result = client.infer("tiny", 1, {1, 2, 3, 4});
         ok.store(result.isOk());
     });
-    while (!sent.load())
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    // Give the request time to reach the server, then stop while
-    // it sits in the batch window.
-    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    EXPECT_TRUE(waitForMetric("djinn_batch_queue_depth",
+                              {{"model", "tiny"}}, 1.0));
+    std::thread release([this]() {
+        std::this_thread::sleep_for(std::chrono::milliseconds(30));
+        hold_.open();
+    });
     server_->stop();
+    release.join();
+    held.join();
     inflight.join();
     EXPECT_TRUE(ok.load())
         << "in-flight response dropped during stop()";

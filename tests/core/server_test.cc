@@ -203,7 +203,6 @@ TEST_F(ServerTest, BatchingModeServesCorrectResults)
     ServerConfig config;
     config.batching = true;
     config.batchOptions.maxQueries = 4;
-    config.batchOptions.maxDelay = 2e-3;
     startServer(config);
 
     auto net = registry_.find("tiny");
@@ -386,7 +385,6 @@ TEST_F(ServerTest, MetricsExpositionRoundTrip)
     ServerConfig config;
     config.batching = true;
     config.batchOptions.maxQueries = 4;
-    config.batchOptions.maxDelay = 200e-6;
     startServer(config);
     DjinnClient client;
     ASSERT_TRUE(connect(client).isOk());

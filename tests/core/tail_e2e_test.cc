@@ -122,7 +122,6 @@ TEST_F(TailE2eTest, EveryPopulatedBucketResolvesViaExemplar)
     ServerConfig config;
     config.batching = true;
     config.batchOptions.maxQueries = 4;
-    config.batchOptions.maxDelay = 200e-6;
     startServer(config);
     DjinnClient client;
     ASSERT_TRUE(connect(client).isOk());
@@ -163,7 +162,6 @@ TEST_F(TailE2eTest, BatchingRecordsAdmitDepthAndBatchContext)
     ServerConfig config;
     config.batching = true;
     config.batchOptions.maxQueries = 8;
-    config.batchOptions.maxDelay = 2e-3;
     startServer(config);
     DjinnClient client;
     ASSERT_TRUE(connect(client).isOk());

@@ -3,14 +3,17 @@
  * Property-based tests on inference-library invariants: pooling
  * against a naive reference over a geometry sweep, convolution
  * linearity, batch-order independence, batch-composition
- * independence of each row's bits, and softmax invariances.
+ * independence of each row's bits (in the network and through the
+ * live batcher), and softmax invariances.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstring>
+#include <future>
 #include <ostream>
 #include <string>
 #include <tuple>
@@ -18,6 +21,8 @@
 
 #include "common/rng.hh"
 #include "common/thread_pool.hh"
+#include "core/batcher.hh"
+#include "core/model_registry.hh"
 #include "nn/init.hh"
 #include "nn/layers/pooling.hh"
 #include "nn/layers/convolution.hh"
@@ -313,6 +318,102 @@ INSTANTIATE_TEST_SUITE_P(
         CompositionCase{"alexnet_conv", Precision::F32},
         CompositionCase{"alexnet_conv", Precision::Bf16},
         CompositionCase{"alexnet_conv", Precision::Int8}),
+    [](const ::testing::TestParamInfo<CompositionCase> &info) {
+        return std::string(info.param.model) + "_" +
+               precisionName(info.param.precision);
+    });
+
+class LiveBatchCompositionProperty
+    : public ::testing::TestWithParam<CompositionCase>
+{};
+
+/**
+ * The same property through the serving path: queries submit()ted
+ * to the BatchingExecutor and combined by its dispatcher must each
+ * get the bytes run() gives them alone, whichever peers share their
+ * batch and at whatever position. A parked dispatch gate holds each
+ * round's queries in the queue so they form exactly one batch.
+ */
+TEST_P(LiveBatchCompositionProperty, SubmitBitsMatchRun)
+{
+    struct PoolSizeGuard {
+        ~PoolSizeGuard() { common::setComputeThreads(0); }
+    } guard;
+    const CompositionCase cs = GetParam();
+    core::ModelRegistry registry;
+    ASSERT_TRUE(registry
+                    .addZooModel(zoo::modelFromName(cs.model), 42,
+                                 cs.precision)
+                    .isOk());
+    const std::string model = cs.model;
+    auto net = registry.find(model);
+    ASSERT_NE(net, nullptr);
+
+    constexpr int64_t kRows = 9;
+    core::BatchOptions options;
+    options.maxQueries = kRows;
+    core::BatchingExecutor executor(registry, options);
+    std::atomic<bool> open{false};
+    executor.setDispatchGate(
+        [&open](const std::string &) { return open.load(); });
+
+    Tensor rows = randomTensor(net->inputShape().withBatch(kRows), 9);
+    const int64_t in_elems = net->inputShape().sampleElems();
+    auto row = [&](int64_t r) {
+        return std::vector<float>(rows.sample(r),
+                                  rows.sample(r) + in_elems);
+    };
+    for (int threads : {1, 2}) {
+        common::setComputeThreads(threads);
+        std::vector<std::vector<float>> alone;
+        for (int64_t r = 0; r < kRows; ++r) {
+            core::InferenceResult one = executor.run(model, 1, row(r));
+            ASSERT_TRUE(one.status.isOk()) << one.status.toString();
+            alone.push_back(std::move(one.output));
+        }
+        // Round s batches s + 1 queries, rows s, s + 2, s + 4, ...
+        // (mod kRows), so sizes, peers and positions all vary.
+        for (int64_t s = 0; s < kRows; ++s) {
+            open.store(false);
+            std::vector<int64_t> members;
+            std::vector<std::future<core::InferenceResult>> futures;
+            for (int64_t j = 0; j <= s; ++j) {
+                members.push_back((s + 2 * j) % kRows);
+                futures.push_back(
+                    executor.submit(model, 1, row(members.back())));
+            }
+            open.store(true);
+            for (size_t j = 0; j < futures.size(); ++j) {
+                core::InferenceResult got = futures[j].get();
+                ASSERT_TRUE(got.status.isOk())
+                    << got.status.toString();
+                EXPECT_EQ(got.batchQueries, s + 1);
+                const std::vector<float> &want =
+                    alone[static_cast<size_t>(members[j])];
+                ASSERT_EQ(got.output.size(), want.size());
+                ASSERT_EQ(std::memcmp(got.output.data(), want.data(),
+                                      want.size() * sizeof(float)),
+                          0)
+                    << cs << " threads " << threads << " row "
+                    << members[j] << " at position " << j << " of "
+                    << s + 1;
+            }
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ServedModels, LiveBatchCompositionProperty,
+    ::testing::Values(
+        CompositionCase{"senna_pos", Precision::F32},
+        CompositionCase{"senna_pos", Precision::Bf16},
+        CompositionCase{"senna_pos", Precision::Int8},
+        CompositionCase{"kaldi_asr", Precision::F32},
+        CompositionCase{"kaldi_asr", Precision::Bf16},
+        CompositionCase{"kaldi_asr", Precision::Int8},
+        CompositionCase{"mnist", Precision::F32},
+        CompositionCase{"mnist", Precision::Bf16},
+        CompositionCase{"mnist", Precision::Int8}),
     [](const ::testing::TestParamInfo<CompositionCase> &info) {
         return std::string(info.param.model) + "_" +
                precisionName(info.param.precision);

@@ -54,7 +54,6 @@ class MixedPrecisionTest : public ::testing::Test
         ServerConfig config;
         config.batching = true;
         config.batchOptions.maxQueries = 4;
-        config.batchOptions.maxDelay = 0.0005;
         config.modelPrecisions["mnist"] = nn::Precision::Int8;
         config.modelPrecisions["senna_pos"] = nn::Precision::Bf16;
         return config;

@@ -7,7 +7,7 @@
  *   cluster_sim [--nodes N] [--gpus-per-node N] [--policy P]
  *               [--workload poisson|diurnal|mmpp] [--rate QPS]
  *               [--duration SECONDS] [--requests N] [--batch N]
- *               [--batch-timeout-ms MS] [--queue-depth N]
+ *               [--queue-depth N]
  *               [--slo-ms MS] [--retries N] [--seed N]
  *               [--sched static|adaptive|fair|hybrid]
  *               [--tenant APP=WEIGHT[,APP=WEIGHT...]]
@@ -62,7 +62,7 @@ usage()
         "    [--policy rr|jsq|po2|jsq-d|po2-d]\n"
         "    [--workload poisson|diurnal|mmpp] [--rate QPS]\n"
         "    [--duration SECONDS] [--requests N] [--batch N]\n"
-        "    [--batch-timeout-ms MS] [--queue-depth N]\n"
+        "    [--queue-depth N]\n"
         "    [--slo-ms MS] [--retries N] [--seed N]\n"
         "    [--sched static|adaptive|fair|hybrid]\n"
         "    [--tenant APP=WEIGHT[,APP=WEIGHT...]]\n"
@@ -131,9 +131,6 @@ main(int argc, char **argv)
                 parseLong("--requests", value()));
         } else if (arg == "--batch") {
             config.node.maxBatch = parseLong("--batch", value());
-        } else if (arg == "--batch-timeout-ms") {
-            config.node.batchTimeout =
-                1e-3 * parseDouble("--batch-timeout-ms", value());
         } else if (arg == "--queue-depth") {
             config.node.queueLimit =
                 parseLong("--queue-depth", value());

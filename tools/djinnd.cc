@@ -7,7 +7,7 @@
  *
  * Usage:
  *   djinnd [--port N] [--models m1,m2,...|all] [--batching]
- *          [--batch-size N] [--batch-delay-us N] [--seed N]
+ *          [--batch-size N] [--seed N]
  *          [--precision m=int8|bf16|f32[,m=...]]
  *          [--max-queue-depth N] [--io-timeout-ms N]
  *          [--drain-timeout-ms N] [--fault SPEC]
@@ -118,8 +118,7 @@ usage()
     std::fprintf(stderr,
                  "usage: djinnd [--port N] [--models m1,m2|all]\n"
                  "              [--precision m=int8|bf16|f32[,...]]\n"
-                 "              [--batching] [--batch-size N] "
-                 "[--batch-delay-us N]\n"
+                 "              [--batching] [--batch-size N]\n"
                  "              [--max-queue-depth N] "
                  "[--io-timeout-ms N]\n"
                  "              [--drain-timeout-ms N] "
@@ -176,9 +175,6 @@ main(int argc, char **argv)
         } else if (arg == "--batch-size") {
             config.batchOptions.maxQueries =
                 std::atoll(next("--batch-size"));
-        } else if (arg == "--batch-delay-us") {
-            config.batchOptions.maxDelay =
-                std::atof(next("--batch-delay-us")) * 1e-6;
         } else if (arg == "--max-queue-depth") {
             config.batchOptions.maxQueueDepth =
                 std::atoll(next("--max-queue-depth"));
