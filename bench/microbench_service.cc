@@ -2,8 +2,8 @@
  * @file
  * Google-benchmark microbenchmarks for the service machinery: wire
  * protocol encode/decode, the batching executor, the telemetry hot
- * path (histogram record, registry lookup, trace spans), and the
- * discrete-event queue that powers the serving simulator.
+ * path (histogram record, registry lookup, the per-request write),
+ * and the discrete-event queue that powers the serving simulator.
  *
  * After the benchmarks run, a short live-service session (real TCP
  * server + clients, batching on), one serving-simulator
@@ -200,19 +200,34 @@ BM_RegistryCounterLookup(benchmark::State &state)
 BENCHMARK(BM_RegistryCounterLookup);
 
 void
-BM_TraceRecord(benchmark::State &state)
+BM_RequestLogFinish(benchmark::State &state)
 {
+    // The whole per-request write of a served batching request:
+    // the flight record plus every sample derived from it.
     telemetry::MetricRegistry registry;
-    telemetry::RequestTrace trace(registry, "tiny");
-    double seconds = 1e-3;
+    telemetry::FlightRecorder recorder(4096, 256);
+    telemetry::RequestLog log(registry, recorder, "tiny", true, 0.05);
+    telemetry::FlightRecord record;
+    record.rows = 4;
+    record.decodeSeconds = 2e-6;
+    record.queueWaitSeconds = 1e-4;
+    record.forwardSeconds = 5e-4;
+    record.encodeSeconds = 1e-6;
+    record.serviceSeconds = 6e-4;
+    record.totalSeconds = 7e-4;
+    telemetry::RequestWork work;
+    work.decode.wallNs = 2000;
+    work.queueWait.wallNs = 100000;
+    work.encode.wallNs = 1000;
+    work.request.wallNs = 110000;
     for (auto _ : state) {
-        benchmark::DoNotOptimize(seconds);
-        trace.record(telemetry::Phase::Forward, seconds);
+        log.begin();
+        benchmark::DoNotOptimize(log.finish(record, work));
     }
     state.SetItemsProcessed(state.iterations());
 }
 
-BENCHMARK(BM_TraceRecord);
+BENCHMARK(BM_RequestLogFinish);
 
 /**
  * Drive a real loopback DjiNN server with batching on, then return

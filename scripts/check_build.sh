@@ -5,7 +5,7 @@ set -e
 cd "$(dirname "$0")/.."
 
 # Lint: ad-hoc instrumentation is not allowed on the service path.
-# Timing belongs in src/telemetry (RequestTrace spans / histograms),
+# Timing belongs in src/telemetry (RequestLog / histograms),
 # console output in common/logging. strprintf() is fine: the \b
 # boundary only matches bare printf-family calls.
 bad=$(grep -rnE '\bprintf\(|\bfprintf\(|gettimeofday|clock_gettime' \
@@ -25,6 +25,29 @@ bad=$(grep -rnE '(Network::|->|\.)forward\(' src/core/ \
 if [ -n "$bad" ]; then
     echo "lint: forward() called outside src/core/batcher.cc;" \
          "route inference through BatchingExecutor:" >&2
+    echo "$bad" >&2
+    exit 1
+fi
+
+# Lint: one write per finished request (DESIGN.md §6). Every
+# per-request family (the request, row and SLO counters,
+# djinn_request_*, and the decode / queue_wait / encode / service
+# phases) is derived from the request's flight record by
+# telemetry::RequestLog::finish(), so no .histogram( / .counter(
+# call in src/core names one; the executor's per-pass forward
+# instruments are not per-request.
+per_request='requests?(Total|Seconds|Cycles|Ipc)|rowsTotal|slo(Good|Bad)'
+per_request="$per_request|djinn_(requests|rows|slo_good|slo_bad)_total"
+per_request="$per_request|djinn_request_(seconds|cycles|ipc)"
+per_request="$per_request|Phase::(Decode|QueueWait|Encode|Service)"
+bad=$(for f in src/core/*.cc; do
+    tr '\n' ' ' < "$f" \
+        | grep -oE '(\.|->)(histogram|counter)\([^;]*;' \
+        | tr -s ' ' | grep -E "$per_request" | sed "s|^|$f: |"
+done || true)
+if [ -n "$bad" ]; then
+    echo "lint: per-request metric written outside" \
+         "telemetry::RequestLog::finish():" >&2
     echo "$bad" >&2
     exit 1
 fi
@@ -415,8 +438,10 @@ cmake --build build-tsan -j --target common_test nn_test core_test \
 # are only meaningful under TSan.
 # TimeSeries/Health ride along: the store's sample path runs on
 # the sampler thread while queries and the health monitor read it.
+# The profiler's StackRing shares the flight recorder's seqlock
+# slot; its concurrent-pusher test checks it the same way.
 ./build-tsan/tests/telemetry_test \
-    --gtest_filter='FlightRecorder*:*Exemplar*:TimeSeries*:Health*'
+    --gtest_filter='FlightRecorder*:*Exemplar*:TimeSeries*:Health*:StackRing*'
 # The cluster simulator is single-threaded by design, but its
 # results flow through the lock-free telemetry histograms; the
 # determinism and policy suites double as a TSan check of that

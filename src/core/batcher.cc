@@ -81,21 +81,18 @@ BatchingExecutor::queueFor(const std::string &model, int64_t rows,
                                 : options_.maxQueries,
                             std::memory_order_relaxed);
         if (metrics_) {
-            using telemetry::Phase;
             const telemetry::LabelMap model_label{{"model", model}};
+            const telemetry::LabelMap forward_label{
+                {"model", model},
+                {"phase", telemetry::phaseName(telemetry::Phase::Forward)}};
             queue->forwardHist = &metrics_->histogram(
-                telemetry::phaseMetricName,
-                {{"model", model},
-                 {"phase", telemetry::phaseName(Phase::Forward)}});
+                telemetry::phaseMetricName, forward_label);
             queue->batchRowsHist = &metrics_->histogram(
                 "djinn_batch_rows", model_label, batchSizeOptions);
             queue->occupancyGauge = &metrics_->gauge(
                 "djinn_batch_occupancy", model_label);
             queue->batchesCounter = &metrics_->counter(
                 "djinn_batches_total", model_label);
-            const telemetry::LabelMap forward_label{
-                {"model", model},
-                {"phase", telemetry::phaseName(Phase::Forward)}};
             queue->forwardCyclesHist = &metrics_->histogram(
                 telemetry::phaseCyclesMetricName, forward_label);
             queue->forwardInstructionsHist = &metrics_->histogram(
@@ -129,13 +126,8 @@ void
 BatchingExecutor::startDispatcherLocked(ModelQueue *queue)
 {
     if (metrics_) {
-        using telemetry::Phase;
         const std::string &model = queue->name;
         const telemetry::LabelMap model_label{{"model", model}};
-        queue->queueWaitHist = &metrics_->histogram(
-            telemetry::phaseMetricName,
-            {{"model", model},
-             {"phase", telemetry::phaseName(Phase::QueueWait)}});
         // Admit-time queue depth, sampled per request at enqueue:
         // the background-sampler gauge aliases bursts shorter than
         // its interval; this histogram does not.
@@ -270,7 +262,7 @@ BatchingExecutor::submit(const std::string &model, int64_t rows,
         queue->admitDepthHist->record(0.0);
     const std::string track =
         tracer_ ? common::currentThreadName() : std::string();
-    markDispatched(*queue, batch, batch[0].enqueued,
+    markDispatched(batch, batch[0].enqueued,
                    batch[0].enqueuedUs, track);
     execute(*queue, batch,
             queue->target.load(std::memory_order_relaxed), track);
@@ -355,7 +347,7 @@ BatchingExecutor::dispatchLoop(ModelQueue *queue)
 
         // Queue wait ends here, at dispatch, for every query taken
         // (including any execute() then sheds for its deadline).
-        markDispatched(*queue, batch, std::chrono::steady_clock::now(),
+        markDispatched(batch, std::chrono::steady_clock::now(),
                        tracer_ ? telemetry::traceNowUs() : 0, track);
         execute(*queue, batch, target, track);
         std::lock_guard<std::mutex> lock(queue->mutex);
@@ -365,7 +357,7 @@ BatchingExecutor::dispatchLoop(ModelQueue *queue)
 
 void
 BatchingExecutor::markDispatched(
-    ModelQueue &queue, std::vector<Pending> &batch,
+    std::vector<Pending> &batch,
     std::chrono::steady_clock::time_point dispatch,
     int64_t dispatch_us, const std::string &track)
 {
@@ -373,8 +365,6 @@ BatchingExecutor::markDispatched(
         p.queueWaitSeconds =
             std::chrono::duration<double>(dispatch - p.enqueued)
                 .count();
-        if (queue.queueWaitHist)
-            queue.queueWaitHist->record(p.queueWaitSeconds);
         if (!tracer_ || !p.trace.valid() || !p.trace.sampled())
             continue;
         telemetry::TraceEvent e;
@@ -409,10 +399,15 @@ BatchingExecutor::execute(ModelQueue &queue,
                 shedDeadline_.fetch_add(1, std::memory_order_relaxed);
                 if (queue.shedDeadlineCounter)
                     queue.shedDeadlineCounter->inc();
-                batch[i].promise.set_value(
-                    {Status::deadlineExceeded(
-                         "deadline expired before forward pass"),
-                     {}});
+                // The shed query's record still shows the wait
+                // and backlog that cost it its deadline.
+                InferenceResult shed{
+                    Status::deadlineExceeded(
+                        "deadline expired before forward pass"),
+                    {}};
+                shed.admitQueueDepth = batch[i].admitDepth;
+                shed.queueWaitSeconds = batch[i].queueWaitSeconds;
+                batch[i].promise.set_value(std::move(shed));
                 continue;
             }
             if (kept != i)

@@ -95,7 +95,8 @@ struct InferenceResult {
 
     /** Seconds this query waited between enqueue and dispatch
      * (0 for run() and for a query submit() ran inline, which
-     * never queue). */
+     * never queue). Set on a deadline shed too, like
+     * admitQueueDepth. */
     double queueWaitSeconds = 0.0;
 
     /** Seconds of the combined forward pass that served it. */
@@ -121,9 +122,11 @@ class BatchingExecutor
      * @param registry the shared model registry.
      * @param options batching policy.
      * @param metrics optional telemetry destination; when set, the
-     *        executor records per-model queue-wait and forward-pass
-     *        histograms, per-pass batch sizes, and the live queue
-     *        depth. Must outlive the executor.
+     *        executor records per-model forward-pass histograms,
+     *        per-pass batch sizes, admission and sheds, and the live
+     *        queue depth (a query's queue wait is returned in its
+     *        InferenceResult for the caller to record). Must outlive
+     *        the executor.
      */
     BatchingExecutor(const ModelRegistry &registry,
                      const BatchOptions &options,
@@ -341,7 +344,6 @@ class BatchingExecutor
         // Cached telemetry instruments (null when telemetry is
         // off); resolved once at queue creation so the hot path
         // never takes the registry lookup mutex.
-        telemetry::LogHistogram *queueWaitHist = nullptr;
         telemetry::LogHistogram *forwardHist = nullptr;
         telemetry::LogHistogram *batchRowsHist = nullptr;
         telemetry::LogHistogram *admitDepthHist = nullptr;
@@ -363,15 +365,15 @@ class BatchingExecutor
     };
 
     /** Assemble: wait for queued queries and an idle model, pass
-     * the gate, take a batch, record its queue wait; then execute()
+     * the gate, take a batch, mark it dispatched; then execute()
      * it. */
     void dispatchLoop(ModelQueue *queue);
 
     /** End the queue wait of every query in @p batch at
-     * @p dispatch (@p dispatch_us on the tracer timeline): record
-     * each wait, and a queue_wait span on @p track for traced
+     * @p dispatch (@p dispatch_us on the tracer timeline): store
+     * each wait, and emit a queue_wait span on @p track for traced
      * queries. */
-    void markDispatched(ModelQueue &queue, std::vector<Pending> &batch,
+    void markDispatched(std::vector<Pending> &batch,
                         std::chrono::steady_clock::time_point dispatch,
                         int64_t dispatch_us, const std::string &track);
 

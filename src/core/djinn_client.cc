@@ -44,55 +44,42 @@ DjinnClient::connect(const std::string &host, uint16_t port)
         return Status::invalidArgument("bad host address '" + host +
                                        "'");
     }
-    if (connectTimeoutSeconds_ > 0.0) {
-        // Bounded connect: start non-blocking, poll for the
-        // handshake, then restore blocking mode for FrameIo.
-        int flags = ::fcntl(fd, F_GETFL, 0);
-        ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-        int rc = ::connect(fd, reinterpret_cast<sockaddr *>(&addr),
-                           sizeof(addr));
-        if (rc < 0 && errno != EINPROGRESS) {
-            Status s = Status::ioError(std::string("connect: ") +
-                                       std::strerror(errno));
-            ::close(fd);
-            return s;
-        }
-        if (rc < 0) {
-            pollfd pfd{};
-            pfd.fd = fd;
-            pfd.events = POLLOUT;
-            int timeout_ms = static_cast<int>(
+    // Connect non-blocking and poll for the handshake (bounded by
+    // the connect timeout when one is set), then restore blocking
+    // mode for FrameIo.
+    int flags = ::fcntl(fd, F_GETFL, 0);
+    ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
+    int err = 0;
+    if (::connect(fd, reinterpret_cast<sockaddr *>(&addr),
+                  sizeof(addr)) < 0)
+        err = errno;
+    if (err == EINPROGRESS) {
+        pollfd pfd{};
+        pfd.fd = fd;
+        pfd.events = POLLOUT;
+        int timeout_ms = -1;
+        if (connectTimeoutSeconds_ > 0.0)
+            timeout_ms = static_cast<int>(
                 std::ceil(connectTimeoutSeconds_ * 1e3));
-            int ready;
-            do {
-                ready = ::poll(&pfd, 1, timeout_ms);
-            } while (ready < 0 && errno == EINTR);
-            if (ready == 0) {
-                ::close(fd);
-                return Status::deadlineExceeded(
-                    "connect timed out");
-            }
-            int err = 0;
-            socklen_t err_len = sizeof(err);
-            if (ready < 0 ||
-                ::getsockopt(fd, SOL_SOCKET, SO_ERROR, &err,
-                             &err_len) < 0 ||
-                err != 0) {
-                Status s = Status::ioError(
-                    std::string("connect: ") +
-                    std::strerror(err ? err : errno));
-                ::close(fd);
-                return s;
-            }
+        int ready;
+        do {
+            ready = ::poll(&pfd, 1, timeout_ms);
+        } while (ready < 0 && errno == EINTR);
+        if (ready == 0) {
+            ::close(fd);
+            return Status::deadlineExceeded("connect timed out");
         }
-        ::fcntl(fd, F_SETFL, flags);
-    } else if (::connect(fd, reinterpret_cast<sockaddr *>(&addr),
-                         sizeof(addr)) < 0) {
-        Status s = Status::ioError(std::string("connect: ") +
-                                   std::strerror(errno));
-        ::close(fd);
-        return s;
+        socklen_t err_len = sizeof(err);
+        if (ready < 0 ||
+            ::getsockopt(fd, SOL_SOCKET, SO_ERROR, &err, &err_len) < 0)
+            err = errno;
     }
+    if (err != 0) {
+        ::close(fd);
+        return Status::ioError(std::string("connect: ") +
+                               std::strerror(err));
+    }
+    ::fcntl(fd, F_SETFL, flags);
     int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     fd_ = fd;
@@ -135,7 +122,13 @@ DjinnClient::roundTrip(const Request &request, FailureStage *stage)
     auto frame = io.readFrame();
     if (!frame.isOk())
         return frame.status();
-    return decodeResponse(frame.value());
+    auto response = decodeResponse(frame.value());
+    if (!response.isOk())
+        return response.status();
+    Status status = statusOf(response.value());
+    if (!status.isOk())
+        return status;
+    return response;
 }
 
 Result<std::vector<float>>
@@ -205,67 +198,51 @@ DjinnClient::inferOnce(const Request &request, FailureStage *stage)
     }
     if (!response.isOk())
         return response.status();
-    const Response &r = response.value();
-    if (r.status != WireStatus::Ok) {
-        switch (r.status) {
-          case WireStatus::UnknownModel:
-            return Status::notFound(r.message);
-          case WireStatus::BadRequest:
-            return Status::invalidArgument(r.message);
-          case WireStatus::Overloaded:
-            return Status::overloaded(r.message);
-          case WireStatus::DeadlineExceeded:
-            return Status::deadlineExceeded(r.message);
-          default:
-            return Status::internal(r.message);
-        }
-    }
-    return std::vector<float>(r.payload);
+    return std::move(response.value().payload);
+}
+
+Result<std::string>
+DjinnClient::control(RequestType type, const std::string &model)
+{
+    Request request;
+    request.type = type;
+    request.model = model;
+    auto response = roundTrip(request);
+    if (!response.isOk())
+        return response.status();
+    return std::move(response.value().message);
 }
 
 Result<std::vector<std::string>>
 DjinnClient::listModels()
 {
-    Request request;
-    request.type = RequestType::ListModels;
-    auto response = roundTrip(request);
-    if (!response.isOk())
-        return response.status();
-    const Response &r = response.value();
-    if (r.status != WireStatus::Ok)
-        return Status::internal(r.message);
-    if (r.message.empty())
+    auto reply = control(RequestType::ListModels);
+    if (!reply.isOk())
+        return reply.status();
+    if (reply.value().empty())
         return std::vector<std::string>{};
-    return split(r.message, ',');
+    return split(reply.value(), ',');
 }
 
 Result<DjinnClient::ModelInfo>
 DjinnClient::describeModel(const std::string &model)
 {
-    Request request;
-    request.type = RequestType::Describe;
-    request.model = model;
-    auto response = roundTrip(request);
-    if (!response.isOk())
-        return response.status();
-    const Response &r = response.value();
-    if (r.status == WireStatus::UnknownModel)
-        return Status::notFound(r.message);
-    if (r.status != WireStatus::Ok)
-        return Status::internal(r.message);
+    auto reply = control(RequestType::Describe, model);
+    if (!reply.isOk())
+        return reply.status();
     // Parse "input=CxHxW output=N [precision=P]"; the precision
     // field is absent from pre-quantization servers.
     ModelInfo info;
     char precision[16];
     int fields = std::sscanf(
-        r.message.c_str(),
+        reply.value().c_str(),
         "input=%" SCNd64 "x%" SCNd64 "x%" SCNd64
         " output=%" SCNd64 " precision=%15s",
         &info.channels, &info.height, &info.width, &info.outputs,
         precision);
     if (fields < 4) {
         return Status::protocolError("malformed describe reply '" +
-                                     r.message + "'");
+                                     reply.value() + "'");
     }
     if (fields == 5)
         info.precision = precision;
@@ -275,17 +252,11 @@ DjinnClient::describeModel(const std::string &model)
 Result<std::vector<DjinnClient::ModelStats>>
 DjinnClient::serverStats()
 {
-    Request request;
-    request.type = RequestType::Stats;
-    auto response = roundTrip(request);
-    if (!response.isOk())
-        return response.status();
-    if (response.value().status != WireStatus::Ok)
-        return Status::internal(response.value().message);
-
+    auto reply = control(RequestType::Stats);
+    if (!reply.isOk())
+        return reply.status();
     std::vector<ModelStats> out;
-    for (const std::string &line :
-         split(response.value().message, '\n')) {
+    for (const std::string &line : split(reply.value(), '\n')) {
         if (line.empty())
             continue;
         auto fields = split(line, ',');
@@ -314,40 +285,16 @@ DjinnClient::serverStats()
 Result<std::string>
 DjinnClient::metricsExposition(const std::string &format)
 {
-    Request request;
-    request.type = RequestType::Metrics;
-    request.model = format;
-    auto response = roundTrip(request);
-    if (!response.isOk())
-        return response.status();
-    if (response.value().status == WireStatus::BadRequest)
-        return Status::invalidArgument(response.value().message);
-    if (response.value().status != WireStatus::Ok)
-        return Status::internal(response.value().message);
-    return std::string(response.value().message);
-}
-
-Result<std::string>
-DjinnClient::traceJson()
-{
-    return metricsExposition("trace");
-}
-
-Result<std::string>
-DjinnClient::requestsCsv()
-{
-    return metricsExposition("requests");
+    return control(RequestType::Metrics, format);
 }
 
 Status
 DjinnClient::ping()
 {
-    Request request;
-    request.type = RequestType::Ping;
-    auto response = roundTrip(request);
-    if (!response.isOk())
-        return response.status();
-    if (response.value().message != "pong")
+    auto reply = control(RequestType::Ping);
+    if (!reply.isOk())
+        return reply.status();
+    if (reply.value() != "pong")
         return Status::protocolError("unexpected ping reply");
     return Status::ok();
 }

@@ -193,22 +193,31 @@ class DjinnClient
     }
 
     /** Fetch the server's trace ring as Chrome trace-event JSON. */
-    Result<std::string> traceJson();
+    Result<std::string> traceJson() { return metricsExposition("trace"); }
 
     /**
      * Fetch the server's served requests from its flight recorder
      * (trace_id,model,rows,batch_rows,service_ms CSV).
      */
-    Result<std::string> requestsCsv();
+    Result<std::string> requestsCsv()
+    {
+        return metricsExposition("requests");
+    }
 
   private:
     /**
-     * One request/response exchange. On failure @p stage (when
-     * non-null) reports how far the exchange got, for retry
-     * classification.
+     * One request/response exchange. A response with a non-Ok
+     * wire status fails with the matching Status (statusOf). On
+     * failure @p stage (when non-null) reports how far the exchange
+     * got, for retry classification.
      */
     Result<Response> roundTrip(const Request &request,
                                FailureStage *stage = nullptr);
+
+    /** One control-verb exchange: the reply message, or the
+     * failure as roundTrip() maps it. */
+    Result<std::string> control(RequestType type,
+                                const std::string &model = "");
 
     /** One infer attempt; @p stage as for roundTrip(). */
     Result<std::vector<float>> inferOnce(const Request &request,

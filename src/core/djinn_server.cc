@@ -1,14 +1,9 @@
 #include "core/djinn_server.hh"
 
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <cerrno>
 #include <chrono>
-#include <cstring>
-#include <optional>
 
 #include "common/logging.hh"
 #include "common/strings.hh"
@@ -27,11 +22,8 @@ namespace {
 
 // Registry metric families the server maintains (documented in
 // DESIGN.md "Telemetry").
-const char *const requestsTotalName = "djinn_requests_total";
-const char *const rowsTotalName = "djinn_rows_total";
 const char *const errorsTotalName = "djinn_request_errors_total";
 const char *const connectionsTotalName = "djinn_connections_total";
-const char *const acceptErrorsName = "djinn_accept_errors";
 const char *const protocolErrorsName = "djinn_protocol_errors";
 const char *const ioTimeoutsName = "djinn_io_timeouts_total";
 
@@ -70,38 +62,6 @@ protocolErrorReason(const std::string &message)
     return "malformed";
 }
 
-/** Accept() errnos worth retrying: transient resource exhaustion
- * or a connection that died in the backlog. */
-bool
-acceptErrnoTransient(int err)
-{
-    return err == EMFILE || err == ENFILE || err == ENOBUFS ||
-           err == ENOMEM || err == ECONNABORTED || err == EAGAIN ||
-           err == EWOULDBLOCK || err == EPROTO;
-}
-
-/**
- * Wire status for a failed InferenceResult. Admission and deadline
- * sheds keep their own statuses so clients can tell "retry after
- * backoff" (Overloaded — never executed) from a genuine failure.
- */
-WireStatus
-wireStatusOf(StatusCode code)
-{
-    switch (code) {
-      case StatusCode::NotFound:
-        return WireStatus::UnknownModel;
-      case StatusCode::InvalidArgument:
-        return WireStatus::BadRequest;
-      case StatusCode::Overloaded:
-        return WireStatus::Overloaded;
-      case StatusCode::DeadlineExceeded:
-        return WireStatus::DeadlineExceeded;
-      default:
-        return WireStatus::ServerError;
-    }
-}
-
 /** Flight-record outcome for a finished inference response. */
 telemetry::FlightOutcome
 flightOutcomeOf(WireStatus status)
@@ -128,6 +88,12 @@ DjinnServer::DjinnServer(const ModelRegistry &registry,
                       &metrics_),
       batcher_(registry, config.batchOptions, &metrics_)
 {
+    for (const std::string &model : registry_.modelNames()) {
+        requestLogs_.emplace(
+            model, std::make_unique<telemetry::RequestLog>(
+                       metrics_, flightRecorder_, model,
+                       config_.batching, config_.sloTargetSeconds));
+    }
     if (config_.tracing)
         batcher_.setTracer(&tracer_);
     if (config_.adaptiveScheduling && config_.batching) {
@@ -188,7 +154,7 @@ DjinnServer::~DjinnServer()
 Status
 DjinnServer::start()
 {
-    if (running_.load())
+    if (listener_.running())
         return Status::invalidArgument("server already running");
 
     // Size the shared compute pool before the first forward pass;
@@ -253,15 +219,14 @@ DjinnServer::start()
         }
     }
 
-    Status s = listenTcp(config_.bindAddress, config_.port, 128,
-                         listenFd_, port_);
+    Status s = listener_.start(config_.bindAddress, config_.port, 128,
+                               metrics_,
+                               [this](int fd) { acceptConnection(fd); });
     if (!s.isOk())
         return s;
-
-    running_.store(true);
-    acceptor_ = std::thread([this]() { acceptLoop(); });
     inform("DjiNN listening on %s:%u with %zu models",
-           config_.bindAddress.c_str(), port_, registry_.size());
+           config_.bindAddress.c_str(), listener_.port(),
+           registry_.size());
 
     if (config_.tracing && config_.samplerPeriod > 0.0) {
         // The continuous layer rides the sampler: every tick first
@@ -376,31 +341,16 @@ DjinnServer::stop()
         telemetry::Profiler::instance().stop();
         profilerStarted_ = false;
     }
-    if (!running_.exchange(false)) {
-        if (acceptor_.joinable())
-            acceptor_.join();
+    if (!listener_.stop())
         return;
-    }
-    // Shutting the listening socket down unblocks accept(). The fd
-    // is closed only after the acceptor has been joined: closing it
-    // here would let the kernel reuse the number for a connection
-    // socket while accept() may still reference it.
-    if (listenFd_ >= 0)
-        ::shutdown(listenFd_, SHUT_RDWR);
-    if (acceptor_.joinable())
-        acceptor_.join();
-    if (listenFd_ >= 0) {
-        ::close(listenFd_);
-        listenFd_ = -1;
-    }
     // Graceful drain: wait (bounded) for in-flight requests to
     // finish and flush their responses before cutting connections.
-    // Workers observe running_ false and reject any request that
-    // arrives during the drain with an Overloaded response; they
-    // increment inflight_ BEFORE re-checking running_, so a request
-    // whose frame was read just as running_ flipped is either
-    // counted here (and drained) or rejected — never silently
-    // dropped mid-execution.
+    // Workers observe the stopped listener and reject any request
+    // that arrives during the drain with an Overloaded response;
+    // they increment inflight_ BEFORE re-checking it, so a request
+    // whose frame was read just as it stopped is either counted
+    // here (and drained) or rejected — never silently dropped
+    // mid-execution.
     if (config_.drainTimeoutSeconds > 0.0) {
         draining_.store(true);
         auto deadline = std::chrono::steady_clock::now() +
@@ -415,128 +365,66 @@ DjinnServer::stop()
         }
         draining_.store(false);
     }
-    // The acceptor has exited, and it registered every accepted fd
-    // in activeFds_ before spawning the fd's worker (draining late
-    // accepts itself), so this pass is guaranteed to reach every
-    // live connection: no worker can stay parked in read(). Fds in
-    // the set are not yet closed (workers remove theirs under the
-    // same lock before closing).
+    // The acceptor has exited, and it registered every accepted
+    // connection before starting its worker (dropping late accepts
+    // itself), so this pass reaches every live connection: no
+    // worker can stay parked in read(). A worker closes its fd only
+    // under the same lock, so every fd still set here is open.
+    std::list<Connection> connections;
     {
-        std::lock_guard<std::mutex> lock(connMutex_);
-        for (int fd : activeFds_)
-            ::shutdown(fd, SHUT_RDWR);
+        std::lock_guard<std::mutex> lock(connectionsMutex_);
+        for (Connection &conn : connections_) {
+            if (conn.fd >= 0)
+                ::shutdown(conn.fd, SHUT_RDWR);
+        }
+        connections.swap(connections_);
     }
-    std::vector<WorkerSlot> workers;
-    {
-        std::lock_guard<std::mutex> lock(workersMutex_);
-        workers.swap(workers_);
-    }
-    for (auto &w : workers) {
-        if (w.thread.joinable())
-            w.thread.join();
-    }
+    for (Connection &conn : connections)
+        conn.thread.join();
 }
 
 size_t
 DjinnServer::workerCount() const
 {
-    std::lock_guard<std::mutex> lock(workersMutex_);
-    return workers_.size();
+    std::lock_guard<std::mutex> lock(connectionsMutex_);
+    return connections_.size();
 }
 
 void
-DjinnServer::reapWorkersLocked()
+DjinnServer::acceptConnection(int fd)
 {
-    size_t kept = 0;
-    for (size_t i = 0; i < workers_.size(); ++i) {
-        if (workers_[i].done->load(std::memory_order_acquire)) {
-            // The done flag is the worker's last act, so the join
-            // below finds a finished thread and returns at once.
-            workers_[i].thread.join();
-            continue;
-        }
-        if (kept != i)
-            workers_[kept] = std::move(workers_[i]);
-        ++kept;
-    }
-    workers_.resize(kept);
+    accepted_.fetch_add(1, std::memory_order_relaxed);
+    metrics_.counter(connectionsTotalName).inc();
+    std::lock_guard<std::mutex> lock(connectionsMutex_);
+    // Reap finished workers before adding one: the list stays
+    // proportional to live connections instead of growing by one
+    // joinable-but-dead thread per connection ever accepted
+    // (unbounded under connection churn). A worker's last act is
+    // closing its fd under this lock, so the join returns at once.
+    connections_.remove_if([](Connection &conn) {
+        if (conn.fd >= 0)
+            return false;
+        conn.thread.join();
+        return true;
+    });
+    // Registered before the worker runs, so a concurrent stop()
+    // always finds it.
+    Connection &conn = connections_.emplace_back();
+    conn.fd = fd;
+    conn.thread = std::thread([this, &conn]() { serveConnection(conn); });
 }
 
 void
-DjinnServer::acceptLoop()
+DjinnServer::serveConnection(Connection &conn)
 {
-    while (running_.load()) {
-        int fd = ::accept(listenFd_, nullptr, nullptr);
-        if (fd < 0) {
-            if (errno == EINTR)
-                continue;
-            if (!running_.load())
-                break; // Listening socket shut down by stop().
-            // A transient accept failure (fd exhaustion, a
-            // connection that died in the backlog, memory
-            // pressure) must not kill the acceptor: the pending
-            // backlog would strand and the server would serve
-            // nothing ever again while appearing healthy. Count
-            // it, back off briefly so a full fd table isn't a
-            // busy-loop, and keep accepting.
-            int err = errno;
-            metrics_.counter(acceptErrorsName).inc();
-            if (acceptErrnoTransient(err)) {
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(10));
-                continue;
-            }
-            inform("accept: %s; acceptor exiting",
-                   std::strerror(err));
-            break;
-        }
-        if (!running_.load()) {
-            // Accepted in the window between stop() flipping
-            // running_ and the listen-socket shutdown taking
-            // effect: drain it here instead of leaking a
-            // connection thread.
-            ::shutdown(fd, SHUT_RDWR);
-            ::close(fd);
-            continue;
-        }
-        int one = 1;
-        ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-        accepted_.fetch_add(1, std::memory_order_relaxed);
-        metrics_.counter(connectionsTotalName).inc();
-        // Register the fd before the worker exists so a concurrent
-        // stop() always finds it in activeFds_.
-        {
-            std::lock_guard<std::mutex> lock(connMutex_);
-            activeFds_.insert(fd);
-        }
-        std::lock_guard<std::mutex> lock(workersMutex_);
-        // Reap finished workers before adding one: the registry
-        // stays proportional to live connections instead of
-        // growing by one joinable-but-dead thread per connection
-        // ever accepted (unbounded under connection churn).
-        reapWorkersLocked();
-        auto done = std::make_shared<std::atomic<bool>>(false);
-        WorkerSlot slot;
-        slot.done = done;
-        slot.thread = std::thread([this, fd, done]() {
-            serveConnection(fd);
-            done->store(true, std::memory_order_release);
-        });
-        workers_.push_back(std::move(slot));
-    }
-}
-
-void
-DjinnServer::serveConnection(int fd)
-{
-    using Clock = std::chrono::steady_clock;
+    const int fd = conn.fd;
     common::setCurrentThreadName(
         strprintf("worker-%d", fd).c_str());
     FrameIo io(fd);
     if (config_.ioTimeoutSeconds > 0.0)
         io.setTimeout(config_.ioTimeoutSeconds);
     io.setFaults(faultMask_);
-    while (running_.load()) {
+    while (listener_.running()) {
         auto frame = io.readFrame();
         if (!frame.isOk()) {
             // Classify before dropping the connection: a stalled
@@ -558,24 +446,14 @@ DjinnServer::serveConnection(int fd)
             break;
         }
 
-        // Anchor the request's deadline budget at frame arrival,
-        // before decode: queueing and decode time spend from the
-        // same budget the client measures against.
-        auto arrival = Clock::now();
-
-        // Frame-ingest time (first byte to complete frame): a
-        // trickling peer inflates this and nothing else, so the
-        // flight recorder can finger it as a tail contributor.
-        double read_seconds = io.lastReadSeconds();
-
         // Drain/shutdown admission: count the request in-flight
-        // BEFORE re-checking running_. stop() flips running_ and
+        // BEFORE re-checking the listener. stop() stops it and
         // then waits for inflight_ to reach zero, so a frame read
         // concurrently with stop() is either rejected here with
         // Overloaded (safe for the client to retry elsewhere) or
         // drained to a full response — never abandoned mid-way.
         inflight_.fetch_add(1, std::memory_order_acq_rel);
-        if (!running_.load()) {
+        if (!listener_.running()) {
             Response rejected;
             rejected.status = WireStatus::Overloaded;
             rejected.message = "server draining";
@@ -591,67 +469,45 @@ DjinnServer::serveConnection(int fd)
 
         // The request span for cycle accounting runs from here
         // (frame in hand, before decode) to just after encode; the
-        // per-phase deltas below are its constituents.
+        // per-phase deltas below are its constituents. Its start
+        // also anchors the deadline budget, so queueing and decode
+        // spend from the same budget the client measures against.
         auto request_begin = telemetry::threadCounterSet().snapshot();
 
         int64_t request_us =
             config_.tracing ? telemetry::traceNowUs() : 0;
-        auto decode_start = Clock::now();
+        telemetry::FlightRecord record;
+        telemetry::RequestWork work;
+        // Frame-ingest time (first byte to complete frame): a
+        // trickling peer inflates this and nothing else, so the
+        // flight recorder can finger it as a tail contributor.
+        record.readSeconds = io.lastReadSeconds();
+        // Each phase's seconds are its counter scope's wall span.
         telemetry::CounterScope decode_scope;
         auto request = decodeRequest(frame.value());
-        const telemetry::CounterDelta &decode_delta =
-            decode_scope.stop();
-        double decode_seconds = std::chrono::duration<double>(
-            Clock::now() - decode_start).count();
+        work.decode = decode_scope.stop();
+        record.decodeSeconds = work.decode.wallNs * 1e-9;
 
-        // Phase tracing covers inference requests; control verbs
+        // Inference requests are recorded; control verbs
         // (ping/list/stats/...) are not load and would only add
         // label noise.
-        std::optional<telemetry::RequestTrace> trace;
+        std::unique_ptr<telemetry::RequestLog> stray;
+        telemetry::RequestLog *log = nullptr;
         if (request.isOk() &&
             request.value().type == RequestType::Inference) {
-            const std::string &model = request.value().model;
-            if (ModelInstruments *instruments =
-                    modelInstruments(model))
-                trace.emplace(instruments->phases);
-            else
-                trace.emplace(metrics_, model);
-            trace->record(telemetry::Phase::Decode, decode_seconds);
-            trace->recordWork(telemetry::Phase::Decode,
-                              decode_delta);
+            log = &requestLog(request.value().model, stray);
+            log->begin();
         }
 
-        // Wire-propagated trace context: sampled inference requests
-        // get a server-side span tree on this worker's track.
-        std::optional<WireSpan> wire_span;
-        auto server_span = [&](std::string name, int64_t start_us,
-                               int64_t end_us) {
-            telemetry::TraceEvent e;
-            e.name = std::move(name);
-            e.category = "server";
-            e.track = wire_span->track;
-            e.traceId = wire_span->trace.traceId;
-            e.spanId = tracer_.nextSpanId();
-            e.parentSpanId = wire_span->serverSpan;
-            e.startUs = start_us;
-            e.durationUs = end_us - start_us;
-            return e;
-        };
-        if (config_.tracing && trace &&
-            request.value().trace.valid() &&
-            request.value().trace.sampled()) {
-            wire_span.emplace();
-            wire_span->trace = request.value().trace;
-            wire_span->serverSpan = tracer_.nextSpanId();
-            wire_span->track = strprintf("worker-%d", fd);
-            tracer_.record(server_span(
-                "decode", request_us,
-                request_us +
-                    static_cast<int64_t>(decode_seconds * 1e6)));
-        }
+        // Wire-propagated trace context: a sampled inference
+        // request gets a server-side span tree on this worker's
+        // track, which the executor's batch spans hang off.
+        uint64_t server_span = 0;
+        if (config_.tracing && log && request.value().trace.valid() &&
+            request.value().trace.sampled())
+            server_span = tracer_.nextSpanId();
 
         Response response;
-        telemetry::FlightRecord flight;
         if (!request.isOk()) {
             response.status = WireStatus::BadRequest;
             response.message = request.status().toString();
@@ -660,18 +516,18 @@ DjinnServer::serveConnection(int fd)
                          {{"reason", protocolErrorReason(
                                request.status().message())}})
                 .inc();
-        } else {
-            // A zero budget means no deadline; otherwise the
-            // relative budget is anchored at frame arrival.
+        } else if (log) {
+            // A zero budget means no deadline.
             auto deadline = BatchingExecutor::noDeadline();
             if (request.value().deadlineMs > 0) {
-                deadline = arrival + std::chrono::milliseconds(
-                                         request.value().deadlineMs);
+                deadline = request_begin.wall +
+                           std::chrono::milliseconds(
+                               request.value().deadlineMs);
             }
-            response = handleRequest(
-                request.value(), trace ? &*trace : nullptr,
-                wire_span ? &*wire_span : nullptr, deadline,
-                trace ? &flight : nullptr);
+            response = handleInference(request.value(), server_span,
+                                       deadline, record, work);
+        } else {
+            response = handleRequest(request.value());
         }
         if (response.status != WireStatus::Ok) {
             metrics_
@@ -680,64 +536,50 @@ DjinnServer::serveConnection(int fd)
                 .inc();
         }
 
-        int64_t encode_us = wire_span ? telemetry::traceNowUs() : 0;
-        auto encode_start = Clock::now();
-        std::optional<telemetry::CounterScope> encode_scope;
-        if (trace)
-            encode_scope.emplace();
+        int64_t encode_us = server_span ? telemetry::traceNowUs() : 0;
+        telemetry::CounterScope encode_scope;
         std::vector<uint8_t> wire = encodeResponse(response);
-        double encode_seconds = std::chrono::duration<double>(
-            Clock::now() - encode_start).count();
-        if (trace) {
-            trace->record(telemetry::Phase::Encode, encode_seconds);
-            trace->recordWork(telemetry::Phase::Encode,
-                              encode_scope->stop());
-            telemetry::CounterDelta request_delta =
-                telemetry::CounterSet::delta(
-                    request_begin,
-                    telemetry::threadCounterSet().snapshot());
-            trace->recordRequestWork(request_delta);
-
-            // Complete and publish the flight record: the phases
-            // handleInference could not see (frame read, decode,
-            // encode), the end-to-end total, the outcome, and the
-            // whole-request perf-counter deltas. The exemplar on
-            // djinn_request_seconds points the record's bucket at
-            // this concrete request.
-            flight.traceId = request.value().trace.traceId;
-            flight.timestampUs = telemetry::traceNowUs();
-            flight.readSeconds = read_seconds;
-            flight.decodeSeconds = decode_seconds;
-            flight.encodeSeconds = encode_seconds;
-            flight.totalSeconds =
-                read_seconds + std::chrono::duration<double>(
-                                   Clock::now() - arrival)
-                                   .count();
-            flight.outcome = flightOutcomeOf(response.status);
-            flight.hardware = request_delta.hardware;
-            flight.cycles = request_delta.cycles;
-            flight.instructions = request_delta.instructions;
-            flight.cacheMisses = request_delta.cacheMisses;
-            uint64_t record_ref = flightRecorder_.record(flight);
-
-            telemetry::HistogramOptions request_opts;
-            request_opts.exemplars = true;
-            metrics_
-                .histogram(telemetry::requestSecondsMetricName,
-                           {{"model", request.value().model}},
-                           request_opts)
-                .record(flight.totalSeconds, flight.traceId,
-                        record_ref);
+        work.encode = encode_scope.stop();
+        record.encodeSeconds = work.encode.wallNs * 1e-9;
+        if (log) {
+            // Complete the record with what handleInference could
+            // not see (the end-to-end total, the outcome) and write
+            // the request once, before its response frame.
+            work.request = telemetry::CounterSet::delta(
+                request_begin, telemetry::threadCounterSet().snapshot());
+            record.traceId = request.value().trace.traceId;
+            record.timestampUs = telemetry::traceNowUs();
+            record.totalSeconds =
+                record.readSeconds + work.request.wallNs * 1e-9;
+            record.outcome = flightOutcomeOf(response.status);
+            log->finish(record, work);
         }
-        if (wire_span) {
+        if (server_span) {
+            const telemetry::TraceContext &trace = request.value().trace;
+            auto span = [&](std::string name, int64_t start_us,
+                            int64_t end_us) {
+                telemetry::TraceEvent e;
+                e.name = std::move(name);
+                e.category = "server";
+                e.track = strprintf("worker-%d", fd);
+                e.traceId = trace.traceId;
+                e.spanId = tracer_.nextSpanId();
+                e.parentSpanId = server_span;
+                e.startUs = start_us;
+                e.durationUs = end_us - start_us;
+                return e;
+            };
             int64_t done_us = telemetry::traceNowUs();
-            tracer_.record(server_span("encode", encode_us, done_us));
-
-            telemetry::TraceEvent req = server_span(
+            tracer_.record(span(
+                "decode", request_us,
+                request_us + static_cast<int64_t>(
+                                 record.decodeSeconds * 1e6)));
+            tracer_.record(span("encode", encode_us, done_us));
+            telemetry::TraceEvent req = span(
                 "request " + request.value().model, request_us,
                 done_us);
-            req.spanId = wire_span->serverSpan;
-            req.parentSpanId = wire_span->trace.spanId;
+            req.spanId = server_span;
+            req.parentSpanId = trace.spanId;
             req.args.emplace_back("model", request.value().model);
             req.args.emplace_back(
                 "rows", strprintf("%u", request.value().rows));
@@ -755,20 +597,13 @@ DjinnServer::serveConnection(int fd)
             break;
         }
     }
-    {
-        std::lock_guard<std::mutex> lock(connMutex_);
-        activeFds_.erase(fd);
-        ::close(fd);
-    }
+    std::lock_guard<std::mutex> lock(connectionsMutex_);
+    ::close(fd);
+    conn.fd = -1;
 }
 
 Response
-DjinnServer::handleRequest(Request &request,
-                           telemetry::RequestTrace *trace,
-                           const WireSpan *wire,
-                           std::chrono::steady_clock::time_point
-                               deadline,
-                           telemetry::FlightRecord *flight)
+DjinnServer::handleRequest(const Request &request)
 {
     Response response;
     switch (request.type) {
@@ -820,30 +655,26 @@ DjinnServer::handleRequest(Request &request,
         // The model field names the debug view ("verb:arg:...").
         return debugRoutes().wire(request.model);
       case RequestType::Inference:
-        return handleInference(request, trace, wire, deadline,
-                               flight);
+        break; // served by handleInference
     }
     response.status = WireStatus::BadRequest;
     response.message = "unknown request type";
     return response;
 }
 
-DjinnServer::ModelInstruments *
-DjinnServer::modelInstruments(const std::string &model)
+telemetry::RequestLog &
+DjinnServer::requestLog(const std::string &model,
+                        std::unique_ptr<telemetry::RequestLog> &stray)
 {
-    std::lock_guard<std::mutex> lock(instrumentsMutex_);
-    auto it = instruments_.find(model);
-    if (it != instruments_.end())
-        return it->second.get();
-    // Only registered models get an entry, so clients naming
-    // arbitrary models cannot grow the map.
-    if (!registry_.find(model))
-        return nullptr;
-    auto instruments =
-        std::make_unique<ModelInstruments>(metrics_, model);
-    ModelInstruments *raw = instruments.get();
-    instruments_.emplace(model, std::move(instruments));
-    return raw;
+    auto it = requestLogs_.find(model);
+    if (it != requestLogs_.end())
+        return *it->second;
+    // A name the registry did not hold at construction: its
+    // instruments are looked up for this one request.
+    stray = std::make_unique<telemetry::RequestLog>(
+        metrics_, flightRecorder_, model, config_.batching,
+        config_.sloTargetSeconds);
+    return *stray;
 }
 
 DebugRoutes
@@ -863,7 +694,7 @@ DjinnServer::requestsServed() const
 {
     uint64_t total = 0;
     for (const telemetry::MetricSample &sample : metrics_.snapshot()) {
-        if (sample.name == requestsTotalName)
+        if (sample.name == telemetry::requestsTotalMetricName)
             total += static_cast<uint64_t>(sample.value);
     }
     return total;
@@ -881,10 +712,10 @@ DjinnServer::stats() const
         if (model_it == sample.labels.end())
             continue;
         const std::string &model = model_it->second;
-        if (sample.name == requestsTotalName) {
+        if (sample.name == telemetry::requestsTotalMetricName) {
             by_model[model].requests =
                 static_cast<uint64_t>(sample.value);
-        } else if (sample.name == rowsTotalName) {
+        } else if (sample.name == telemetry::rowsTotalMetricName) {
             by_model[model].rows =
                 static_cast<uint64_t>(sample.value);
         } else if (sample.name == telemetry::phaseMetricName) {
@@ -914,18 +745,13 @@ DjinnServer::stats() const
 }
 
 Response
-DjinnServer::handleInference(Request &request,
-                             telemetry::RequestTrace *trace,
-                             const WireSpan *wire,
-                             std::chrono::steady_clock::time_point
-                                 deadline,
-                             telemetry::FlightRecord *flight)
+DjinnServer::handleInference(Request &request, uint64_t server_span,
+                             BatchingExecutor::Deadline deadline,
+                             telemetry::FlightRecord &record,
+                             telemetry::RequestWork &work)
 {
     Response response;
-    if (flight) {
-        flight->setModel(request.model);
-        flight->rows = request.rows;
-    }
+    record.rows = static_cast<int32_t>(request.rows);
     // The executor checks the model and the payload shape; only
     // the per-request row cap is the server's own policy.
     int64_t rows = request.rows;
@@ -939,104 +765,45 @@ DjinnServer::handleInference(Request &request,
     }
 
     auto start = std::chrono::steady_clock::now();
-    const telemetry::TraceContext trace_ctx =
-        wire ? wire->trace : telemetry::TraceContext{};
-    const uint64_t parent_span = wire ? wire->serverSpan : 0;
     InferenceResult result;
     if (config_.batching) {
-        // The executor records the queue-wait and (per-pass)
-        // forward phases itself, and emits the batch and per-layer
-        // spans for traced requests. A query for an idle model runs
-        // inside submit() on this thread; otherwise it waits for
-        // the dispatcher. Cycle accounting: the pass's forward
-        // cycles are recorded per batch by the thread that ran it,
-        // and the worker's blocked span (after submit, to
-        // resolution) is this request's queue_wait work — near zero
-        // cycles while parked, honestly reflecting that waiting
-        // burns no CPU.
+        // The executor records the (per-pass) forward phase itself,
+        // and emits the batch and per-layer spans for traced
+        // requests. A query for an idle model runs inside submit()
+        // on this thread; otherwise it waits for the dispatcher.
+        // Cycle accounting: the pass's forward cycles are recorded
+        // per batch by the thread that ran it, and the worker's
+        // blocked span (after submit, to resolution) is this
+        // request's queue_wait work — near zero cycles while
+        // parked, honestly reflecting that waiting burns no CPU.
         if (scheduler_)
             scheduler_->observeArrival(request.model, 1);
         std::future<InferenceResult> pending =
             batcher_.submit(request.model, rows,
-                            std::move(request.payload), trace_ctx,
-                            parent_span, deadline);
+                            std::move(request.payload), request.trace,
+                            server_span, deadline);
         telemetry::CounterScope wait_scope;
         result = pending.get();
-        if (trace) {
-            trace->recordWork(telemetry::Phase::QueueWait,
-                              wait_scope.stop());
-        }
+        work.queueWait = wait_scope.stop();
     } else {
         // A batch of one on this worker thread: the same execute
         // step, with no queue and no dispatcher hop.
         result = batcher_.run(request.model, rows,
-                              std::move(request.payload), trace_ctx,
-                              parent_span, deadline);
+                              std::move(request.payload),
+                              request.trace, server_span, deadline);
     }
-    if (flight) {
-        flight->queueWaitSeconds = result.queueWaitSeconds;
-        flight->forwardSeconds = result.forwardSeconds;
-        flight->batchQueries =
-            static_cast<int32_t>(result.batchQueries);
-        flight->batchRows = static_cast<int32_t>(result.batchRows);
-        flight->batchPosition =
-            static_cast<int32_t>(result.batchPosition);
-        flight->admitQueueDepth =
-            static_cast<int32_t>(result.admitQueueDepth);
-    }
-    if (!result.status.isOk()) {
-        response.status = wireStatusOf(result.status.code());
-        response.message = result.status.message();
-        return response;
-    }
-    response.payload = std::move(result.output);
-    double seconds = std::chrono::duration<double>(
+    record.serviceSeconds = std::chrono::duration<double>(
         std::chrono::steady_clock::now() - start).count();
-    if (trace)
-        trace->record(telemetry::Phase::Service, seconds);
-    const telemetry::LabelMap model_label{{"model", request.model}};
-    ModelInstruments *instruments = modelInstruments(request.model);
-    // A slot caches its counter; a model unloaded since the forward
-    // has no instruments and looks the counter up.
-    auto counter = [&](std::atomic<telemetry::Counter *>
-                           ModelInstruments::*slot,
-                       const char *name) -> telemetry::Counter & {
-        if (!instruments)
-            return metrics_.counter(name, model_label);
-        std::atomic<telemetry::Counter *> &cached =
-            instruments->*slot;
-        telemetry::Counter *c = cached.load(std::memory_order_acquire);
-        if (!c) {
-            c = &metrics_.counter(name, model_label);
-            cached.store(c, std::memory_order_release);
-        }
-        return *c;
-    };
-    telemetry::Counter &requests =
-        counter(&ModelInstruments::requests, requestsTotalName);
-    if (config_.sloTargetSeconds > 0.0) {
-        if (requests.value() == 0) {
-            // The model's first success registers its whole SLO
-            // family, so the exposition shows both counters, the
-            // target, and a 0 burn rate until the sampler's first
-            // reading.
-            metrics_.counter(telemetry::sloGoodMetricName, model_label);
-            metrics_.counter(telemetry::sloBadMetricName, model_label);
-            metrics_.gauge(telemetry::sloTargetMetricName, model_label)
-                .set(config_.sloTargetSeconds);
-            metrics_.gauge(telemetry::sloBurnRateMetricName,
-                           model_label);
-        }
-        const bool good = seconds <= config_.sloTargetSeconds;
-        (good ? counter(&ModelInstruments::sloGood,
-                        telemetry::sloGoodMetricName)
-              : counter(&ModelInstruments::sloBad,
-                        telemetry::sloBadMetricName))
-            .inc();
-    }
-    requests.inc();
-    counter(&ModelInstruments::rows, rowsTotalName)
-        .inc(static_cast<uint64_t>(rows));
+    record.queueWaitSeconds = result.queueWaitSeconds;
+    record.forwardSeconds = result.forwardSeconds;
+    record.batchQueries = static_cast<int32_t>(result.batchQueries);
+    record.batchRows = static_cast<int32_t>(result.batchRows);
+    record.batchPosition = static_cast<int32_t>(result.batchPosition);
+    record.admitQueueDepth =
+        static_cast<int32_t>(result.admitQueueDepth);
+    response.status = wireStatusOf(result.status.code());
+    response.message = result.status.message();
+    response.payload = std::move(result.output);
     return response;
 }
 

@@ -13,9 +13,9 @@
 
 #include <atomic>
 #include <cstdint>
+#include <list>
 #include <map>
 #include <memory>
-#include <set>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -230,10 +230,10 @@ class DjinnServer
     void stop();
 
     /** The bound TCP port (valid after start()). */
-    uint16_t port() const { return port_; }
+    uint16_t port() const { return listener_.port(); }
 
     /** True while the server is accepting connections. */
-    bool running() const { return running_.load(); }
+    bool running() const { return listener_.running(); }
 
     /** Total inference requests served: the sum of the
      * `djinn_requests_total` counters. */
@@ -243,7 +243,7 @@ class DjinnServer
     uint64_t connectionsAccepted() const { return accepted_.load(); }
 
     /**
-     * Live worker-thread registry size: connections being served
+     * Live connection registry size: connections being served
      * plus finished workers not yet reaped (the acceptor reaps on
      * every accept, so this stays bounded under connection churn
      * instead of growing by one thread per connection ever
@@ -357,71 +357,54 @@ class DjinnServer
     }
 
   private:
-    /** Identity of one traced request's server-side span. */
-    struct WireSpan {
-        telemetry::TraceContext trace;
-        uint64_t serverSpan = 0;
-        std::string track;
+    /** One accepted connection and its worker thread. */
+    struct Connection {
+        /** Open until the worker's last act closes it (under
+         * connectionsMutex_) and sets -1. */
+        int fd = -1;
+        std::thread thread;
     };
 
-    void acceptLoop();
-    void serveConnection(int fd);
-
-    /** Join workers whose connections have finished; caller holds
-     * workersMutex_. */
-    void reapWorkersLocked();
+    /** Take over one accepted connection: reap finished workers,
+     * register it, and start its worker. Runs on the listener's
+     * acceptor. */
+    void acceptConnection(int fd);
+    void serveConnection(Connection &conn);
 
     /** The debug-route table over this server's current sources
      * (the store and monitor are rebuilt by every start()). */
     DebugRoutes debugRoutes();
 
+    /** @p model's request log: the one built for a registered
+     * model, else a fresh one left in @p stray for the caller to
+     * own for one request. */
+    telemetry::RequestLog &requestLog(
+        const std::string &model,
+        std::unique_ptr<telemetry::RequestLog> &stray);
+
+    /** Serve one decoded control verb (any type but Inference). */
+    Response handleRequest(const Request &request);
+
     /**
-     * One served model's request-path instruments, so a request
-     * does no registry lookup (see telemetry::PhaseInstruments):
-     * the phase histograms behind its RequestTraces, and the
-     * per-success counters, resolved at the model's first success
-     * (when their families are first exported).
+     * Serve one inference request, filling in @p record the
+     * phases, batch context and service span the executor
+     * reports, and in @p work the worker's blocked span on the
+     * batching queue. The payload is moved into the executor;
+     * @p server_span (0 untraced) parents its batch spans.
      */
-    struct ModelInstruments {
-        ModelInstruments(telemetry::MetricRegistry &metrics,
-                         const std::string &model)
-            : phases(metrics, model)
-        {}
-
-        telemetry::PhaseInstruments phases;
-        std::atomic<telemetry::Counter *> requests{nullptr};
-        std::atomic<telemetry::Counter *> rows{nullptr};
-        std::atomic<telemetry::Counter *> sloGood{nullptr};
-        std::atomic<telemetry::Counter *> sloBad{nullptr};
-    };
-
-    /** @p model's instruments, created on its first request and
-     * never erased; null for a name the model registry does not
-     * hold. */
-    ModelInstruments *modelInstruments(const std::string &model);
-
-    /** Serve one decoded request. An inference request's payload
-     * is moved into the executor (the caller keeps the rest). */
-    Response handleRequest(Request &request,
-                           telemetry::RequestTrace *trace,
-                           const WireSpan *wire,
-                           std::chrono::steady_clock::time_point
-                               deadline,
-                           telemetry::FlightRecord *flight);
-    Response handleInference(Request &request,
-                             telemetry::RequestTrace *trace,
-                             const WireSpan *wire,
-                             std::chrono::steady_clock::time_point
-                                 deadline,
-                             telemetry::FlightRecord *flight);
+    Response handleInference(Request &request, uint64_t server_span,
+                             BatchingExecutor::Deadline deadline,
+                             telemetry::FlightRecord &record,
+                             telemetry::RequestWork &work);
 
     const ModelRegistry &registry_;
     ServerConfig config_;
     telemetry::MetricRegistry metrics_;
 
-    std::mutex instrumentsMutex_;
-    std::map<std::string, std::unique_ptr<ModelInstruments>>
-        instruments_;
+    /** One request log per model registered at construction;
+     * never modified after, so workers read it without a lock. */
+    std::map<std::string, std::unique_ptr<telemetry::RequestLog>>
+        requestLogs_;
 
     telemetry::Tracer tracer_;
     telemetry::FlightRecorder flightRecorder_;
@@ -439,30 +422,19 @@ class DjinnServer
     /** Parsed ServerConfig::faultSpec (core/fault.hh bitmask). */
     uint32_t faultMask_ = 0;
 
-    int listenFd_ = -1;
-    uint16_t port_ = 0;
-    std::atomic<bool> running_{false};
+    /** Its running state is the server's: workers serve while it
+     * accepts. */
+    TcpListener listener_;
     std::atomic<bool> draining_{false};
     std::atomic<int64_t> inflight_{0};
-    std::thread acceptor_;
 
-    /** One entry per live (or not-yet-reaped) connection worker.
-     * The done flag is the worker's last store before exit, so a
-     * joiner observing it true joins a finished thread. */
-    struct WorkerSlot {
-        std::thread thread;
-        std::shared_ptr<std::atomic<bool>> done;
-    };
-    mutable std::mutex workersMutex_;
-    std::vector<WorkerSlot> workers_;
-    std::atomic<uint64_t> accepted_{0};
-
-    // Live connection sockets. The acceptor registers every
-    // accepted fd here *before* spawning its worker, so stop() can
+    // Live (and not yet reaped) connections. acceptConnection()
+    // registers each one *before* its worker runs, so stop() can
     // always shut the socket down: no fd is ever in flight but
-    // untracked. Workers deregister and close their fd on exit.
-    std::mutex connMutex_;
-    std::set<int> activeFds_;
+    // untracked. A list, so a worker's Connection stays put.
+    mutable std::mutex connectionsMutex_;
+    std::list<Connection> connections_;
+    std::atomic<uint64_t> accepted_{0};
 };
 
 } // namespace core

@@ -1,7 +1,5 @@
 #include "core/http_endpoint.hh"
 
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -53,84 +51,23 @@ HttpEndpoint::HttpEndpoint(const DebugRoutes &routes)
     : routes_(routes)
 {}
 
-HttpEndpoint::~HttpEndpoint()
-{
-    stop();
-}
-
 Status
 HttpEndpoint::start(const std::string &bind_address, uint16_t port)
 {
-    if (running_.load())
-        return Status::invalidArgument("endpoint already running");
-
-    Status s = listenTcp(bind_address, port, 16, listenFd_, port_);
-    if (!s.isOk())
-        return s;
-
-    running_.store(true);
-    acceptor_ = std::thread([this]() { acceptLoop(); });
-    inform("HTTP scrape endpoint on %s:%u", bind_address.c_str(),
-           port_);
-    return Status::ok();
-}
-
-void
-HttpEndpoint::stop()
-{
-    if (!running_.exchange(false)) {
-        if (acceptor_.joinable())
-            acceptor_.join();
-        return;
-    }
-    if (listenFd_ >= 0)
-        ::shutdown(listenFd_, SHUT_RDWR);
-    if (acceptor_.joinable())
-        acceptor_.join();
-    if (listenFd_ >= 0) {
-        ::close(listenFd_);
-        listenFd_ = -1;
-    }
-}
-
-void
-HttpEndpoint::acceptLoop()
-{
-    while (running_.load()) {
-        int fd = ::accept(listenFd_, nullptr, nullptr);
-        if (fd < 0) {
-            if (errno == EINTR)
-                continue;
-            break; // Listening socket shut down by stop().
-        }
-        if (!running_.load()) {
+    // Scrapes are short and rare; serve them serially on the
+    // acceptor so there is no connection-thread bookkeeping.
+    Status s = listener_.start(
+        bind_address, port, 16, *routes_.sources().metrics,
+        [this](int fd) {
+            serveConnection(fd);
             ::shutdown(fd, SHUT_RDWR);
             ::close(fd);
-            continue;
-        }
-        int one = 1;
-        ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one,
-                     sizeof(one));
-        // The endpoint is single-threaded, so a scraper that
-        // trickles or stalls its request would block every later
-        // scrape (slowloris). Kernel socket timeouts bound each
-        // read and write; serveConnection answers expiry with 408.
-        if (ioTimeoutSeconds_ > 0.0) {
-            timeval tv{};
-            tv.tv_sec = static_cast<time_t>(ioTimeoutSeconds_);
-            tv.tv_usec = static_cast<suseconds_t>(
-                std::lround((ioTimeoutSeconds_ - tv.tv_sec) * 1e6));
-            ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv,
-                         sizeof(tv));
-            ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv,
-                         sizeof(tv));
-        }
-        // Scrapes are short and rare; serve them serially so there
-        // is no connection-thread bookkeeping.
-        serveConnection(fd);
-        ::shutdown(fd, SHUT_RDWR);
-        ::close(fd);
-    }
+        });
+    if (!s.isOk())
+        return s;
+    inform("HTTP scrape endpoint on %s:%u", bind_address.c_str(),
+           listener_.port());
+    return Status::ok();
 }
 
 int
@@ -147,6 +84,19 @@ HttpEndpoint::handle(const std::string &target,
 void
 HttpEndpoint::serveConnection(int fd)
 {
+    // The endpoint is single-threaded, so a scraper that trickles
+    // or stalls its request would block every later scrape
+    // (slowloris). Kernel socket timeouts bound each read and
+    // write; expiry is answered with 408.
+    if (ioTimeoutSeconds_ > 0.0) {
+        timeval tv{};
+        tv.tv_sec = static_cast<time_t>(ioTimeoutSeconds_);
+        tv.tv_usec = static_cast<suseconds_t>(
+            std::lround((ioTimeoutSeconds_ - tv.tv_sec) * 1e6));
+        ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+        ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
+    }
+
     // Read until the end of the request head; scrape requests have
     // no body.
     bool timed_out = false;

@@ -16,13 +16,12 @@
 #ifndef DJINN_CORE_HTTP_ENDPOINT_HH
 #define DJINN_CORE_HTTP_ENDPOINT_HH
 
-#include <atomic>
 #include <cstdint>
 #include <string>
-#include <thread>
 
 #include "common/status.hh"
 #include "core/debug_routes.hh"
+#include "core/protocol.hh"
 
 namespace djinn {
 namespace core {
@@ -39,9 +38,6 @@ class HttpEndpoint
      */
     explicit HttpEndpoint(const DebugRoutes &routes);
 
-    /** Stops the endpoint if still running. */
-    ~HttpEndpoint();
-
     HttpEndpoint(const HttpEndpoint &) = delete;
     HttpEndpoint &operator=(const HttpEndpoint &) = delete;
 
@@ -53,14 +49,15 @@ class HttpEndpoint
      */
     Status start(const std::string &bind_address, uint16_t port);
 
-    /** Stop serving and join the acceptor thread. */
-    void stop();
+    /** Stop serving and join the acceptor thread. Idempotent;
+     * destruction stops too. */
+    void stop() { listener_.stop(); }
 
     /** The bound TCP port (valid after start()). */
-    uint16_t port() const { return port_; }
+    uint16_t port() const { return listener_.port(); }
 
     /** True while the endpoint is accepting connections. */
-    bool running() const { return running_.load(); }
+    bool running() const { return listener_.running(); }
 
     /**
      * Per-connection socket I/O timeout, seconds (SO_RCVTIMEO /
@@ -90,16 +87,14 @@ class HttpEndpoint
                const std::string &accept = std::string()) const;
 
   private:
-    void acceptLoop();
+    /** Answer one accepted scrape connection. */
     void serveConnection(int fd);
 
     const DebugRoutes routes_;
 
     double ioTimeoutSeconds_ = 5.0;
-    int listenFd_ = -1;
-    uint16_t port_ = 0;
-    std::atomic<bool> running_{false};
-    std::thread acceptor_;
+    /** Last, so it stops before the routes it serves go away. */
+    TcpListener listener_;
 };
 
 } // namespace core

@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/types.h>
@@ -12,8 +13,11 @@
 #include <cmath>
 #include <cstring>
 #include <thread>
+#include <utility>
 
+#include "common/logging.hh"
 #include "core/fault.hh"
+#include "telemetry/metrics.hh"
 
 namespace djinn {
 namespace core {
@@ -268,17 +272,54 @@ decodeResponse(const std::vector<uint8_t> &data)
     return response;
 }
 
-Status
-listenTcp(const std::string &address, uint16_t port, int backlog,
-          int &fd, uint16_t &bound_port)
+namespace {
+
+/** The one status mapping, read in both directions; any other code
+ * answers ServerError, which reads back as Internal. */
+constexpr std::pair<StatusCode, WireStatus> statusPairs[] = {
+    {StatusCode::Ok, WireStatus::Ok},
+    {StatusCode::NotFound, WireStatus::UnknownModel},
+    {StatusCode::InvalidArgument, WireStatus::BadRequest},
+    {StatusCode::Overloaded, WireStatus::Overloaded},
+    {StatusCode::DeadlineExceeded, WireStatus::DeadlineExceeded},
+};
+
+} // namespace
+
+WireStatus
+wireStatusOf(StatusCode code)
 {
+    for (const auto &[status, wire] : statusPairs) {
+        if (status == code)
+            return wire;
+    }
+    return WireStatus::ServerError;
+}
+
+Status
+statusOf(const Response &response)
+{
+    for (const auto &[status, wire] : statusPairs) {
+        if (wire == response.status)
+            return Status(status, response.message);
+    }
+    return Status::internal(response.message);
+}
+
+Status
+TcpListener::start(const std::string &address, uint16_t port,
+                   int backlog, telemetry::MetricRegistry &metrics,
+                   Handler handler)
+{
+    if (running_.load())
+        return Status::invalidArgument("listener already running");
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
     addr.sin_port = htons(port);
     if (::inet_pton(AF_INET, address.c_str(), &addr.sin_addr) != 1)
         return Status::invalidArgument("bad bind address '" + address +
                                        "'");
-    fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
     if (fd < 0)
         return Status::ioError(std::string("socket: ") +
                                std::strerror(errno));
@@ -294,14 +335,73 @@ listenTcp(const std::string &address, uint16_t port, int backlog,
         Status s = Status::ioError(failed + std::string(
                                                 std::strerror(errno)));
         ::close(fd);
-        fd = -1;
         return s;
     }
     socklen_t len = sizeof(addr);
     if (::getsockname(fd, reinterpret_cast<sockaddr *>(&addr),
                       &len) == 0)
-        bound_port = ntohs(addr.sin_port);
+        port_ = ntohs(addr.sin_port);
+    fd_ = fd;
+    acceptErrors_ = &metrics.counter("djinn_accept_errors");
+    handler_ = std::move(handler);
+    running_.store(true);
+    acceptor_ = std::thread([this]() { acceptLoop(); });
     return Status::ok();
+}
+
+bool
+TcpListener::stop()
+{
+    if (!running_.exchange(false))
+        return false;
+    // Shutting the socket down unblocks accept(). The fd is closed
+    // only after the acceptor has been joined: closing it first
+    // would let the kernel reuse the number for a connection socket
+    // while accept() may still reference it.
+    ::shutdown(fd_, SHUT_RDWR);
+    acceptor_.join();
+    ::close(fd_);
+    fd_ = -1;
+    return true;
+}
+
+void
+TcpListener::acceptLoop()
+{
+    while (running_.load()) {
+        int fd = ::accept(fd_, nullptr, nullptr);
+        if (fd < 0) {
+            if (errno == EINTR)
+                continue;
+            if (!running_.load())
+                break; // Socket shut down by stop().
+            int err = errno;
+            acceptErrors_->inc();
+            // Transient resource exhaustion, or a connection that
+            // died in the backlog.
+            if (err == EMFILE || err == ENFILE || err == ENOBUFS ||
+                err == ENOMEM || err == ECONNABORTED || err == EAGAIN ||
+                err == EWOULDBLOCK || err == EPROTO) {
+                // Back off so a full fd table is not a busy loop.
+                std::this_thread::sleep_for(
+                    std::chrono::milliseconds(10));
+                continue;
+            }
+            inform("accept: %s; acceptor exiting", std::strerror(err));
+            break;
+        }
+        if (!running_.load()) {
+            // Accepted in the window between stop() flipping
+            // running_ and the shutdown taking effect: drop it here
+            // instead of handing on a connection nobody will stop.
+            ::shutdown(fd, SHUT_RDWR);
+            ::close(fd);
+            continue;
+        }
+        int one = 1;
+        ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+        handler_(fd);
+    }
 }
 
 namespace {

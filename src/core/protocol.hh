@@ -33,14 +33,22 @@
 #ifndef DJINN_CORE_PROTOCOL_HH
 #define DJINN_CORE_PROTOCOL_HH
 
+#include <atomic>
 #include <cstdint>
+#include <functional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/status.hh"
 #include "telemetry/trace_context.hh"
 
 namespace djinn {
+namespace telemetry {
+class Counter;
+class MetricRegistry;
+} // namespace telemetry
+
 namespace core {
 
 /** Protocol version understood by this implementation. */
@@ -145,12 +153,69 @@ Result<Request> decodeRequest(const std::vector<uint8_t> &data);
 Result<Response> decodeResponse(const std::vector<uint8_t> &data);
 
 /**
- * Open a listening IPv4 TCP socket (SO_REUSEADDR) on
- * @p address:@p port; port 0 picks an ephemeral port. On success
- * @p fd is the socket and @p bound_port the port actually bound.
+ * The wire status an operation's @p code answers with. Admission
+ * and deadline sheds keep their own statuses so clients
+ * can tell "retry after backoff" (Overloaded — never executed) from
+ * a genuine failure.
  */
-Status listenTcp(const std::string &address, uint16_t port,
-                 int backlog, int &fd, uint16_t &bound_port);
+WireStatus wireStatusOf(StatusCode code);
+
+/** The inverse of wireStatusOf: the Status a client reports for
+ * @p response (ok for WireStatus::Ok, the message otherwise). */
+Status statusOf(const Response &response);
+
+/**
+ * A listening IPv4 TCP socket (SO_REUSEADDR) and its acceptor
+ * thread: the one accept loop behind both the DjiNN port and the
+ * HTTP scrape port. A transient accept() failure (fd exhaustion, a
+ * connection that died in the backlog, memory pressure) is counted
+ * and retried after a short backoff instead of ending the loop: a
+ * dead acceptor would strand the backlog behind a port that looks
+ * healthy but never answers again.
+ */
+class TcpListener
+{
+  public:
+    /** Takes over one accepted fd (TCP_NODELAY set). Runs on the
+     * acceptor thread. */
+    using Handler = std::function<void(int fd)>;
+
+    TcpListener() = default;
+    ~TcpListener() { stop(); }
+    TcpListener(const TcpListener &) = delete;
+    TcpListener &operator=(const TcpListener &) = delete;
+
+    /**
+     * Bind @p address:@p port (0 picks an ephemeral port), listen,
+     * and accept into @p handler; every failed accept() counts in
+     * @p metrics' `djinn_accept_errors`, shared by a server's
+     * listeners. @p metrics must outlive the listener.
+     */
+    Status start(const std::string &address, uint16_t port,
+                 int backlog, telemetry::MetricRegistry &metrics,
+                 Handler handler);
+
+    /** Stop accepting: shut the socket down, join the acceptor,
+     * then close the socket. Idempotent: true only for the call
+     * that stopped a running listener. */
+    bool stop();
+
+    /** The bound TCP port (valid after start()). */
+    uint16_t port() const { return port_; }
+
+    /** True between start() and stop(). */
+    bool running() const { return running_.load(); }
+
+  private:
+    void acceptLoop();
+
+    Handler handler_;
+    telemetry::Counter *acceptErrors_ = nullptr;
+    int fd_ = -1;
+    uint16_t port_ = 0;
+    std::atomic<bool> running_{false};
+    std::thread acceptor_;
+};
 
 /**
  * Blocking framed I/O over a connected stream socket. Frames on

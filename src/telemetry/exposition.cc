@@ -22,21 +22,14 @@ num(double v)
     return strprintf("%.9g", v);
 }
 
-/** Render `name{labels}` with one extra label appended. */
+/** Render `name<suffix>{labels}` with one extra label appended. */
 std::string
-idWith(const MetricSample &sample, const std::string &key,
-       const std::string &value)
+idWith(const MetricSample &sample, const std::string &suffix,
+       const std::string &key, const std::string &value)
 {
     LabelMap labels = sample.labels;
     labels[key] = value;
-    return renderMetricId(sample.name, labels);
-}
-
-std::string
-quantileLabel(double q)
-{
-    std::string s = strprintf("%g", q);
-    return s;
+    return renderMetricId(sample.name + suffix, labels);
 }
 
 /** Render an exemplar suffix: ` # {trace_id="...",record="N"} v`.
@@ -53,6 +46,76 @@ exemplarSuffix(const Exemplar &ex)
     labels += strprintf("record=\"%llu\"",
                         static_cast<unsigned long long>(ex.ref));
     return " # {" + labels + "} " + num(ex.value);
+}
+
+/**
+ * The text exposition both scrape formats share: a TYPE line per
+ * family, then one line per counter or gauge. A histogram renders
+ * summary-style (quantiles, _count, _sum, _min, _max) for plain
+ * Prometheus, and for OpenMetrics as cumulative buckets carrying
+ * their exemplars, then _count and _sum.
+ */
+std::string
+renderText(const std::vector<MetricSample> &samples, bool openMetrics)
+{
+    std::string out;
+    std::string last_family;
+    for (const MetricSample &sample : samples) {
+        if (sample.name != last_family) {
+            last_family = sample.name;
+            const char *type =
+                sample.kind == MetricKind::Counter ? "counter" :
+                sample.kind == MetricKind::Gauge ? "gauge" :
+                openMetrics ? "histogram" : "summary";
+            out += "# TYPE " + sample.name + " " + type + "\n";
+        }
+        auto line = [&](const std::string &suffix, double value) {
+            out += renderMetricId(sample.name + suffix, sample.labels) +
+                   " " + num(value) + "\n";
+        };
+        if (sample.kind != MetricKind::Histogram) {
+            line("", sample.value);
+            continue;
+        }
+        const HistogramSnapshot &h = sample.histogram;
+        if (!openMetrics) {
+            for (double q : exportedQuantiles) {
+                out += idWith(sample, "", "quantile",
+                              strprintf("%g", q)) +
+                       " " + num(h.quantile(q)) + "\n";
+            }
+        } else {
+            // Cumulative buckets; trailing all-zero finite buckets
+            // collapse into the mandatory +Inf line.
+            size_t last_used = 0;
+            for (size_t i = 0; i < h.buckets.size(); ++i)
+                if (h.buckets[i] != 0)
+                    last_used = i;
+            uint64_t cumulative = 0;
+            for (size_t i = 0; i < h.buckets.size(); ++i) {
+                cumulative += h.buckets[i];
+                bool overflow = i + 1 == h.buckets.size();
+                if (i > last_used && !overflow)
+                    continue;
+                std::string le =
+                    overflow ? "+Inf"
+                             : num(h.bucketUpperBound(
+                                   static_cast<int>(i)));
+                out += idWith(sample, "_bucket", "le", le) + " " +
+                       num(static_cast<double>(cumulative));
+                if (i < h.exemplars.size() && h.exemplars[i].valid)
+                    out += exemplarSuffix(h.exemplars[i]);
+                out += "\n";
+            }
+        }
+        line("_count", static_cast<double>(h.count));
+        line("_sum", h.sum);
+        if (!openMetrics) {
+            line("_min", h.min);
+            line("_max", h.max);
+        }
+    }
+    return out;
 }
 
 } // namespace
@@ -89,111 +152,13 @@ jsonEscape(const std::string &s)
 std::string
 renderPrometheus(const std::vector<MetricSample> &samples)
 {
-    std::string out;
-    std::string last_family;
-    for (const MetricSample &sample : samples) {
-        if (sample.name != last_family) {
-            last_family = sample.name;
-            const char *type =
-                sample.kind == MetricKind::Counter ? "counter" :
-                sample.kind == MetricKind::Gauge ? "gauge" :
-                "summary";
-            out += "# TYPE " + sample.name + " " + type + "\n";
-        }
-        switch (sample.kind) {
-          case MetricKind::Counter:
-          case MetricKind::Gauge:
-            out += renderMetricId(sample.name, sample.labels) + " " +
-                   num(sample.value) + "\n";
-            break;
-          case MetricKind::Histogram:
-            {
-                const HistogramSnapshot &h = sample.histogram;
-                for (double q : exportedQuantiles) {
-                    out += idWith(sample, "quantile",
-                                  quantileLabel(q)) +
-                           " " + num(h.quantile(q)) + "\n";
-                }
-                out += renderMetricId(sample.name + "_count",
-                                      sample.labels) +
-                       " " + num(static_cast<double>(h.count)) + "\n";
-                out += renderMetricId(sample.name + "_sum",
-                                      sample.labels) +
-                       " " + num(h.sum) + "\n";
-                out += renderMetricId(sample.name + "_min",
-                                      sample.labels) +
-                       " " + num(h.min) + "\n";
-                out += renderMetricId(sample.name + "_max",
-                                      sample.labels) +
-                       " " + num(h.max) + "\n";
-            }
-            break;
-        }
-    }
-    return out;
+    return renderText(samples, false);
 }
 
 std::string
 renderOpenMetrics(const std::vector<MetricSample> &samples)
 {
-    std::string out;
-    std::string last_family;
-    for (const MetricSample &sample : samples) {
-        if (sample.name != last_family) {
-            last_family = sample.name;
-            const char *type =
-                sample.kind == MetricKind::Counter ? "counter" :
-                sample.kind == MetricKind::Gauge ? "gauge" :
-                "histogram";
-            out += "# TYPE " + sample.name + " " + type + "\n";
-        }
-        switch (sample.kind) {
-          case MetricKind::Counter:
-          case MetricKind::Gauge:
-            out += renderMetricId(sample.name, sample.labels) + " " +
-                   num(sample.value) + "\n";
-            break;
-          case MetricKind::Histogram:
-            {
-                const HistogramSnapshot &h = sample.histogram;
-                // Cumulative buckets; trailing all-zero finite
-                // buckets collapse into the mandatory +Inf line.
-                size_t last_used = 0;
-                for (size_t i = 0; i < h.buckets.size(); ++i)
-                    if (h.buckets[i] != 0)
-                        last_used = i;
-                uint64_t cumulative = 0;
-                for (size_t i = 0; i < h.buckets.size(); ++i) {
-                    cumulative += h.buckets[i];
-                    bool overflow = i + 1 == h.buckets.size();
-                    if (i > last_used && !overflow)
-                        continue;
-                    std::string le =
-                        overflow ? "+Inf"
-                                 : num(h.bucketUpperBound(
-                                       static_cast<int>(i)));
-                    LabelMap labels = sample.labels;
-                    labels["le"] = le;
-                    out += renderMetricId(sample.name + "_bucket",
-                                          labels) +
-                           " " + num(static_cast<double>(cumulative));
-                    if (i < h.exemplars.size() &&
-                        h.exemplars[i].valid)
-                        out += exemplarSuffix(h.exemplars[i]);
-                    out += "\n";
-                }
-                out += renderMetricId(sample.name + "_count",
-                                      sample.labels) +
-                       " " + num(static_cast<double>(h.count)) + "\n";
-                out += renderMetricId(sample.name + "_sum",
-                                      sample.labels) +
-                       " " + num(h.sum) + "\n";
-            }
-            break;
-        }
-    }
-    out += "# EOF\n";
-    return out;
+    return renderText(samples, true) + "# EOF\n";
 }
 
 std::string

@@ -12,15 +12,6 @@ namespace telemetry {
 
 namespace {
 
-/** Stable stamp for a record sequence: even, non-zero. */
-uint64_t stableStamp(uint64_t seq) { return 2 * (seq + 1); }
-
-/** Write-in-progress stamp for a record sequence: odd. */
-uint64_t busyStamp(uint64_t seq) { return 2 * (seq + 1) + 1; }
-
-/** The record sequence a stamp refers to (stable or busy). */
-uint64_t stampSeq(uint64_t stamp) { return stamp / 2 - 1; }
-
 /** Min-heap order on total latency, so the root is the fastest
  * retained record — the one a slower candidate evicts. */
 bool slower(const FlightRecord &a, const FlightRecord &b)
@@ -72,41 +63,10 @@ uint64_t FlightRecorder::record(const FlightRecord &record)
     FlightRecord stamped = record;
     stamped.seq = seq;
 
-    uint64_t words[recordWords] = {};
-    std::memcpy(words, &stamped, sizeof(stamped));
-
-    Slot &slot = slots_[seq % slots_.size()];
-
-    // Claim the slot: CAS the stamp from any stable (even) value to
-    // our busy marker. Only the claim owner touches the words, so
-    // two writers lapped onto the same slot never race on data.
-    // The newer sequence wins; the older one abandons the ring (its
-    // record can still reach the tail reservoir below).
-    bool published = false;
-    uint64_t current = slot.stamp.load(std::memory_order_relaxed);
-    for (int spin = 0; spin < 1024; ++spin) {
-        if (current & 1) {
-            // Another writer is mid-publish on this slot.
-            if (stampSeq(current) > seq)
-                break; // superseded: a newer record owns the slot
-            current = slot.stamp.load(std::memory_order_relaxed);
-            continue; // older writer finishing; wait it out
-        }
-        if (current != 0 && stampSeq(current) >= seq)
-            break; // slot already holds a newer record
-        if (slot.stamp.compare_exchange_weak(
-                current, busyStamp(seq), std::memory_order_acq_rel,
-                std::memory_order_relaxed)) {
-            for (size_t i = 0; i < recordWords; ++i)
-                slot.words[i].store(words[i],
-                                    std::memory_order_relaxed);
-            slot.stamp.store(stableStamp(seq),
-                             std::memory_order_release);
-            published = true;
-            break;
-        }
-    }
-    (void)published;
+    // The newer sequence wins a lapped slot unless an older writer
+    // is still copying into it. A record that loses its slot can
+    // still reach the tail reservoir below.
+    slots_[seq % slots_.size()].write(seq, stamped);
 
     offerTail(stamped);
     if (recordsCounter_)
@@ -117,26 +77,6 @@ uint64_t FlightRecorder::record(const FlightRecord &record)
 uint64_t FlightRecorder::recordCount() const
 {
     return next_.load(std::memory_order_relaxed);
-}
-
-bool FlightRecorder::readSlot(const Slot &slot,
-                              FlightRecord &out) const
-{
-    for (int attempt = 0; attempt < 16; ++attempt) {
-        uint64_t before = slot.stamp.load(std::memory_order_acquire);
-        if (before == 0 || (before & 1))
-            return false; // empty, or write in progress
-        uint64_t words[recordWords];
-        for (size_t i = 0; i < recordWords; ++i)
-            words[i] = slot.words[i].load(std::memory_order_relaxed);
-        std::atomic_thread_fence(std::memory_order_acquire);
-        uint64_t after = slot.stamp.load(std::memory_order_relaxed);
-        if (before == after) {
-            std::memcpy(&out, words, sizeof(out));
-            return true;
-        }
-    }
-    return false;
 }
 
 void FlightRecorder::offerTail(const FlightRecord &record)
@@ -173,9 +113,10 @@ std::vector<FlightRecord> FlightRecorder::snapshot() const
 {
     std::vector<FlightRecord> out;
     out.reserve(slots_.size() + reservoirCapacity_);
-    for (const Slot &slot : slots_) {
+    for (const SeqlockSlot<FlightRecord> &slot : slots_) {
         FlightRecord record;
-        if (readSlot(slot, record))
+        uint64_t seq;
+        if (slot.read(record, seq))
             out.push_back(record);
     }
     {

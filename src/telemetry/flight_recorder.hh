@@ -26,6 +26,8 @@
 #include <string>
 #include <vector>
 
+#include "telemetry/seqlock.hh"
+
 namespace djinn {
 namespace telemetry {
 
@@ -74,6 +76,12 @@ struct FlightRecord {
      * first arrival to completion). The tail-selection key. */
     double totalSeconds = 0.0;
 
+    /** The server's service span: executor hand-off through the
+     * result, the `djinn_phase_seconds{phase="service"}` sample of
+     * an Ok request. 0 when the request never reached the
+     * executor. */
+    double serviceSeconds = 0.0;
+
     /** Input rows in this request. */
     int32_t rows = 0;
 
@@ -116,9 +124,9 @@ struct FlightRecord {
 
 /**
  * The recorder. record() is wait-free on the hot path: a fetch_add
- * claims a slot, a per-slot sequence stamp plus word-wise atomic
- * copies make concurrent reads tear-free (readers that race a wrap
- * simply retry or skip the slot). A separate fixed-size reservoir
+ * claims a slot, and each slot is a SeqlockSlot, so concurrent
+ * reads are tear-free (readers that race a wrap simply retry or
+ * skip the slot). A separate fixed-size reservoir
  * keeps the slowest-ever requests past ring wraps: candidates are
  * rejected with one relaxed load against the current tail threshold
  * and only genuine tail entries take the reservoir mutex.
@@ -169,21 +177,10 @@ class FlightRecorder
     bool findByTraceId(uint64_t traceId, FlightRecord &out) const;
 
   private:
-    static constexpr size_t recordWords =
-        (sizeof(FlightRecord) + sizeof(uint64_t) - 1) /
-        sizeof(uint64_t);
-
-    struct Slot {
-        /** 0 empty; odd: write in progress; even non-zero:
-         * 2 * (seq + 1) of the stored record. */
-        std::atomic<uint64_t> stamp{0};
-        std::atomic<uint64_t> words[recordWords];
-    };
-
-    bool readSlot(const Slot &slot, FlightRecord &out) const;
     void offerTail(const FlightRecord &record);
 
-    std::vector<Slot> slots_;
+    /** Slot seq % size holds record seq as its generation. */
+    std::vector<SeqlockSlot<FlightRecord>> slots_;
     std::atomic<uint64_t> next_{0};
 
     // Tail reservoir: keep-K-slowest by totalSeconds. full_ and
@@ -215,10 +212,6 @@ std::string renderRequestsCsv(const std::vector<FlightRecord> &records);
  * per-bucket exemplars resolving to flight records. */
 inline const char *const requestSecondsMetricName =
     "djinn_request_seconds";
-
-/** Metric family for queue depth observed at enqueue time. */
-inline const char *const admitQueueDepthMetricName =
-    "djinn_admit_queue_depth";
 
 } // namespace telemetry
 } // namespace djinn

@@ -63,20 +63,16 @@ profilerSignalHandler(int, siginfo_t *, void *)
 
 StackRing::StackRing(size_t capacity)
     : capacity_(roundUpPow2(std::max<size_t>(capacity, 8))),
-      slots_(new Slot[capacity_])
+      slots_(new SeqlockSlot<StackSample>[capacity_])
 {}
 
 void
 StackRing::push(const StackSample &sample)
 {
+    // A slot that is mid-write or already holds a newer ticket
+    // drops this sample, and drain() counts it lost.
     uint64_t ticket = next_.fetch_add(1, std::memory_order_relaxed);
-    Slot &slot = slots_[ticket & (capacity_ - 1)];
-    // Per-slot seqlock: odd marks write-in-progress; the final
-    // value encodes the ticket so drain() can tell a fresh write
-    // from a stale generation occupying the same slot.
-    slot.seq.store(ticket * 2 + 1, std::memory_order_relaxed);
-    slot.sample = sample;
-    slot.seq.store(ticket * 2 + 2, std::memory_order_release);
+    slots_[ticket & (capacity_ - 1)].write(ticket, sample);
 }
 
 std::vector<StackSample>
@@ -93,20 +89,16 @@ StackRing::drain()
     std::vector<StackSample> out;
     out.reserve(static_cast<size_t>(end - begin));
     for (uint64_t t = begin; t < end; ++t) {
-        Slot &slot = slots_[t & (capacity_ - 1)];
-        uint64_t seq = slot.seq.load(std::memory_order_acquire);
-        if (seq != t * 2 + 2) {
-            // Torn (handler mid-write) or already recycled by a
-            // newer generation.
+        StackSample sample;
+        uint64_t ticket;
+        if (!slots_[t & (capacity_ - 1)].read(sample, ticket) ||
+            ticket != t) {
+            // Mid-write, dropped by its pusher, or already recycled
+            // by a newer generation.
             dropped_.fetch_add(1, std::memory_order_relaxed);
             continue;
         }
-        StackSample copy = slot.sample;
-        if (slot.seq.load(std::memory_order_acquire) != t * 2 + 2) {
-            dropped_.fetch_add(1, std::memory_order_relaxed);
-            continue;
-        }
-        out.push_back(copy);
+        out.push_back(sample);
     }
     readSeq_ = end;
     return out;

@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "common/status.hh"
+#include "telemetry/seqlock.hh"
 
 namespace djinn {
 namespace telemetry {
@@ -52,8 +53,10 @@ struct StackSample {
  * Fixed-capacity lock-free sample ring. push() is safe from a
  * signal handler (and from concurrent handlers on different
  * threads); drain() runs on an ordinary thread. Each slot is a
- * seqlock: a drain that races a wrap-around simply skips the torn
- * slot and counts it dropped.
+ * SeqlockSlot: a push that finds its slot mid-write or already
+ * holding a newer sample drops its own, and a drain that races a
+ * wrap-around skips the slot; either way the loss is counted by
+ * dropped().
  */
 class StackRing
 {
@@ -86,13 +89,10 @@ class StackRing
     }
 
   private:
-    struct Slot {
-        std::atomic<uint64_t> seq{0};
-        StackSample sample;
-    };
-
     size_t capacity_;
-    std::unique_ptr<Slot[]> slots_;
+    /** Slot ticket % capacity holds ticket's sample as its
+     * generation. */
+    std::unique_ptr<SeqlockSlot<StackSample>[]> slots_;
     std::atomic<uint64_t> next_{0};
     uint64_t readSeq_ = 0; ///< drain() is single-consumer
     std::atomic<uint64_t> dropped_{0};

@@ -1,5 +1,7 @@
 #include "telemetry/trace.hh"
 
+#include "telemetry/slo.hh"
+
 namespace djinn {
 namespace telemetry {
 
@@ -21,43 +23,44 @@ phaseName(Phase phase)
     return "unknown";
 }
 
-PhaseInstruments::PhaseInstruments(MetricRegistry &registry,
-                                   std::string model)
-    : registry_(registry), model_(std::move(model)),
+RequestLog::RequestLog(MetricRegistry &registry,
+                       FlightRecorder &recorder, std::string model,
+                       bool queued, double sloTargetSeconds)
+    : registry_(registry), recorder_(recorder),
+      model_(std::move(model)), queued_(queued),
+      sloTargetSeconds_(sloTargetSeconds),
       inflight_(registry.gauge(inflightMetricName))
 {}
 
 LogHistogram &
-PhaseInstruments::histogram(Family family, Phase phase)
+RequestLog::histogram(Family family, Phase phase)
 {
     static const char *const names[FamilyCount] = {
         phaseMetricName,         phaseCyclesMetricName,
         phaseInstructionsMetricName,
         phaseIpcMetricName,      phaseCacheMissMetricName,
-        requestCyclesMetricName, requestIpcMetricName};
-    const bool phased = family < RequestCycles;
+        requestSecondsMetricName, requestCyclesMetricName,
+        requestIpcMetricName};
+    const bool phased = family < RequestSeconds;
     std::atomic<LogHistogram *> &slot =
-        slots_[family][phased ? static_cast<int>(phase) : 0];
+        histograms_[family][phased ? static_cast<int>(phase) : 0];
     LogHistogram *h = slot.load(std::memory_order_acquire);
     if (!h) {
         // Racing first uses resolve the same registry entry.
         LabelMap labels{{"model", model_}};
         if (phased)
             labels.emplace("phase", phaseName(phase));
-        h = &registry_.histogram(names[family], labels);
+        HistogramOptions options;
+        // Exemplars resolve a latency bucket to a flight record.
+        options.exemplars = family == RequestSeconds;
+        h = &registry_.histogram(names[family], labels, options);
         slot.store(h, std::memory_order_release);
     }
     return *h;
 }
 
 void
-PhaseInstruments::record(Phase phase, double seconds)
-{
-    histogram(Seconds, phase).record(seconds);
-}
-
-void
-PhaseInstruments::recordWork(Phase phase, const CounterDelta &delta)
+RequestLog::recordWork(Phase phase, const CounterDelta &delta)
 {
     histogram(Cycles, phase).record(static_cast<double>(delta.work()));
     if (!delta.hardware)
@@ -69,58 +72,65 @@ PhaseInstruments::recordWork(Phase phase, const CounterDelta &delta)
         .record(static_cast<double>(delta.cacheMisses));
 }
 
-void
-PhaseInstruments::recordRequestWork(const CounterDelta &delta)
+uint64_t
+RequestLog::finish(FlightRecord &record, const RequestWork &work)
 {
-    histogram(RequestCycles).record(static_cast<double>(delta.work()));
-    if (delta.hardware)
-        histogram(RequestIpc).record(delta.ipc());
-}
+    record.setModel(model_);
+    record.hardware = work.request.hardware;
+    record.cycles = work.request.cycles;
+    record.instructions = work.request.instructions;
+    record.cacheMisses = work.request.cacheMisses;
+    record.seq = recorder_.record(record);
 
-RequestTrace::RequestTrace(MetricRegistry &registry,
-                           std::string model)
-    : owned_(std::make_unique<PhaseInstruments>(registry,
-                                                std::move(model))),
-      instruments_(owned_.get())
-{
-    instruments_->inflight().add(1.0);
-}
+    histogram(Seconds, Phase::Decode).record(record.decodeSeconds);
+    recordWork(Phase::Decode, work.decode);
+    // A queued request the batcher saw (every outcome but Error)
+    // spent its blocked span on the queue; one it also dispatched
+    // (not shed at admission) carries a measured queue wait.
+    if (queued_ && record.outcome != FlightOutcome::Error) {
+        recordWork(Phase::QueueWait, work.queueWait);
+        if (record.outcome != FlightOutcome::ShedQueueFull) {
+            histogram(Seconds, Phase::QueueWait)
+                .record(record.queueWaitSeconds);
+        }
+    }
+    histogram(Seconds, Phase::Encode).record(record.encodeSeconds);
+    recordWork(Phase::Encode, work.encode);
 
-RequestTrace::RequestTrace(PhaseInstruments &instruments)
-    : instruments_(&instruments)
-{
-    instruments_->inflight().add(1.0);
-}
+    histogram(RequestSeconds)
+        .record(record.totalSeconds, record.traceId, record.seq);
+    histogram(RequestCycles)
+        .record(static_cast<double>(work.request.work()));
+    if (work.request.hardware)
+        histogram(RequestIpc).record(work.request.ipc());
+    inflight_.add(-1.0);
 
-RequestTrace::~RequestTrace()
-{
-    instruments_->inflight().add(-1.0);
-}
-
-void
-RequestTrace::setModel(std::string model)
-{
-    owned_ = std::make_unique<PhaseInstruments>(
-        instruments_->registry(), std::move(model));
-    instruments_ = owned_.get();
-}
-
-void
-RequestTrace::record(Phase phase, double seconds)
-{
-    instruments_->record(phase, seconds);
-}
-
-void
-RequestTrace::recordWork(Phase phase, const CounterDelta &delta)
-{
-    instruments_->recordWork(phase, delta);
-}
-
-void
-RequestTrace::recordRequestWork(const CounterDelta &delta)
-{
-    instruments_->recordRequestWork(delta);
+    if (record.outcome != FlightOutcome::Ok)
+        return record.seq;
+    histogram(Seconds, Phase::Service).record(record.serviceSeconds);
+    std::call_once(firstSuccess_, [this]() {
+        const LabelMap label{{"model", model_}};
+        requests_ = &registry_.counter(requestsTotalMetricName, label);
+        rows_ = &registry_.counter(rowsTotalMetricName, label);
+        if (sloTargetSeconds_ <= 0.0)
+            return;
+        // The whole SLO family at once, so the exposition shows both
+        // counters, the target, and a 0 burn rate until the
+        // sampler's first reading.
+        sloGood_ = &registry_.counter(sloGoodMetricName, label);
+        sloBad_ = &registry_.counter(sloBadMetricName, label);
+        registry_.gauge(sloTargetMetricName, label)
+            .set(sloTargetSeconds_);
+        registry_.gauge(sloBurnRateMetricName, label);
+    });
+    if (sloGood_) {
+        (record.serviceSeconds <= sloTargetSeconds_ ? sloGood_
+                                                    : sloBad_)
+            ->inc();
+    }
+    requests_->inc();
+    rows_->inc(static_cast<uint64_t>(record.rows));
+    return record.seq;
 }
 
 } // namespace telemetry

@@ -1,20 +1,23 @@
 /**
  * @file
- * Request tracing: decomposes one DjiNN request into timed phases
- * (decode -> batch-queue wait -> forward pass -> encode, plus the
- * end-to-end service span) and records each phase into the metric
- * registry's per-model `djinn_phase_seconds` histograms. The caller
- * times each phase once and records it; a trace also maintains the
- * `djinn_inflight_requests` gauge.
+ * Request recording: one finished DjiNN request is written once.
+ * The connection worker fills the request's FlightRecord (phase
+ * durations decode -> batch-queue wait -> forward pass -> encode,
+ * plus the end-to-end service span, batch context and outcome) and
+ * measures the per-phase counter deltas beside it; RequestLog::
+ * finish() publishes the record to the flight recorder and derives
+ * every per-request metric sample from it. A log also maintains
+ * the `djinn_inflight_requests` gauge.
  */
 
 #ifndef DJINN_TELEMETRY_TRACE_HH
 #define DJINN_TELEMETRY_TRACE_HH
 
 #include <atomic>
-#include <memory>
+#include <mutex>
 #include <string>
 
+#include "telemetry/flight_recorder.hh"
 #include "telemetry/metrics.hh"
 #include "telemetry/perf_counters.hh"
 
@@ -77,48 +80,81 @@ inline const char *const requestIpcMetricName =
 inline const char *const inflightMetricName =
     "djinn_inflight_requests";
 
+/** Counters of successful requests and their input rows. */
+inline const char *const requestsTotalMetricName =
+    "djinn_requests_total";
+inline const char *const rowsTotalMetricName = "djinn_rows_total";
+
 /**
- * One model's request-path instruments: the histograms its
- * RequestTraces record into, and the in-flight gauge. Each
- * histogram is looked up in the registry on first use and cached,
- * so a server that keeps one per model does no registry lookup per
- * request (a lookup walks the registry's map, which after a forward
- * pass has cooled the caches costs microseconds). Thread-safe.
+ * The per-phase counter deltas a connection worker measures beside
+ * a request's FlightRecord (the record carries only the
+ * whole-request hardware counts).
  */
-class PhaseInstruments
+struct RequestWork {
+    CounterDelta decode;
+
+    /** The worker's blocked span on the batching queue. */
+    CounterDelta queueWait;
+
+    CounterDelta encode;
+
+    /** The whole request span on the worker thread (frame in hand
+     * through encode), the denominator of the phase shares. */
+    CounterDelta request;
+};
+
+/**
+ * One model's per-request instruments, resolved from the registry
+ * on first use and cached, so recording a request does no registry
+ * lookup. Thread-safe.
+ */
+class RequestLog
 {
   public:
-    PhaseInstruments(MetricRegistry &registry, std::string model);
+    /**
+     * @param queued requests reach the model through the batching
+     *        queue, so their records carry a queue_wait phase.
+     * @param sloTargetSeconds service-latency target that splits
+     *        successes into the SLO good/bad counters; <= 0
+     *        disables SLO accounting.
+     */
+    RequestLog(MetricRegistry &registry, FlightRecorder &recorder,
+               std::string model, bool queued,
+               double sloTargetSeconds);
 
-    PhaseInstruments(const PhaseInstruments &) = delete;
-    PhaseInstruments &operator=(const PhaseInstruments &) = delete;
+    RequestLog(const RequestLog &) = delete;
+    RequestLog &operator=(const RequestLog &) = delete;
 
-    /** The model label. */
-    const std::string &model() const { return model_; }
+    /** A request has entered the service path: raises the
+     * in-flight gauge until its finish(). */
+    void begin() { inflight_.add(1.0); }
 
-    /** The registry the instruments live in. */
-    MetricRegistry &registry() const { return registry_; }
-
-    /** `djinn_inflight_requests` (shared by every model). */
-    Gauge &inflight() const { return inflight_; }
-
-    /** See RequestTrace::record. */
-    void record(Phase phase, double seconds);
-
-    /** See RequestTrace::recordWork. */
-    void recordWork(Phase phase, const CounterDelta &delta);
-
-    /** See RequestTrace::recordRequestWork. */
-    void recordRequestWork(const CounterDelta &delta);
+    /**
+     * Write one finished request: stamp @p record with the model
+     * and @p work's whole-request counts, publish it to the flight
+     * recorder (setting its seq), then derive from it
+     *  - `djinn_phase_*{phase=decode|encode}` for every request,
+     *  - `{phase=queue_wait}` for queued requests the batcher saw:
+     *    work once admitted or shed at admission, seconds once
+     *    dispatched (outcome Ok or ShedDeadline),
+     *  - `djinn_request_{seconds,cycles,ipc}`, the seconds sample
+     *    carrying the record's seq as its exemplar ref,
+     *  - and for outcome Ok the `service` phase seconds, the
+     *    request and row counters and the SLO good/bad counters.
+     *
+     * @return the record's sequence number.
+     */
+    uint64_t finish(FlightRecord &record, const RequestWork &work);
 
   private:
-    /** The histogram families; the last two carry no phase label. */
+    /** The histogram families; the phased ones come first. */
     enum Family {
         Seconds,
         Cycles,
         Instructions,
         Ipc,
         CacheMisses,
+        RequestSeconds,
         RequestCycles,
         RequestIpc,
         FamilyCount
@@ -129,64 +165,25 @@ class PhaseInstruments
      * families), resolved on first use. */
     LogHistogram &histogram(Family family, Phase phase = Phase::Decode);
 
-    MetricRegistry &registry_;
-    std::string model_;
-    Gauge &inflight_;
-    std::atomic<LogHistogram *> slots_[FamilyCount][kPhases] = {};
-};
-
-/**
- * One request's trace. Construct when a request enters the service
- * path; phases recorded through it land in
- * `djinn_phase_seconds{model=..., phase=...}`.
- */
-class RequestTrace
-{
-  public:
-    /**
-     * @param registry destination for phase samples.
-     * @param model target model; may be set later, once decoded.
-     */
-    explicit RequestTrace(MetricRegistry &registry,
-                          std::string model = "");
-
-    /** Record through @p instruments, which must outlive the
-     * trace. */
-    explicit RequestTrace(PhaseInstruments &instruments);
-
-    /** Decrements the in-flight gauge. */
-    ~RequestTrace();
-
-    RequestTrace(const RequestTrace &) = delete;
-    RequestTrace &operator=(const RequestTrace &) = delete;
-
-    /** Set the model label (known only after decode). */
-    void setModel(std::string model);
-
-    /** The current model label. */
-    const std::string &model() const { return instruments_->model(); }
-
-    /** Record @p seconds spent in @p phase. */
-    void record(Phase phase, double seconds);
-
-    /**
-     * Record a counter delta for @p phase: work (cycles or
-     * fallback nanoseconds) always, plus instructions / IPC /
-     * cache misses when the delta came from hardware counters.
-     */
+    /** Record @p delta's work (and hardware detail) for @p phase. */
     void recordWork(Phase phase, const CounterDelta &delta);
 
-    /**
-     * Record the whole request span's delta (readFrame-to-encode
-     * on the worker thread), the denominator the per-phase shares
-     * are measured against.
-     */
-    void recordRequestWork(const CounterDelta &delta);
+    MetricRegistry &registry_;
+    FlightRecorder &recorder_;
+    std::string model_;
+    bool queued_;
+    double sloTargetSeconds_;
+    Gauge &inflight_;
+    std::atomic<LogHistogram *> histograms_[FamilyCount][kPhases] = {};
 
-  private:
-    /** Set when the trace was built from a registry. */
-    std::unique_ptr<PhaseInstruments> owned_;
-    PhaseInstruments *instruments_;
+    /** The per-success counters (the SLO pair null when SLO
+     * accounting is off), registered by the model's first success
+     * under firstSuccess_, so they are exported only once used. */
+    std::once_flag firstSuccess_;
+    Counter *requests_ = nullptr;
+    Counter *rows_ = nullptr;
+    Counter *sloGood_ = nullptr;
+    Counter *sloBad_ = nullptr;
 };
 
 } // namespace telemetry

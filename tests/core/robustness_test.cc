@@ -11,7 +11,9 @@
 
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -30,11 +32,9 @@
 #include "core/http_endpoint.hh"
 #include "core/protocol.hh"
 #include "nn/init.hh"
-#include "nn/layer.hh"
-#include "nn/layers/inner_product.hh"
-#include "nn/layers/softmax.hh"
-#include "nn/network.hh"
 #include "telemetry/exposition.hh"
+
+#include "forward_hold.hh"
 
 namespace djinn {
 namespace core {
@@ -174,90 +174,13 @@ TEST(FrameIoFaults, MidFrameCloseTruncatesThePeer)
 }
 
 /** Server-side battery over a real loopback server. */
-/** First input value of a query whose forward HoldLayer parks. */
-constexpr float kHoldMarker = 1e6f;
-
-/** A latch a test closes to keep one forward pass in flight. */
-struct ForwardHold {
-    std::mutex mutex;
-    std::condition_variable cv;
-    bool closed = false;
-    bool entered = false;
-
-    void
-    close()
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        closed = true;
-        entered = false;
-    }
-
-    void
-    open()
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        closed = false;
-        cv.notify_all();
-    }
-
-    /** Block until a held forward is parked in HoldLayer (or 10 s
-     * pass, so a broken test fails instead of hanging). */
-    void
-    awaitEntered()
-    {
-        std::unique_lock<std::mutex> lock(mutex);
-        cv.wait_for(lock, std::chrono::seconds(10),
-                    [this]() { return entered; });
-    }
-};
-
-/**
- * Pass-through layer: a batch whose first input is kHoldMarker
- * parks here while the hold is closed, so the model has a forward
- * in flight and later queries queue behind it.
- */
-class HoldLayer : public nn::Layer
-{
-  public:
-    explicit HoldLayer(ForwardHold *hold)
-        : Layer("hold", nn::LayerKind::Flatten), hold_(hold)
-    {}
-
-  protected:
-    nn::Shape
-    setupImpl(const nn::Shape &input) override
-    {
-        return input;
-    }
-
-    void
-    forwardImpl(const nn::Tensor &in, nn::Tensor &out) const override
-    {
-        if (in[0] == kHoldMarker) {
-            std::unique_lock<std::mutex> lock(hold_->mutex);
-            hold_->entered = true;
-            hold_->cv.notify_all();
-            hold_->cv.wait(lock, [this]() { return !hold_->closed; });
-        }
-        std::copy(in.data(), in.data() + in.elems(), out.data());
-    }
-
-  private:
-    ForwardHold *hold_;
-};
-
 class RobustnessTest : public ::testing::Test
 {
   protected:
     void
     SetUp() override
     {
-        auto net = std::make_unique<nn::Network>(
-            "tiny", nn::Shape(1, 1, 2, 2));
-        net->add(std::make_unique<HoldLayer>(&hold_));
-        net->add(std::make_unique<nn::InnerProductLayer>("fc", 3));
-        net->add(std::make_unique<nn::SoftmaxLayer>("prob"));
-        net->finalize();
+        auto net = heldNetwork("tiny", &hold_);
         nn::initializeWeights(*net, 5);
         ASSERT_TRUE(registry_.add(std::move(net)).isOk());
     }
@@ -486,6 +409,17 @@ TEST_F(RobustnessTest, DeadlineExpiredInQueueIsShedNotServed)
     EXPECT_GE(metric("djinn_shed_total",
                      {{"model", "tiny"}, {"reason", "deadline"}}),
               1.0);
+    // Its flight record still says why: the wait that spent the
+    // budget.
+    int shed = 0;
+    for (const telemetry::FlightRecord &r :
+         server_->flightRecorder().snapshot()) {
+        if (r.outcome != telemetry::FlightOutcome::ShedDeadline)
+            continue;
+        ++shed;
+        EXPECT_GT(r.queueWaitSeconds, 0.0);
+    }
+    EXPECT_EQ(shed, 1);
 
     // Without a deadline the same request completes.
     client.setDeadlineMs(0);
@@ -537,6 +471,33 @@ TEST_F(RobustnessTest, StopUnderLoadDrainsInflightResponses)
     inflight.join();
     EXPECT_TRUE(ok.load())
         << "in-flight response dropped during stop()";
+}
+
+TEST_F(RobustnessTest, ControlVerbWhileDrainingIsOverloaded)
+{
+    // A draining server rejects every request with Overloaded (not
+    // executed, safe to retry elsewhere), and the client reports
+    // that status for control verbs as it does for inference.
+    ServerConfig config;
+    config.drainTimeoutSeconds = 5.0;
+    startServer(config);
+    DjinnClient client;
+    ASSERT_TRUE(connect(client).isOk());
+    ASSERT_TRUE(client.ping().isOk());
+
+    // The held forward keeps the drain waiting.
+    std::thread held = holdForward();
+    std::thread stopper([this]() { server_->stop(); });
+    for (int i = 0; i < 5000 && !server_->draining(); ++i)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    EXPECT_TRUE(server_->draining());
+    auto models = client.listModels();
+    hold_.open();
+    held.join();
+    stopper.join();
+    ASSERT_FALSE(models.isOk());
+    EXPECT_EQ(models.status().code(), StatusCode::Overloaded)
+        << models.status().toString();
 }
 
 TEST_F(RobustnessTest, OversizeFrameCountsProtocolError)
@@ -802,6 +763,66 @@ TEST_F(AcceptLoopTest, SurvivesFdExhaustion)
 
     // The earlier connection kept working through the exhaustion.
     EXPECT_TRUE(before.ping().isOk());
+}
+
+TEST_F(AcceptLoopTest, HttpEndpointSurvivesFdExhaustion)
+{
+    // The scrape endpoint accepts through the same listener, so an
+    // EMFILE there is counted and retried too instead of ending
+    // the scrape acceptor for good. Lowering RLIMIT_NOFILE under
+    // every free descriptor fails the acceptor's next accept()
+    // (a thread already blocked in accept() holds its new fd's
+    // number, so connection A may still get through first).
+    ServerConfig config;
+    config.httpPort = 0;
+    // No sampler: nothing else in the process may need an fd while
+    // the limit is down.
+    config.samplerPeriod = 0.0;
+    startServer(config);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(server_->httpPort());
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    const char request[] = "GET /metrics HTTP/1.0\r\n\r\n";
+    // Both client sockets exist before the limit drops.
+    int a = ::socket(AF_INET, SOCK_STREAM, 0);
+    int b = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(a, 0);
+    ASSERT_GE(b, 0);
+    auto reply = [](int fd) {
+        timeval tv{5, 0}; // an unserved scrape fails, not hangs
+        ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+        std::string out;
+        char buf[4096];
+        for (ssize_t n; (n = ::read(fd, buf, sizeof(buf))) > 0;)
+            out.append(buf, static_cast<size_t>(n));
+        ::close(fd);
+        return out;
+    };
+
+    rlimit saved{};
+    ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+    rlimit low = saved;
+    low.rlim_cur = 3; // stdin, stdout and stderr only
+    ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &low), 0);
+    const bool sent =
+        ::connect(a, reinterpret_cast<sockaddr *>(&addr),
+                  sizeof(addr)) == 0 &&
+        ::write(a, request, sizeof(request) - 1) > 0;
+    const bool counted = waitForMetric("djinn_accept_errors", {}, 1.0);
+    const bool queued = ::connect(b, reinterpret_cast<sockaddr *>(&addr),
+                                  sizeof(addr)) == 0 &&
+                        ::write(b, request, sizeof(request) - 1) > 0;
+    ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &saved), 0);
+    EXPECT_TRUE(sent && queued);
+    EXPECT_TRUE(counted) << "accept() never reported fd exhaustion";
+
+    // With descriptors back, the acceptor's retries serve both.
+    std::string first = reply(a);
+    EXPECT_EQ(first.rfind("HTTP/1.0 200", 0), 0u) << first;
+    std::string second = reply(b);
+    EXPECT_EQ(second.rfind("HTTP/1.0 200", 0), 0u) << second;
+    EXPECT_NE(second.find("djinn_accept_errors"), std::string::npos);
 }
 
 } // namespace

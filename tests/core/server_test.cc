@@ -10,16 +10,51 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <thread>
 
 #include "core/djinn_client.hh"
 #include "nn/init.hh"
 #include "nn/net_def.hh"
 #include "telemetry/exposition.hh"
+#include "telemetry/slo.hh"
+#include "telemetry/trace.hh"
+
+#include "forward_hold.hh"
 
 namespace djinn {
 namespace core {
 namespace {
+
+/** A sample count and sum: one metric series, or the matching
+ * fold over flight records. */
+struct Fold {
+    uint64_t count = 0;
+    double sum = 0.0;
+
+    void
+    add(double value)
+    {
+        ++count;
+        sum += value;
+    }
+};
+
+/** @p name{@p labels} in @p samples as a Fold (a counter's value
+ * is both); empty when the series does not exist. */
+Fold
+registryFold(const std::vector<telemetry::MetricSample> &samples,
+             const std::string &name, const telemetry::LabelMap &labels)
+{
+    for (const telemetry::MetricSample &s : samples) {
+        if (s.name != name || s.labels != labels)
+            continue;
+        if (s.kind == telemetry::MetricKind::Histogram)
+            return {s.histogram.count, s.histogram.sum};
+        return {static_cast<uint64_t>(s.value), s.value};
+    }
+    return {};
+}
 
 class ServerTest : public ::testing::Test
 {
@@ -482,6 +517,167 @@ TEST_F(ServerTest, MetricsCountErrorsByReason)
         {{"reason", "bad_request"}});
     ASSERT_TRUE(bad.isOk());
     EXPECT_DOUBLE_EQ(bad.value(), 1.0);
+}
+
+TEST_F(ServerTest, RegistryIsAViewOfFlightRecords)
+{
+    // Each finished request is written once, as its flight record,
+    // and every per-request family is derived from it: a family's
+    // count (and sum, where the record holds the sampled value)
+    // equals the matching fold over the records. The traffic:
+    // successes of varying rows, an over-cap BadRequest, and with
+    // batching a queue-full shed and a deadline shed.
+    ForwardHold hold;
+    {
+        auto net = heldNetwork("held", &hold);
+        nn::initializeWeights(*net, 5);
+        ASSERT_TRUE(registry_.add(std::move(net)).isOk());
+    }
+    for (bool batching : {false, true}) {
+        SCOPED_TRACE(batching ? "batching" : "unbatched");
+        ServerConfig config;
+        config.batching = batching;
+        config.batchOptions.maxQueries = 64;
+        config.batchOptions.maxQueueDepth = 2;
+        config.maxRowsPerRequest = 8;
+        startServer(config);
+        auto infer = [this](int rows, uint32_t deadline_ms = 0,
+                            float first = 0.5f) {
+            DjinnClient client;
+            if (!connect(client).isOk())
+                return StatusCode::Unavailable;
+            client.setDeadlineMs(deadline_ms);
+            std::vector<float> input(4 * rows, 0.5f);
+            input[0] = first;
+            return client.infer("held", rows, input).status().code();
+        };
+        for (int rows : {2, 3, 5, 8})
+            EXPECT_EQ(infer(rows), StatusCode::Ok);
+        EXPECT_EQ(infer(9), StatusCode::InvalidArgument);
+        if (batching) {
+            // Hold a forward in flight. A 1 ms budget queues behind
+            // it and expires; a second query fills the queue to its
+            // cap of 2, so a third is shed at admission.
+            auto queued = [this](double depth) {
+                telemetry::Gauge &gauge = server_->metrics().gauge(
+                    "djinn_batch_queue_depth", {{"model", "held"}});
+                for (int i = 0; i < 5000 && gauge.value() < depth; ++i)
+                    std::this_thread::sleep_for(
+                        std::chrono::milliseconds(1));
+                return gauge.value() >= depth;
+            };
+            hold.close();
+            std::thread held([&]() {
+                EXPECT_EQ(infer(1, 0, kHoldMarker), StatusCode::Ok);
+            });
+            hold.awaitEntered();
+            std::thread late([&]() {
+                EXPECT_EQ(infer(2, 1), StatusCode::DeadlineExceeded);
+            });
+            EXPECT_TRUE(queued(1.0));
+            std::thread filler([&]() {
+                EXPECT_EQ(infer(3), StatusCode::Ok);
+            });
+            EXPECT_TRUE(queued(2.0));
+            EXPECT_EQ(infer(2), StatusCode::Overloaded);
+            std::this_thread::sleep_for(std::chrono::milliseconds(5));
+            hold.open();
+            held.join();
+            late.join();
+            filler.join();
+        }
+
+        // Every response is written after its record, so the
+        // registry and the recorder are complete here.
+        const std::vector<telemetry::FlightRecord> records =
+            server_->flightRecorder().snapshot();
+        EXPECT_EQ(records.size(), batching ? 9u : 5u);
+        Fold decode, encode, wait, service, total, ok, rows;
+        uint64_t submitted = 0;
+        double cycles = 0.0;
+        for (const telemetry::FlightRecord &r : records) {
+            EXPECT_EQ(r.modelName(), "held");
+            decode.add(r.decodeSeconds);
+            encode.add(r.encodeSeconds);
+            total.add(r.totalSeconds);
+            cycles += static_cast<double>(r.cycles);
+            // Batcher outcomes: admitted, or shed at admission.
+            if (batching &&
+                r.outcome != telemetry::FlightOutcome::Error) {
+                ++submitted;
+                if (r.outcome !=
+                    telemetry::FlightOutcome::ShedQueueFull)
+                    wait.add(r.queueWaitSeconds);
+            }
+            if (r.outcome == telemetry::FlightOutcome::Ok) {
+                service.add(r.serviceSeconds);
+                ok.add(1.0);
+                rows.add(static_cast<double>(r.rows));
+            }
+        }
+        EXPECT_EQ(ok.count, batching ? 6u : 4u);
+
+        const std::vector<telemetry::MetricSample> samples =
+            server_->metrics().snapshot();
+        const telemetry::LabelMap model{{"model", "held"}};
+        auto phase = [](const char *name) {
+            return telemetry::LabelMap{{"model", "held"},
+                                       {"phase", name}};
+        };
+        auto expect_view = [&](const std::string &name,
+                               const telemetry::LabelMap &labels,
+                               const Fold &want, bool sums) {
+            const std::string id = telemetry::renderMetricId(name, labels);
+            Fold got = registryFold(samples, name, labels);
+            EXPECT_EQ(got.count, want.count) << id;
+            if (sums) {
+                EXPECT_NEAR(got.sum, want.sum,
+                            1e-9 * std::abs(want.sum))
+                    << id;
+            }
+        };
+        const Fold counted{records.size(), 0.0};
+        const Fold queued{submitted, 0.0};
+        const bool hardware = !records.empty() && records[0].hardware;
+        expect_view(telemetry::phaseMetricName, phase("decode"), decode,
+                    true);
+        expect_view(telemetry::phaseMetricName, phase("encode"), encode,
+                    true);
+        expect_view(telemetry::phaseMetricName, phase("queue_wait"), wait,
+                    true);
+        expect_view(telemetry::phaseMetricName, phase("service"),
+                    service, true);
+        expect_view(telemetry::requestSecondsMetricName, model, total,
+                    true);
+        expect_view(telemetry::requestCyclesMetricName, model,
+                    {records.size(), cycles}, hardware);
+        for (const char *family :
+             {telemetry::phaseCyclesMetricName,
+              telemetry::phaseInstructionsMetricName,
+              telemetry::phaseIpcMetricName,
+              telemetry::phaseCacheMissMetricName}) {
+            if (!hardware && family != telemetry::phaseCyclesMetricName)
+                continue;
+            expect_view(family, phase("decode"), counted, false);
+            expect_view(family, phase("encode"), counted, false);
+            expect_view(family, phase("queue_wait"), queued, false);
+        }
+        if (hardware) {
+            expect_view(telemetry::requestIpcMetricName, model, counted,
+                        false);
+        }
+        expect_view("djinn_requests_total", model, {ok.count, ok.sum},
+                    true);
+        expect_view("djinn_rows_total", model,
+                    {static_cast<uint64_t>(rows.sum), rows.sum}, true);
+        Fold slo = registryFold(samples, telemetry::sloGoodMetricName,
+                                model);
+        slo.count += registryFold(samples, telemetry::sloBadMetricName,
+                                  model)
+                         .count;
+        EXPECT_EQ(slo.count, ok.count);
+        server_->stop();
+    }
 }
 
 TEST_F(ServerTest, StopDuringConnectionChurn)

@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the metric registry, the exposition formats (text
- * render + parse round-trip, JSON), and request trace spans.
+ * render + parse round-trip, JSON), and request recording.
  */
 
 #include "telemetry/metrics.hh"
@@ -14,6 +14,7 @@
 
 #include "common/logging.hh"
 #include "telemetry/exposition.hh"
+#include "telemetry/flight_recorder.hh"
 #include "telemetry/trace.hh"
 
 namespace djinn {
@@ -229,49 +230,61 @@ TEST(ExpositionTest, JsonContainsSummaryFields)
 TEST(RequestTraceTest, PhasesRecordIntoModelHistograms)
 {
     MetricRegistry registry;
-    {
-        RequestTrace trace(registry, "mnist");
-        trace.record(Phase::Decode, 1e-4);
-        trace.record(Phase::Forward, 5e-3);
-        trace.record(Phase::Service, 6e-3);
-    }
-    auto &forward = registry.histogram(
+    FlightRecorder recorder(16, 0);
+    RequestLog log(registry, recorder, "mnist", false, 0.0);
+    FlightRecord record;
+    record.decodeSeconds = 1e-4;
+    record.forwardSeconds = 5e-3;
+    record.serviceSeconds = 6e-3;
+    log.begin();
+    log.finish(record, RequestWork{});
+    auto &service = registry.histogram(
         phaseMetricName,
-        {{"model", "mnist"}, {"phase", "forward"}});
-    EXPECT_EQ(forward.count(), 1u);
-    EXPECT_DOUBLE_EQ(forward.max(), 5e-3);
+        {{"model", "mnist"}, {"phase", "service"}});
+    EXPECT_EQ(service.count(), 1u);
+    EXPECT_DOUBLE_EQ(service.max(), 6e-3);
     auto &decode = registry.histogram(
         phaseMetricName,
         {{"model", "mnist"}, {"phase", "decode"}});
     EXPECT_EQ(decode.count(), 1u);
+    EXPECT_DOUBLE_EQ(decode.max(), 1e-4);
 }
 
 TEST(RequestTraceTest, InflightGaugeTracksTraceLifetime)
 {
     MetricRegistry registry;
+    FlightRecorder recorder(16, 0);
     Gauge &inflight = registry.gauge(inflightMetricName);
-    {
-        RequestTrace a(registry);
-        EXPECT_DOUBLE_EQ(inflight.value(), 1.0);
-        {
-            RequestTrace b(registry, "mnist");
-            EXPECT_DOUBLE_EQ(inflight.value(), 2.0);
-        }
-        EXPECT_DOUBLE_EQ(inflight.value(), 1.0);
-    }
+    RequestLog log(registry, recorder, "mnist", false, 0.0);
+    FlightRecord a, b;
+    log.begin();
+    EXPECT_DOUBLE_EQ(inflight.value(), 1.0);
+    log.begin();
+    EXPECT_DOUBLE_EQ(inflight.value(), 2.0);
+    log.finish(b, RequestWork{});
+    EXPECT_DOUBLE_EQ(inflight.value(), 1.0);
+    log.finish(a, RequestWork{});
     EXPECT_DOUBLE_EQ(inflight.value(), 0.0);
 }
 
 TEST(RequestTraceTest, ModelSetAfterDecodeLabelsLaterPhases)
 {
+    // The worker picks the model's log once the request is
+    // decoded; finish() labels the record and its samples with it.
     MetricRegistry registry;
-    RequestTrace trace(registry);
-    trace.setModel("alexnet");
-    trace.record(Phase::QueueWait, 2e-4);
+    FlightRecorder recorder(16, 0);
+    RequestLog log(registry, recorder, "alexnet", true, 0.0);
+    FlightRecord record;
+    record.queueWaitSeconds = 2e-4;
+    log.begin();
+    uint64_t seq = log.finish(record, RequestWork{});
     auto &wait = registry.histogram(
         phaseMetricName,
         {{"model", "alexnet"}, {"phase", "queue_wait"}});
     EXPECT_EQ(wait.count(), 1u);
+    FlightRecord published;
+    ASSERT_TRUE(recorder.find(seq, published));
+    EXPECT_EQ(published.modelName(), "alexnet");
 }
 
 TEST(PhaseNameTest, StableLabels)

@@ -14,6 +14,7 @@
 
 #include <chrono>
 
+#include "telemetry/flight_recorder.hh"
 #include "telemetry/metrics.hh"
 #include "telemetry/trace.hh"
 
@@ -174,27 +175,30 @@ TEST(RequestTraceWorkTest, ClockOnlyDeltasYieldCompleteBreakdown)
 {
     // The fallback guarantee: with counters unavailable, feeding
     // clock-only deltas through the phase accounting still yields a
-    // complete four-phase breakdown whose shares sum to the request
-    // span — just denominated in nanoseconds.
+    // complete breakdown of the worker's phases (decode, queue
+    // wait, encode; the executor records forward per pass) whose
+    // shares sum to the request span — just denominated in
+    // nanoseconds.
     MetricRegistry registry;
-    RequestTrace trace(registry, "tiny");
+    FlightRecorder recorder(16, 0);
+    RequestLog log(registry, recorder, "tiny", true, 0.0);
 
-    const Phase phases[] = {Phase::Decode, Phase::QueueWait,
-                            Phase::Forward, Phase::Encode};
-    const uint64_t ns[] = {1000, 2000, 30000, 4000};
+    RequestWork work;
+    CounterDelta *phases[] = {&work.decode, &work.queueWait,
+                              &work.encode};
+    const uint64_t ns[] = {1000, 2000, 4000};
     uint64_t total = 0;
-    for (int i = 0; i < 4; ++i) {
-        CounterDelta d;
-        d.wallNs = ns[i];
-        d.taskClockNs = ns[i];
-        d.hardware = false;
-        trace.recordWork(phases[i], d);
+    for (int i = 0; i < 3; ++i) {
+        phases[i]->wallNs = ns[i];
+        phases[i]->taskClockNs = ns[i];
+        phases[i]->hardware = false;
         total += ns[i];
     }
-    CounterDelta request;
-    request.wallNs = total;
-    request.hardware = false;
-    trace.recordRequestWork(request);
+    work.request.wallNs = total;
+    work.request.hardware = false;
+    FlightRecord record;
+    log.begin();
+    log.finish(record, work);
 
     double phase_sum = 0.0;
     int phase_families = 0;
@@ -216,7 +220,7 @@ TEST(RequestTraceWorkTest, ClockOnlyDeltasYieldCompleteBreakdown)
             EXPECT_NE(s.name, requestIpcMetricName);
         }
     }
-    EXPECT_EQ(phase_families, 4);
+    EXPECT_EQ(phase_families, 3);
     EXPECT_DOUBLE_EQ(phase_sum, static_cast<double>(total));
     EXPECT_DOUBLE_EQ(request_sum, static_cast<double>(total));
 }
@@ -224,17 +228,24 @@ TEST(RequestTraceWorkTest, ClockOnlyDeltasYieldCompleteBreakdown)
 TEST(RequestTraceWorkTest, HardwareDeltasExportIpcAndMisses)
 {
     MetricRegistry registry;
-    RequestTrace trace(registry, "tiny");
-    CounterDelta d;
+    FlightRecorder recorder(16, 0);
+    RequestLog log(registry, recorder, "tiny", false, 0.0);
+    RequestWork work;
+    CounterDelta &d = work.decode;
     d.cycles = 4000;
     d.instructions = 8000;
     d.cacheMisses = 17;
     d.wallNs = 999; // must be ignored: work() prefers cycles
     d.hardware = true;
-    trace.recordWork(Phase::Forward, d);
+    FlightRecord record;
+    log.begin();
+    log.finish(record, work);
 
     bool saw_cycles = false, saw_ipc = false, saw_misses = false;
     for (const MetricSample &s : registry.snapshot()) {
+        auto phase = s.labels.find("phase");
+        if (phase == s.labels.end() || phase->second != "decode")
+            continue;
         if (s.name == phaseCyclesMetricName) {
             saw_cycles = true;
             EXPECT_DOUBLE_EQ(s.histogram.sum, 4000.0);
