@@ -137,6 +137,14 @@ cmake -B build -S . && cmake --build build -j && \
     cd build && ctest --output-on-failure -j "$(nproc)"
 cd ..
 
+# The int8 kernels the GEMM battery ran bit for bit against its
+# scalar reference (AMX tiles only where the host grants them), so
+# the log shows whether AMX was covered. The ASan/UBSan and TSan
+# stages below run the same battery (GemmDiff*) and print the same.
+./build/tests/nn_test \
+    --gtest_filter='GemmDiffInt8.KernelsAgreeBitForBit' \
+    | grep 'kernels run:'
+
 # Smoke test the observability surface: boot a real daemon with the
 # HTTP endpoint and let scrape_check validate /healthz, /metrics
 # (must parse as Prometheus exposition), /trace, and /profile.

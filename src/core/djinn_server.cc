@@ -86,6 +86,8 @@ DjinnServer::DjinnServer(const ModelRegistry &registry,
       tracer_(config.traceCapacity),
       flightRecorder_(config.flightCapacity, config.flightReservoir,
                       &metrics_),
+      unknownLog_(metrics_, flightRecorder_, kUnknownModelLabel,
+                  config.batching, config.sloTargetSeconds),
       batcher_(registry, config.batchOptions, &metrics_)
 {
     for (const std::string &model : registry_.modelNames()) {
@@ -669,8 +671,12 @@ DjinnServer::requestLog(const std::string &model,
     auto it = requestLogs_.find(model);
     if (it != requestLogs_.end())
         return *it->second;
-    // A name the registry did not hold at construction: its
-    // instruments are looked up for this one request.
+    // Names the registry does not hold share one series set, so a
+    // client cannot grow the metric registry by naming models.
+    if (!registry_.find(model))
+        return unknownLog_;
+    // A model added after construction: its instruments are looked
+    // up for this one request.
     stray = std::make_unique<telemetry::RequestLog>(
         metrics_, flightRecorder_, model, config_.batching,
         config_.sloTargetSeconds);

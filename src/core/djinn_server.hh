@@ -199,6 +199,13 @@ struct ServerConfig {
 };
 
 /**
+ * The model label of the per-request series of every inference
+ * request naming a model the registry does not hold: one series
+ * set for all of them, however many names clients send.
+ */
+inline constexpr const char *kUnknownModelLabel = "(unknown)";
+
+/**
  * The DjiNN service. Owns the listening socket, the acceptor
  * thread, and the per-connection worker threads.
  */
@@ -375,9 +382,11 @@ class DjinnServer
      * (the store and monitor are rebuilt by every start()). */
     DebugRoutes debugRoutes();
 
-    /** @p model's request log: the one built for a registered
-     * model, else a fresh one left in @p stray for the caller to
-     * own for one request. */
+    /** @p model's request log: the one built for a model
+     * registered at construction, the shared unknownLog_ for a
+     * name the registry does not hold, else (a model added since)
+     * a fresh one left in @p stray for the caller to own for one
+     * request. */
     telemetry::RequestLog &requestLog(
         const std::string &model,
         std::unique_ptr<telemetry::RequestLog> &stray);
@@ -408,6 +417,11 @@ class DjinnServer
 
     telemetry::Tracer tracer_;
     telemetry::FlightRecorder flightRecorder_;
+
+    /** The one request log of every name the registry does not
+     * hold, labelled model=kUnknownModelLabel. */
+    telemetry::RequestLog unknownLog_;
+
     /** Serves both modes: batching submits to its per-model
      * queues, unbatched requests run() a batch of one. */
     BatchingExecutor batcher_;

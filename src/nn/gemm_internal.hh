@@ -9,6 +9,7 @@
 #define DJINN_NN_GEMM_INTERNAL_HH
 
 #include <cstdint>
+#include <vector>
 
 #include "nn/gemm.hh"
 
@@ -72,6 +73,36 @@ void gemmS8Packed(Trans trans_a, int64_t m, float alpha,
                   const float *a, int64_t lda, const QuantParams &aq,
                   const PackedWeights &b, float beta, float *c,
                   int64_t ldc);
+
+/**
+ * The int8 product kernels (DESIGN.md §14): the register-tiled
+ * microkernel, built as VNNI or as exact scalar code, and the AMX
+ * tile kernel. All of them compute the same int32 sums.
+ */
+enum class S8Kernel { Scalar, Vnni, Amx };
+
+/** "scalar", "vnni" or "amx". */
+const char *s8KernelName(S8Kernel kernel);
+
+/** Every int8 kernel this build and process can run. */
+std::vector<S8Kernel> s8Kernels();
+
+/** The kernel an m-row int8 product runs on. */
+S8Kernel s8KernelFor(int64_t m);
+
+/**
+ * Test seam: while alive, every int8 product on any thread runs on
+ * @p kernel, which must be one of s8Kernels(). Not nestable.
+ */
+class ScopedS8Kernel
+{
+  public:
+    explicit ScopedS8Kernel(S8Kernel kernel);
+    ~ScopedS8Kernel();
+
+    ScopedS8Kernel(const ScopedS8Kernel &) = delete;
+    ScopedS8Kernel &operator=(const ScopedS8Kernel &) = delete;
+};
 
 } // namespace detail
 } // namespace nn

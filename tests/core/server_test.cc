@@ -11,6 +11,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <string>
 #include <thread>
 
 #include "core/djinn_client.hh"
@@ -517,6 +518,39 @@ TEST_F(ServerTest, MetricsCountErrorsByReason)
         {{"reason", "bad_request"}});
     ASSERT_TRUE(bad.isOk());
     EXPECT_DOUBLE_EQ(bad.value(), 1.0);
+}
+
+TEST_F(ServerTest, UnknownModelNamesShareOneSeriesSet)
+{
+    // Every name the registry does not hold records under one model
+    // label, so naming models cannot grow the exposition without
+    // bound; a model registered after construction keeps its own.
+    startServer();
+    DjinnClient client;
+    ASSERT_TRUE(connect(client).isOk());
+    (void)client.infer("bogus0", 1, {1, 2, 3, 4});
+    size_t series = server_->metrics().snapshot().size();
+    for (int i = 1; i < 50; ++i)
+        (void)client.infer("bogus" + std::to_string(i), 1,
+                           {1, 2, 3, 4});
+    auto samples = server_->metrics().snapshot();
+    EXPECT_EQ(samples.size(), series);
+    Fold unknown = registryFold(samples, "djinn_request_seconds",
+                                {{"model", kUnknownModelLabel}});
+    EXPECT_EQ(unknown.count, 50u);
+    EXPECT_EQ(registryFold(samples, "djinn_request_seconds",
+                           {{"model", "bogus7"}}).count, 0u);
+
+    auto net = nn::parseNetDefOrDie(
+        "name late\ninput 1 2 2\nlayer fc fc out 3\n"
+        "layer prob softmax\n");
+    nn::initializeWeights(*net, 6);
+    ASSERT_TRUE(registry_.add(std::move(net)).isOk());
+    ASSERT_TRUE(client.infer("late", 1, {1, 2, 3, 4}).isOk());
+    EXPECT_EQ(registryFold(server_->metrics().snapshot(),
+                           "djinn_request_seconds", {{"model", "late"}})
+                  .count,
+              1u);
 }
 
 TEST_F(ServerTest, RegistryIsAViewOfFlightRecords)

@@ -29,13 +29,16 @@
  */
 
 #include "nn/gemm.hh"
+#include "nn/gemm_internal.hh"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <iostream>
 #include <vector>
 
 #include "common/logging.hh"
@@ -507,6 +510,154 @@ TEST(GemmDiffInt8, LargeShapeAcrossSliceBoundaries)
         runInt8Case(cs, signedAct, rng);
         if (testing::Test::HasFatalFailure())
             return;
+    }
+}
+
+/**
+ * The exact C of a KernelsAgreeBitForBit case, whose weights are
+ * n x k codes (the fully connected orientation): a scalar int32 sum
+ * per element through the driver's epilogue expression, pad
+ * columns left as @p c0.
+ */
+std::vector<float>
+exactInt8Ref(const Case &cs, const std::vector<float> &af,
+             const QuantParams &aq, const std::vector<int8_t> &b8,
+             const std::vector<float> &bScales,
+             const std::vector<float> &c0)
+{
+    std::vector<int32_t> qa(static_cast<size_t>(cs.m * cs.k));
+    for (int64_t i = 0; i < cs.m; ++i)
+        for (int64_t p = 0; p < cs.k; ++p)
+            qa[static_cast<size_t>(i * cs.k + p)] =
+                aq.quantize(opA(af, cs, i, p)) - aq.zeroPoint;
+    std::vector<float> want = c0;
+    for (int64_t i = 0; i < cs.m; ++i) {
+        for (int64_t j = 0; j < cs.n; ++j) {
+            int32_t acc = 0;
+            const int32_t *arow = &qa[static_cast<size_t>(i * cs.k)];
+            const int8_t *bcol = &b8[static_cast<size_t>(j * cs.ldb)];
+            for (int64_t p = 0; p < cs.k; ++p)
+                acc += arow[p] * bcol[p];
+            float &out = want[static_cast<size_t>(i * cs.ldc + j)];
+            float base = cs.beta == 0.0f   ? 0.0f
+                         : cs.beta == 1.0f ? out
+                                           : out * cs.beta;
+            out = base + cs.alpha * aq.scale *
+                             bScales[static_cast<size_t>(j)] *
+                             static_cast<float>(acc);
+        }
+    }
+    return want;
+}
+
+/**
+ * Every int8 kernel this build and process can run (AMX tiles when
+ * the host grants them, the VNNI or scalar microkernel otherwise),
+ * forced through the detail::ScopedS8Kernel seam, writes the same
+ * bytes as an exact scalar reference, through both entries, at 1,
+ * 2 and 4 threads, on shapes at and around the 16-row and 64-deep
+ * tile edges and the 16-column panel edge, under both activation
+ * mappings.
+ */
+TEST(GemmDiffInt8, KernelsAgreeBitForBit)
+{
+    PoolSizeGuard guard;
+    std::vector<detail::S8Kernel> kernels = detail::s8Kernels();
+    std::cout << "[ int8     ] kernels run:";
+    for (detail::S8Kernel kernel : kernels)
+        std::cout << ' ' << detail::s8KernelName(kernel);
+    std::cout << std::endl;
+
+    const int64_t ms[] = {1, 15, 16, 17, 31, 32, 33, 198};
+    const int64_t ks[] = {1, 3, 63, 64, 65, 440, 1025};
+    std::vector<std::array<int64_t, 3>> shapes;
+    for (int64_t m : ms)
+        for (int64_t k : ks)
+            for (int64_t n : {1, 16, 17, 33})
+                shapes.push_back({m, k, n});
+    // n = 4000 (Kaldi's output layer) on an anti-diagonal of (m, k),
+    // so the scalar reference stays affordable under sanitizers.
+    for (size_t i = 0; i < std::size(ks); ++i)
+        shapes.push_back({ms[std::size(ms) - 1 - i], ks[i], 4000});
+
+    djinn::Rng rng(0xa3c5u);
+    for (const auto &[m, k, n] : shapes) {
+        for (bool signedAct : {false, true}) {
+            int64_t spin = m + k + n + (signedAct ? 1 : 0);
+            Case cs;
+            cs.m = m;
+            cs.n = n;
+            cs.k = k;
+            cs.ta = spin % 2 ? Trans::Yes : Trans::No;
+            cs.tb = Trans::Yes;
+            cs.lda = (cs.ta == Trans::No ? k : m) + 5;
+            cs.ldb = k;
+            cs.ldc = n + 2;
+            cs.alpha = spin % 3 ? 1.0f : -0.5f;
+            cs.beta = spin % 4 ? 0.0f : 0.5f;
+            SCOPED_TRACE(testing::Message()
+                         << (signedAct ? "s8 " : "u8 ") << "m=" << m
+                         << " k=" << k << " n=" << n << " ta="
+                         << (cs.ta == Trans::Yes));
+
+            std::vector<float> af(static_cast<size_t>(
+                (cs.ta == Trans::No ? m : k) * cs.lda));
+            std::vector<float> bf(static_cast<size_t>(n * k));
+            std::vector<float> c0(static_cast<size_t>(m * cs.ldc));
+            fillUniform(af, rng);
+            fillUniform(bf, rng);
+            fillUniform(c0, rng);
+            float lo, hi;
+            minMax(af.data(), static_cast<int64_t>(af.size()), &lo,
+                   &hi);
+            QuantParams aq = signedAct ? QuantParams::affineS8(lo, hi)
+                                       : QuantParams::affineU8(lo, hi);
+            std::vector<int8_t> b8(bf.size());
+            std::vector<float> bScales(static_cast<size_t>(n));
+            for (int64_t j = 0; j < n; ++j) {
+                const float *col = &bf[static_cast<size_t>(j * k)];
+                float mx = 0.0f;
+                for (int64_t p = 0; p < k; ++p)
+                    mx = std::max(mx, std::fabs(col[p]));
+                QuantParams wq = QuantParams::symmetricS8(mx);
+                bScales[static_cast<size_t>(j)] = wq.scale;
+                for (int64_t p = 0; p < k; ++p)
+                    b8[static_cast<size_t>(j * k + p)] =
+                        static_cast<int8_t>(wq.quantize(col[p]));
+            }
+            std::vector<float> want =
+                exactInt8Ref(cs, af, aq, b8, bScales, c0);
+            PackedWeights packed;
+            packed.pack(Precision::Int8, Trans::Yes, k, n, bf.data(),
+                        k, bScales.data());
+
+            for (detail::S8Kernel kernel : kernels) {
+                detail::ScopedS8Kernel force(kernel);
+                for (int threads : {1, 2, 4}) {
+                    common::setComputeThreads(threads);
+                    std::vector<float> raw = c0;
+                    gemm_s8(cs.ta, Trans::Yes, m, n, k, cs.alpha,
+                            af.data(), cs.lda, aq, b8.data(), k,
+                            bScales.data(), cs.beta, raw.data(),
+                            cs.ldc);
+                    std::vector<float> viaPacked = c0;
+                    gemm_packed(cs.ta, m, cs.alpha, af.data(), cs.lda,
+                                packed, cs.beta, viaPacked.data(),
+                                cs.ldc, aq);
+                    size_t bytes = want.size() * sizeof(float);
+                    ASSERT_EQ(std::memcmp(raw.data(), want.data(),
+                                          bytes),
+                              0)
+                        << detail::s8KernelName(kernel)
+                        << " gemm_s8, threads=" << threads;
+                    ASSERT_EQ(std::memcmp(viaPacked.data(),
+                                          want.data(), bytes),
+                              0)
+                        << detail::s8KernelName(kernel)
+                        << " gemm_packed, threads=" << threads;
+                }
+            }
+        }
     }
 }
 
