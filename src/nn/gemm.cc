@@ -405,6 +405,7 @@ PackedWeights::pack(Precision precision, Trans trans, int64_t k,
     // Only the current precision's copy is kept resident.
     panels_.reset();
     panels8_.reset();
+    panels8Bytes_ = 0;
     colSums_ = {};
     colScales_ = {};
     if (precision == Precision::Int8) {
