@@ -82,6 +82,19 @@ if [ -n "$bad" ]; then
     exit 1
 fi
 
+# Lint: weights are sealed once packed (DESIGN.md §8). Layer's
+# packWeights() packs a layer exactly once, at the latest on its
+# first forward, and nothing rewrites the weights after, so the FC
+# and conv forwards read their packs with no lock.
+bad=$(grep -rnE 'std::mutex|lock_guard|invalidatePacked' \
+    src/nn/layers/ || true)
+if [ -n "$bad" ]; then
+    echo "lint: lock or pack invalidation in src/nn/layers;" \
+         "weights are sealed once packed (Layer::packWeights):" >&2
+    echo "$bad" >&2
+    exit 1
+fi
+
 # Lint: one debug-route table. The Metrics wire verb and the HTTP
 # endpoint both dispatch through core/debug_routes, so verb-prefix
 # matching and query-string parsing appear nowhere else in src/core.
@@ -434,9 +447,10 @@ cmake --build build-tsan -j --target common_test nn_test core_test \
     --gtest_filter='ThreadPool*:ComputePool*'
 # GemmDiff* covers the f32, bf16, and int8 batteries (all three
 # run the threaded driver); Quant* rides along for the scalar
-# primitives; InnerProduct* and Convolution* race forwards to
-# rebuild a dropped packed-weight copy. *BatchComposition* runs the
-# composition property through the live batcher's dispatcher too.
+# primitives; InnerProduct* and Convolution* race four first
+# forwards of a fresh layer to its once-only pack, then read it
+# with no lock. *BatchComposition* runs the composition property
+# through the live batcher's dispatcher too.
 ./build-tsan/tests/nn_test \
     --gtest_filter='GemmDiff*:Quant*:InnerProduct*:Convolution*:*BatchComposition*'
 ./build-tsan/tests/core_test \

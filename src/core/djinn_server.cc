@@ -248,21 +248,27 @@ DjinnServer::start()
         // are not registry-backed (compute-pool busy count,
         // aggregate batcher backlog) and the SLO burn rates (from
         // the store's history of the good/bad counters), then the
-        // sweep exports every gauge as a counter track.
+        // sweep exports every gauge as a counter track. Both
+        // gauges are registered here, before start() returns, so
+        // the first tick does not grow the registry under a reader.
+        telemetry::Gauge *pool_busy =
+            &metrics_.gauge("djinn_compute_pool_busy");
+        telemetry::Gauge *queue_depth =
+            config_.batching
+                ? &metrics_.gauge("djinn_batch_queue_depth_total")
+                : nullptr;
         sampler_ = std::make_unique<telemetry::BackgroundSampler>(
             tracer_, metrics_, config_.samplerPeriod,
             [this](telemetry::Tracer &) {
                 timeseries_->sample(telemetry::traceNowUs() * 1e-6);
                 health_->tick();
             },
-            [this]() {
-                common::ThreadPool &pool = common::computePool();
-                metrics_.gauge("djinn_compute_pool_busy")
-                    .set(static_cast<double>(pool.activeWorkers()));
-                if (config_.batching) {
-                    metrics_.gauge("djinn_batch_queue_depth_total")
-                        .set(static_cast<double>(
-                            batcher_.queueDepthTotal()));
+            [this, pool_busy, queue_depth]() {
+                pool_busy->set(static_cast<double>(
+                    common::computePool().activeWorkers()));
+                if (queue_depth) {
+                    queue_depth->set(static_cast<double>(
+                        batcher_.queueDepthTotal()));
                 }
                 if (config_.sloTargetSeconds > 0.0) {
                     // Burn rates from the store's history of the

@@ -74,8 +74,27 @@ Layer::forward(const Tensor &in, Tensor &out) const
               name_.c_str(), s.toString().c_str(),
               inputShape_.toString().c_str());
     }
+    packWeights();
     out.resize(outputShape_.withBatch(s.n()));
     forwardImpl(in, out);
+}
+
+void
+Layer::packWeights() const
+{
+    std::call_once(packOnce_, [this] {
+        sealed_.store(true);
+        packImpl();
+    });
+}
+
+void
+Layer::requireUnsealed(const char *what) const
+{
+    if (sealed_.load()) {
+        panic("layer '%s': %s: weights are sealed after the first pack",
+              name_.c_str(), what);
+    }
 }
 
 void
@@ -83,6 +102,7 @@ Layer::setPrecision(Precision p, LayerQuant q)
 {
     if (!isSetUp_)
         panic("layer '%s': setPrecision before setup", name_.c_str());
+    requireUnsealed("setPrecision");
     if (!supportsPrecision(p)) {
         fatal("layer '%s' (%s) does not support precision %s",
               name_.c_str(), layerKindName(kind_), precisionName(p));
@@ -90,7 +110,6 @@ Layer::setPrecision(Precision p, LayerQuant q)
     precision_ = p;
     quant_ = std::move(q);
     onPrecisionChanged();
-    invalidatePacked();
 }
 
 uint64_t
@@ -113,7 +132,7 @@ Layer::flopsPerSample() const
 std::vector<Tensor *>
 Layer::params()
 {
-    invalidatePacked();
+    requireUnsealed("params");
     return paramTensors();
 }
 

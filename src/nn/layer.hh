@@ -8,8 +8,10 @@
 #ifndef DJINN_NN_LAYER_HH
 #define DJINN_NN_LAYER_HH
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -44,8 +46,10 @@ LayerKind layerKindFromName(const std::string &name);
 
 /**
  * Base class for all layers. Layers are configured at construction,
- * have their parameter shapes fixed by setup(), and are immutable
- * during forward() so concurrent inference threads can share them.
+ * have their parameter shapes fixed by setup(), get their weights
+ * and precision before the first forward(), and are sealed by it:
+ * from then on they are immutable, so concurrent inference threads
+ * share them with no lock.
  */
 class Layer
 {
@@ -100,9 +104,8 @@ class Layer
 
     /**
      * Mutable views of the learned parameter tensors. Writing
-     * through them is how weights are initialized, loaded, and
-     * trained, so the call also drops the state derived from them
-     * (packed weights); the next forward() rebuilds it.
+     * through them is how weights are initialized and loaded, so
+     * the call panics once the layer is sealed (packWeights()).
      */
     std::vector<Tensor *> params();
 
@@ -110,22 +113,15 @@ class Layer
     std::vector<const Tensor *> params() const;
 
     /**
-     * Build the state derived from the weights (the FC layer's
-     * packed weights) now rather than on the first forward() after
-     * a change. Idempotent, and safe to call concurrently with
-     * forward(). ModelRegistry::add runs it for every layer before
-     * a model becomes visible, so serving never pays for it.
+     * Seal the layer: build the state derived from its weights (the
+     * FC and conv layers' packed weights) exactly once. From then
+     * on params() and setPrecision() panic, and forward() reads
+     * that state with no lock. forward() calls it, so the first
+     * forward seals the layer; ModelRegistry::add runs it before a
+     * model becomes visible, so serving never pays for it. Safe to
+     * call concurrently with itself and with forward().
      */
-    virtual void packWeights() const {}
-
-    /**
-     * Drop the state packWeights() builds, so the next forward()
-     * reads the weights afresh. params() and setPrecision() call
-     * it; a caller that writes through parameter pointers it kept
-     * from an earlier params() call (a trainer) calls it itself.
-     * Not thread safe against concurrent forward() calls.
-     */
-    virtual void invalidatePacked() {}
+    void packWeights() const;
 
     /** One-line human-readable description. */
     virtual std::string describe() const;
@@ -150,8 +146,8 @@ class Layer
      * the current weights (deterministically), so serialized scale
      * sets and freshly derived ones produce the same codes. fatal()
      * if the layer does not support @p p. Must be called between
-     * setup() and the first forward(); not thread safe against
-     * concurrent forward() calls.
+     * setup() and the first forward(); panics once the layer is
+     * sealed.
      */
     void setPrecision(Precision p, LayerQuant q = {});
 
@@ -179,6 +175,12 @@ class Layer
     virtual void forwardImpl(const Tensor &in, Tensor &out) const = 0;
 
     /**
+     * Build the state derived from the weights. packWeights() runs
+     * it exactly once, before the first forwardImpl().
+     */
+    virtual void packImpl() const {}
+
+    /**
      * Hook run by setPrecision after precision_/quant_ are set:
      * derive cached precision-dependent state (e.g. int8 weight
      * codes) and fill in empty weight scales.
@@ -196,6 +198,11 @@ class Layer
     bool isSetUp_ = false;
     Precision precision_ = Precision::F32;
     LayerQuant quant_;
+    mutable std::once_flag packOnce_;
+    mutable std::atomic<bool> sealed_{false};
+
+    /** panic() if packWeights() has run. */
+    void requireUnsealed(const char *what) const;
 };
 
 using LayerPtr = std::unique_ptr<Layer>;

@@ -56,39 +56,6 @@ im2col(const float *data, int64_t channels, int64_t height,
     }
 }
 
-void
-col2im(const float *col, int64_t channels, int64_t height,
-       int64_t width, int64_t kernel_h, int64_t kernel_w,
-       int64_t pad, int64_t stride, float *data)
-{
-    int64_t out_h = convOutSize(height, kernel_h, pad, stride);
-    int64_t out_w = convOutSize(width, kernel_w, pad, stride);
-    int64_t cols = out_h * out_w;
-
-    for (int64_t c = 0; c < channels; ++c) {
-        float *plane = data + c * height * width;
-        for (int64_t kh = 0; kh < kernel_h; ++kh) {
-            for (int64_t kw = 0; kw < kernel_w; ++kw) {
-                const float *row =
-                    col + ((c * kernel_h + kh) * kernel_w + kw) *
-                          cols;
-                for (int64_t oh = 0; oh < out_h; ++oh) {
-                    int64_t ih = oh * stride - pad + kh;
-                    if (ih < 0 || ih >= height)
-                        continue;
-                    float *dst = plane + ih * width;
-                    for (int64_t ow = 0; ow < out_w; ++ow) {
-                        int64_t iw = ow * stride - pad + kw;
-                        if (iw < 0 || iw >= width)
-                            continue;
-                        dst[iw] += row[oh * out_w + ow];
-                    }
-                }
-            }
-        }
-    }
-}
-
 namespace {
 
 /**
@@ -220,18 +187,8 @@ ConvolutionLayer::onPrecisionChanged()
 }
 
 void
-ConvolutionLayer::invalidatePacked()
+ConvolutionLayer::packImpl() const
 {
-    std::lock_guard<std::mutex> lock(packMutex_);
-    packValid_ = false;
-}
-
-void
-ConvolutionLayer::packWeights() const
-{
-    std::lock_guard<std::mutex> lock(packMutex_);
-    if (packValid_)
-        return;
     int64_t out_per_group = outChannels_ / groups_;
     int64_t patch = weights_.elems() / outChannels_;
     bool int8 = precision() == Precision::Int8;
@@ -245,13 +202,11 @@ ConvolutionLayer::packWeights() const
             weights_.data() + o0 * patch, patch,
             int8 ? quant().weightScales.data() + o0 : nullptr);
     }
-    packValid_ = true;
 }
 
 void
 ConvolutionLayer::forwardImpl(const Tensor &in, Tensor &out) const
 {
-    packWeights();
     const Shape &is = inputShape();
     const Shape &os = outputShape();
     int64_t cols = os.h() * os.w();

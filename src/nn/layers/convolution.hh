@@ -4,13 +4,12 @@
  * convolution (as used by AlexNet). Each group is one GEMM on its
  * packed filters, transposed from Caffe's im2col + SGEMM: the input
  * expanded one row per output position times W_g^T, so M is the
- * output positions (DESIGN.md §8). im2col/col2im serve training.
+ * output positions (DESIGN.md §8). im2col is the column-major
+ * expansion the locally connected layer uses.
  */
 
 #ifndef DJINN_NN_LAYERS_CONVOLUTION_HH
 #define DJINN_NN_LAYERS_CONVOLUTION_HH
-
-#include <mutex>
 
 #include "nn/gemm.hh"
 #include "nn/layer.hh"
@@ -27,15 +26,6 @@ namespace nn {
 void im2col(const float *data, int64_t channels, int64_t height,
             int64_t width, int64_t kernel_h, int64_t kernel_w,
             int64_t pad, int64_t stride, float *col);
-
-/**
- * Inverse of im2col: scatter-add columns back into an image
- * (gradient routing for convolution training). @p data must be
- * zeroed by the caller.
- */
-void col2im(const float *col, int64_t channels, int64_t height,
-            int64_t width, int64_t kernel_h, int64_t kernel_w,
-            int64_t pad, int64_t stride, float *data);
 
 /** Spatial output size for a conv/pool window. */
 int64_t convOutSize(int64_t in, int64_t kernel, int64_t pad,
@@ -97,15 +87,12 @@ class ConvolutionLayer : public Layer
 
     LayerQuant calibrate(const Tensor &in) const override;
 
-    /** Pack each group's filters for the current precision if stale. */
-    void packWeights() const override;
-    void invalidatePacked() override;
-
   protected:
     std::vector<Tensor *> paramTensors() override;
     Shape setupImpl(const Shape &input) override;
     void forwardImpl(const Tensor &in, Tensor &out) const override;
     void onPrecisionChanged() override;
+    void packImpl() const override;
 
   private:
     int64_t outChannels_;
@@ -117,10 +104,8 @@ class ConvolutionLayer : public Layer
     Tensor weights_;
     Tensor bias_;
 
-    /** W_g^T per group at precision(); rebuilt after it is dropped. */
-    mutable std::mutex packMutex_;
-    mutable std::vector<PackedWeights> packed_; ///< guarded by packMutex_
-    mutable bool packValid_ = false; ///< guarded by packMutex_
+    /** W_g^T per group at precision(), built once by packImpl(). */
+    mutable std::vector<PackedWeights> packed_;
 };
 
 } // namespace nn

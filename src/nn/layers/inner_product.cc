@@ -76,29 +76,17 @@ InnerProductLayer::onPrecisionChanged()
 }
 
 void
-InnerProductLayer::invalidatePacked()
+InnerProductLayer::packImpl() const
 {
-    std::lock_guard<std::mutex> lock(packMutex_);
-    packValid_ = false;
-}
-
-void
-InnerProductLayer::packWeights() const
-{
-    std::lock_guard<std::mutex> lock(packMutex_);
-    if (packValid_)
-        return;
     // op(B) = W^T: k = inputs, n = outputs, W row-major (Trans::Yes).
     packed_.pack(precision(), Trans::Yes, inputs_, outputs_,
                  weights_.data(), inputs_,
                  quant().weightScales.data());
-    packValid_ = true;
 }
 
 void
 InnerProductLayer::forwardImpl(const Tensor &in, Tensor &out) const
 {
-    packWeights();
     // out[N x outputs] = in[N x inputs] * W^T[inputs x outputs].
     // The GEMM splits its own work across the compute pool.
     int64_t batch = in.shape().n();

@@ -6,8 +6,6 @@
 #ifndef DJINN_NN_LAYERS_INNER_PRODUCT_HH
 #define DJINN_NN_LAYERS_INNER_PRODUCT_HH
 
-#include <mutex>
-
 #include "nn/gemm.hh"
 #include "nn/layer.hh"
 
@@ -62,15 +60,12 @@ class InnerProductLayer : public Layer
 
     LayerQuant calibrate(const Tensor &in) const override;
 
-    /** Pack the weights for the current precision if stale. */
-    void packWeights() const override;
-    void invalidatePacked() override;
-
   protected:
     std::vector<Tensor *> paramTensors() override;
     Shape setupImpl(const Shape &input) override;
     void forwardImpl(const Tensor &in, Tensor &out) const override;
     void onPrecisionChanged() override;
+    void packImpl() const override;
 
   private:
     int64_t outputs_;
@@ -82,12 +77,10 @@ class InnerProductLayer : public Layer
     /**
      * op(W^T) packed at precision(): f32 panels, bf16-rounded
      * panels, or s8 panels with column sums and the weight scales.
-     * Rebuilt by the first packWeights() after setPrecision() or a
-     * params() call; forwards only read it.
+     * Built once by packImpl() when the layer is sealed; forwards
+     * only read it.
      */
-    mutable std::mutex packMutex_;
-    mutable PackedWeights packed_;  ///< guarded by packMutex_
-    mutable bool packValid_ = false; ///< guarded by packMutex_
+    mutable PackedWeights packed_;
 };
 
 } // namespace nn

@@ -80,11 +80,12 @@ class Network
     uint64_t weightBytes() const;
 
     /**
-     * Build every layer's derived weight state now
-     * (Layer::packWeights): the FC layers' packed weights for their
-     * current precision. ModelRegistry::add calls it so that a
-     * model is packed before it is visible; forward() packs any
-     * layer still stale. Safe to call concurrently with forward().
+     * Seal every layer now (Layer::packWeights): the FC and conv
+     * layers pack their weights for their current precision, and no
+     * layer's weights or precision change after. ModelRegistry::add
+     * calls it so that a model is packed before it is visible;
+     * forward() seals any layer not yet sealed. Safe to call
+     * concurrently with forward().
      */
     void packWeights() const;
 

@@ -1,8 +1,9 @@
 /**
  * @file
- * Binary weight serialization so a DjiNN deployment can load the same
- * model bytes the trainer produced (the paper ships pre-trained
- * .caffemodel files; we ship .djw files).
+ * Binary weight serialization so a DjiNN deployment loads pre-trained
+ * model bytes (the paper ships pre-trained .caffemodel files; we ship
+ * .djw files). Weights load before the first forward(), which seals
+ * them (Layer::packWeights).
  *
  * Format: magic "DJW1", u32 layer count, then per layer: u32 name
  * length, name bytes, u32 param tensor count, and per tensor u64

@@ -86,37 +86,36 @@ TEST(InnerProduct, ComputesAffineMap)
     EXPECT_FLOAT_EQ(out.at(1, 1, 0, 0), 76.0f);
 }
 
-TEST(InnerProduct, ForwardSeesWeightsRewrittenThroughParams)
+TEST(InnerProductDeathTest, SealedAfterFirstForward)
 {
-    // The layer serves from a packed copy of its weights; a write
-    // through params() after a forward must reach the next one.
+    // The first forward packs the weights once and seals the layer;
+    // a later weight or precision write would bypass the pack.
     InnerProductLayer fc("fc", 37, false);
     fc.setup(Shape(1, 300));
+    fillParams(fc, 21);
     Tensor in = randomTensor(Shape(3, 300), 5);
-    for (uint64_t seed : {21u, 22u}) {
-        fillParams(fc, seed);
-        Tensor out;
-        fc.forward(in, out);
-        Tensor want(Shape(3, 37));
-        sgemm_naive(Trans::No, Trans::Yes, 3, 37, 300, 1.0f,
-                    in.data(), 300, fc.weights().data(), 300, 0.0f,
-                    want.data(), 37);
-        for (int64_t i = 0; i < want.elems(); ++i)
-            ASSERT_NEAR(out[i], want[i], 1e-4) << "seed " << seed;
-    }
+    Tensor out;
+    fc.forward(in, out);
+    EXPECT_EQ(std::as_const(fc).params().size(), 1u);
+    EXPECT_DEATH(fc.params(), "weights are sealed after the first pack");
+    EXPECT_DEATH(fc.setPrecision(Precision::Bf16),
+                 "weights are sealed after the first pack");
 }
 
 TEST(InnerProduct, ConcurrentForwardsShareOnePack)
 {
-    // Forwards racing to rebuild a dropped pack must all read the
-    // finished one (check_build runs this under ThreadSanitizer).
+    // Forwards racing to pack a freshly filled layer must all read
+    // the finished pack (check_build runs this under
+    // ThreadSanitizer).
+    InnerProductLayer ref("fc", 64, false);
+    ref.setup(Shape(1, 200));
+    fillParams(ref, 31);
+    Tensor in = randomTensor(Shape(2, 200), 6);
+    Tensor want;
+    ref.forward(in, want);
     InnerProductLayer fc("fc", 64, false);
     fc.setup(Shape(1, 200));
     fillParams(fc, 31);
-    Tensor in = randomTensor(Shape(2, 200), 6);
-    Tensor want;
-    fc.forward(in, want);
-    fc.setPrecision(Precision::F32); // drops the pack
     std::vector<Tensor> outs(4);
     std::vector<std::thread> threads;
     for (Tensor &out : outs)
@@ -211,7 +210,7 @@ TEST_P(ConvProperty, MatchesDirectConvolution)
         Shape(p.batch, p.in_c, p.in_h, p.in_h), 22);
     Tensor out;
     conv.forward(in, out);
-    auto params = conv.params();
+    auto params = std::as_const(conv).params();
     Tensor expected = referenceConv(in, conv, *params[0],
                                     *params[1]);
     ASSERT_EQ(out.shape(), expected.shape());
@@ -384,16 +383,18 @@ TEST(Convolution, PackedMatchesRawGemm)
 
 TEST(Convolution, ConcurrentForwardsShareOnePack)
 {
-    // Forwards racing to rebuild a dropped per-group pack must all
-    // read the finished one (check_build runs this under
-    // ThreadSanitizer).
+    // Forwards racing to pack a freshly filled layer's per-group
+    // filters must all read the finished packs (check_build runs
+    // this under ThreadSanitizer).
+    ConvolutionLayer ref("conv", 16, 3, 1, 1, 2);
+    ref.setup(Shape(1, 8, 10, 10));
+    fillParams(ref, 41);
+    Tensor in = randomTensor(Shape(2, 8, 10, 10), 7);
+    Tensor want;
+    ref.forward(in, want);
     ConvolutionLayer conv("conv", 16, 3, 1, 1, 2);
     conv.setup(Shape(1, 8, 10, 10));
     fillParams(conv, 41);
-    Tensor in = randomTensor(Shape(2, 8, 10, 10), 7);
-    Tensor want;
-    conv.forward(in, want);
-    conv.setPrecision(Precision::F32); // drops the packs
     std::vector<Tensor> outs(4);
     std::vector<std::thread> threads;
     for (Tensor &out : outs) {
@@ -408,6 +409,20 @@ TEST(Convolution, ConcurrentForwardsShareOnePack)
                                   sizeof(float)),
                   0);
     }
+}
+
+TEST(ConvolutionDeathTest, SealedAfterFirstForward)
+{
+    ConvolutionLayer conv("conv", 16, 3, 1, 1, 2);
+    conv.setup(Shape(1, 8, 10, 10));
+    fillParams(conv, 41);
+    Tensor in = randomTensor(Shape(1, 8, 10, 10), 7);
+    Tensor out;
+    conv.forward(in, out);
+    EXPECT_DEATH(conv.params(),
+                 "weights are sealed after the first pack");
+    EXPECT_DEATH(conv.setPrecision(Precision::Int8, conv.calibrate(in)),
+                 "weights are sealed after the first pack");
 }
 
 TEST(Im2col, IdentityKernelCopiesPixels)
