@@ -52,6 +52,22 @@ if [ -n "$bad" ]; then
     exit 1
 fi
 
+# Lint: each signal is recorded once (DESIGN.md §7). A sampled
+# request's server spans are derived from its flight record by
+# telemetry::RequestLog::finish(), and the trace's counter tracks
+# are rendered from the time-series store's gauges, so the server
+# builds no TraceEvent and nothing writes counter samples into the
+# trace ring.
+bad=$({ grep -HnE '\bTraceEvent\b' src/core/djinn_server.cc;
+        grep -rn 'recordCounter' src/; } || true)
+if [ -n "$bad" ]; then
+    echo "lint: a second write path for request spans or counter" \
+         "tracks; derive spans in RequestLog::finish() and sample" \
+         "gauges into the time-series store:" >&2
+    echo "$bad" >&2
+    exit 1
+fi
+
 # Lint: work-conserving batch assembly (DESIGN.md §16). A query for
 # an idle model runs at once and peers gather only behind a forward
 # in flight, so the executor never waits on a timer for peers: the
@@ -461,9 +477,10 @@ cmake --build build-tsan -j --target common_test nn_test core_test \
 # TimeSeries/Health ride along: the store's sample path runs on
 # the sampler thread while queries and the health monitor read it.
 # The profiler's StackRing shares the flight recorder's seqlock
-# slot; its concurrent-pusher test checks it the same way.
+# slot; its concurrent-pusher test checks it the same way. Sampler*
+# starts, stops and restarts the sampler thread that ticks a store.
 ./build-tsan/tests/telemetry_test \
-    --gtest_filter='FlightRecorder*:*Exemplar*:TimeSeries*:Health*:StackRing*'
+    --gtest_filter='FlightRecorder*:*Exemplar*:TimeSeries*:Health*:StackRing*:Sampler*'
 # The cluster simulator is single-threaded by design, but its
 # results flow through the lock-free telemetry histograms; the
 # determinism and policy suites double as a TSan check of that

@@ -183,8 +183,8 @@ runClusterSim(const ClusterConfig &config, const ClusterTrace &trace)
         sim::latencyHistogramOptions();
     latency_options.exemplars = true;
     telemetry::LogHistogram latency(latency_options);
-    telemetry::FlightRecorder recorder(config.flightCapacity,
-                                       config.flightReservoir);
+    // The server's recorder sizing, transplanted into virtual time.
+    telemetry::FlightRecorder recorder;
     std::map<serve::App, PerApp> per_app;
     std::vector<serve::App> app_order;
 

@@ -80,17 +80,6 @@ struct ClusterConfig {
 
     /** Seed for routing and retry-jitter streams. */
     uint64_t seed = 1;
-
-    /**
-     * Flight-recorder ring capacity: per-request records kept for
-     * tail attribution (the server's recorder transplanted into
-     * virtual time). The ring holds the most recent requests; the
-     * reservoir below keeps the slowest across wraps.
-     */
-    size_t flightCapacity = 4096;
-
-    /** Flight-recorder tail-reservoir capacity; 0 disables. */
-    size_t flightReservoir = 256;
 };
 
 /** One point of the sampled time series. */

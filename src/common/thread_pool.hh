@@ -119,8 +119,9 @@ class ThreadPool
 
 /**
  * Suppress pool parallelism on the current thread for the scope's
- * lifetime: every parallelFor runs inline. Used by Network when its
- * parallel run option is off, and by tests pinning execution order.
+ * lifetime: every parallelFor runs inline, so a forward pass under
+ * the scope runs serially on the calling thread. Used by tests
+ * pinning execution order.
  */
 class SerialScope
 {

@@ -198,9 +198,7 @@ BatchingExecutor::submit(const std::string &model, int64_t rows,
             queue->busy = true;
             batch.push_back({rows, std::move(data), std::move(promise),
                              std::chrono::steady_clock::now(), trace,
-                             parent_span,
-                             tracer_ ? telemetry::traceNowUs() : 0,
-                             deadline, 0});
+                             parent_span, deadline, 0});
         } else {
             // Admission control: reject at enqueue instead of
             // queueing without bound. The caller sees Overloaded
@@ -228,8 +226,7 @@ BatchingExecutor::submit(const std::string &model, int64_t rows,
             queue->pending.push_back(
                 {rows, std::move(data), std::move(promise),
                  std::chrono::steady_clock::now(), trace, parent_span,
-                 tracer_ ? telemetry::traceNowUs() : 0, deadline,
-                 admit_depth});
+                 deadline, admit_depth});
             pendingTotal_.fetch_add(1, std::memory_order_relaxed);
             if (queue->admitDepthHist)
                 queue->admitDepthHist->record(
@@ -262,8 +259,7 @@ BatchingExecutor::submit(const std::string &model, int64_t rows,
         queue->admitDepthHist->record(0.0);
     const std::string track =
         tracer_ ? common::currentThreadName() : std::string();
-    markDispatched(batch, batch[0].enqueued,
-                   batch[0].enqueuedUs, track);
+    markDispatched(batch, batch[0].enqueued);
     execute(*queue, batch,
             queue->target.load(std::memory_order_relaxed), track);
     return future;
@@ -347,8 +343,7 @@ BatchingExecutor::dispatchLoop(ModelQueue *queue)
 
         // Queue wait ends here, at dispatch, for every query taken
         // (including any execute() then sheds for its deadline).
-        markDispatched(batch, std::chrono::steady_clock::now(),
-                       tracer_ ? telemetry::traceNowUs() : 0, track);
+        markDispatched(batch, std::chrono::steady_clock::now());
         execute(*queue, batch, target, track);
         std::lock_guard<std::mutex> lock(queue->mutex);
         queue->busy = false;
@@ -358,28 +353,12 @@ BatchingExecutor::dispatchLoop(ModelQueue *queue)
 void
 BatchingExecutor::markDispatched(
     std::vector<Pending> &batch,
-    std::chrono::steady_clock::time_point dispatch,
-    int64_t dispatch_us, const std::string &track)
+    std::chrono::steady_clock::time_point dispatch)
 {
     for (Pending &p : batch) {
         p.queueWaitSeconds =
             std::chrono::duration<double>(dispatch - p.enqueued)
                 .count();
-        if (!tracer_ || !p.trace.valid() || !p.trace.sampled())
-            continue;
-        telemetry::TraceEvent e;
-        e.name = "queue_wait";
-        e.category = "batch";
-        e.track = track;
-        e.traceId = p.trace.traceId;
-        e.spanId = tracer_->nextSpanId();
-        e.parentSpanId = p.parentSpan;
-        e.startUs = p.enqueuedUs;
-        e.durationUs = dispatch_us - p.enqueuedUs;
-        e.args.emplace_back(
-            "rows",
-            strprintf("%lld", static_cast<long long>(p.rows)));
-        tracer_->record(std::move(e));
     }
 }
 

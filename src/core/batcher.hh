@@ -176,9 +176,10 @@ class BatchingExecutor
 
     /**
      * Submit one traced query. When @p trace is valid and a tracer
-     * is attached, the dispatcher emits queue-wait, forward-pass,
-     * and per-layer spans linked back to @p trace under
-     * @p parent_span (the server-side request span).
+     * is attached, the executor emits forward-pass and per-layer
+     * spans linked back to @p trace under @p parent_span (the
+     * server-side request span); the query's queue wait reaches
+     * the trace through its result's queueWaitSeconds.
      */
     std::future<InferenceResult> submit(
         const std::string &model, int64_t rows,
@@ -300,9 +301,6 @@ class BatchingExecutor
         /** Server-side request span the batch spans hang off. */
         uint64_t parentSpan = 0;
 
-        /** Enqueue time on the tracer timeline (microseconds). */
-        int64_t enqueuedUs = 0;
-
         /** Absolute deadline; max() when the query has none. */
         Deadline deadline = Deadline::max();
 
@@ -370,12 +368,10 @@ class BatchingExecutor
     void dispatchLoop(ModelQueue *queue);
 
     /** End the queue wait of every query in @p batch at
-     * @p dispatch (@p dispatch_us on the tracer timeline): store
-     * each wait, and emit a queue_wait span on @p track for traced
-     * queries. */
+     * @p dispatch: store each wait (the server's queue_wait span is
+     * derived from it). */
     void markDispatched(std::vector<Pending> &batch,
-                        std::chrono::steady_clock::time_point dispatch,
-                        int64_t dispatch_us, const std::string &track);
+                        std::chrono::steady_clock::time_point dispatch);
 
     /**
      * Execute: shed expired deadlines, stack the inputs, run one

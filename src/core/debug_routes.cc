@@ -295,7 +295,8 @@ DebugRoutes::table()
          [](const auto &src, const auto &args) {
              return ok(jsonType,
                        telemetry::renderChromeTrace(
-                           src.tracer->events(args["last"].integer)));
+                           src.tracer->events(args["last"].integer),
+                           src.timeseries));
          }},
         {"requests", nullptr, {},
          [](const auto &src, const auto &) {

@@ -38,6 +38,7 @@ struct DebugSources {
     telemetry::MetricRegistry *metrics = nullptr;
     const telemetry::Tracer *tracer = nullptr;
     const telemetry::FlightRecorder *flight = nullptr;
+    /** Also the trace's counter tracks; null leaves it spans only. */
     const telemetry::TimeSeriesStore *timeseries = nullptr;
     const telemetry::HealthMonitor *health = nullptr;
     const serve::AdaptiveScheduler *scheduler = nullptr;

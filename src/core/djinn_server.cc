@@ -26,6 +26,13 @@ const char *const errorsTotalName = "djinn_request_errors_total";
 const char *const connectionsTotalName = "djinn_connections_total";
 const char *const protocolErrorsName = "djinn_protocol_errors";
 const char *const ioTimeoutsName = "djinn_io_timeouts_total";
+const char *const processRssName = "djinn_process_rss_bytes";
+
+// Fixed sizing of the server's telemetry.
+constexpr size_t kTraceCapacity = 16384;  // trace ring, in spans
+constexpr size_t kFlightCapacity = 4096;  // flight-record ring slots
+constexpr size_t kFlightReservoir = 256;  // slowest records kept
+constexpr double kSloObjective = 0.99;    // error budget 1 - this
 
 /** Wire-status label for the error counter. */
 const char *
@@ -83,24 +90,24 @@ flightOutcomeOf(WireStatus status)
 DjinnServer::DjinnServer(const ModelRegistry &registry,
                          const ServerConfig &config)
     : registry_(registry), config_(config),
-      tracer_(config.traceCapacity),
-      flightRecorder_(config.flightCapacity, config.flightReservoir,
-                      &metrics_),
+      tracer_(kTraceCapacity),
+      flightRecorder_(kFlightCapacity, kFlightReservoir, &metrics_),
       unknownLog_(metrics_, flightRecorder_, kUnknownModelLabel,
-                  config.batching, config.sloTargetSeconds),
+                  config.batching, config.sloTargetSeconds,
+                  spanTracer()),
       batcher_(registry, config.batchOptions, &metrics_)
 {
     for (const std::string &model : registry_.modelNames()) {
         requestLogs_.emplace(
             model, std::make_unique<telemetry::RequestLog>(
                        metrics_, flightRecorder_, model,
-                       config_.batching, config_.sloTargetSeconds));
+                       config_.batching, config_.sloTargetSeconds,
+                       spanTracer()));
     }
     if (config_.tracing)
         batcher_.setTracer(&tracer_);
     if (config_.adaptiveScheduling && config_.batching) {
-        serve::SchedulerOptions sched_opts =
-            config_.schedulerOptions;
+        serve::SchedulerOptions sched_opts;
         sched_opts.maxBatch = config_.batchOptions.maxQueries;
         sched_opts.maxDeficitSeconds = std::max(
             sched_opts.maxDeficitSeconds, config_.samplerPeriod);
@@ -133,9 +140,6 @@ DjinnServer::DjinnServer(const ModelRegistry &registry,
                 });
         }
     }
-    if (config_.sloTargetSeconds > 0.0 &&
-        !(config_.sloObjective > 0.0 && config_.sloObjective < 1.0))
-        fatal("DjinnServer: SLO objective must be in (0, 1)");
     if (!config_.faultSpec.empty()) {
         std::string error;
         faultMask_ = parseFaultSpec(config_.faultSpec, &error);
@@ -231,41 +235,35 @@ DjinnServer::start()
            registry_.size());
 
     if (config_.tracing && config_.samplerPeriod > 0.0) {
-        // The continuous layer rides the sampler: every tick first
-        // refreshes derived gauges (update hook), then sweeps the
-        // tracer's counter tracks, then (post-sweep hook) appends
-        // one time-series slot and re-evaluates health. Recreated
-        // on every start() so a restarted server gets fresh
-        // history.
+        // The continuous layer rides the sampler. Each tick refreshes
+        // the gauges whose sources are not registry-backed (compute
+        // pool busy count, process RSS, aggregate batcher backlog),
+        // recomputes the SLO burn rates from the store's history,
+        // steps the scheduler, then appends one time-series slot and
+        // re-evaluates health. The store's gauge tracks are also the
+        // trace's counter tracks. Recreated on every start() so a
+        // restarted server gets fresh history; the gauges are
+        // registered first, so no tick grows the registry under a
+        // reader.
+        telemetry::Gauge *pool_busy =
+            &metrics_.gauge("djinn_compute_pool_busy");
+        telemetry::Gauge *rss = &metrics_.gauge(processRssName);
+        telemetry::Gauge *queue_depth =
+            config_.batching
+                ? &metrics_.gauge("djinn_batch_queue_depth_total")
+                : nullptr;
         telemetry::TimeSeriesOptions ts_opts;
         ts_opts.capacity = config_.timeseriesCapacity;
         timeseries_ = std::make_unique<telemetry::TimeSeriesStore>(
             metrics_, ts_opts);
         health_ = std::make_unique<telemetry::HealthMonitor>(
-            *timeseries_, metrics_, config_.healthOptions);
-        // All saturation signals flow through this one sampling
-        // path: the update hook refreshes the gauges whose sources
-        // are not registry-backed (compute-pool busy count,
-        // aggregate batcher backlog) and the SLO burn rates (from
-        // the store's history of the good/bad counters), then the
-        // sweep exports every gauge as a counter track. Both
-        // gauges are registered here, before start() returns, so
-        // the first tick does not grow the registry under a reader.
-        telemetry::Gauge *pool_busy =
-            &metrics_.gauge("djinn_compute_pool_busy");
-        telemetry::Gauge *queue_depth =
-            config_.batching
-                ? &metrics_.gauge("djinn_batch_queue_depth_total")
-                : nullptr;
+            *timeseries_, metrics_);
         sampler_ = std::make_unique<telemetry::BackgroundSampler>(
-            tracer_, metrics_, config_.samplerPeriod,
-            [this](telemetry::Tracer &) {
-                timeseries_->sample(telemetry::traceNowUs() * 1e-6);
-                health_->tick();
-            },
-            [this, pool_busy, queue_depth]() {
+            config_.samplerPeriod,
+            [this, pool_busy, rss, queue_depth]() {
                 pool_busy->set(static_cast<double>(
                     common::computePool().activeWorkers()));
+                rss->set(telemetry::processRssBytes());
                 if (queue_depth) {
                     queue_depth->set(static_cast<double>(
                         batcher_.queueDepthTotal()));
@@ -281,8 +279,7 @@ DjinnServer::start()
                         const std::string &model =
                             id.labels.at("model");
                         const double burn = telemetry::sloBurnRate(
-                            *timeseries_, model,
-                            config_.sloObjective);
+                            *timeseries_, model, kSloObjective);
                         metrics_
                             .gauge(telemetry::sloBurnRateMetricName,
                                    id.labels)
@@ -311,6 +308,8 @@ DjinnServer::start()
                             scheduler_->batchTarget(model));
                     }
                 }
+                timeseries_->sample(telemetry::traceNowUs() * 1e-6);
+                health_->tick();
             });
         sampler_->start();
     }
@@ -482,8 +481,6 @@ DjinnServer::serveConnection(Connection &conn)
         // spend from the same budget the client measures against.
         auto request_begin = telemetry::threadCounterSet().snapshot();
 
-        int64_t request_us =
-            config_.tracing ? telemetry::traceNowUs() : 0;
         telemetry::FlightRecord record;
         telemetry::RequestWork work;
         // Frame-ingest time (first byte to complete frame): a
@@ -509,7 +506,8 @@ DjinnServer::serveConnection(Connection &conn)
 
         // Wire-propagated trace context: a sampled inference
         // request gets a server-side span tree on this worker's
-        // track, which the executor's batch spans hang off.
+        // track (derived from its record by the log's finish()),
+        // which the executor's batch spans hang off.
         uint64_t server_span = 0;
         if (config_.tracing && log && request.value().trace.valid() &&
             request.value().trace.sampled())
@@ -544,7 +542,6 @@ DjinnServer::serveConnection(Connection &conn)
                 .inc();
         }
 
-        int64_t encode_us = server_span ? telemetry::traceNowUs() : 0;
         telemetry::CounterScope encode_scope;
         std::vector<uint8_t> wire = encodeResponse(response);
         work.encode = encode_scope.stop();
@@ -560,40 +557,8 @@ DjinnServer::serveConnection(Connection &conn)
             record.totalSeconds =
                 record.readSeconds + work.request.wallNs * 1e-9;
             record.outcome = flightOutcomeOf(response.status);
-            log->finish(record, work);
-        }
-        if (server_span) {
-            const telemetry::TraceContext &trace = request.value().trace;
-            auto span = [&](std::string name, int64_t start_us,
-                            int64_t end_us) {
-                telemetry::TraceEvent e;
-                e.name = std::move(name);
-                e.category = "server";
-                e.track = strprintf("worker-%d", fd);
-                e.traceId = trace.traceId;
-                e.spanId = tracer_.nextSpanId();
-                e.parentSpanId = server_span;
-                e.startUs = start_us;
-                e.durationUs = end_us - start_us;
-                return e;
-            };
-            int64_t done_us = telemetry::traceNowUs();
-            tracer_.record(span(
-                "decode", request_us,
-                request_us + static_cast<int64_t>(
-                                 record.decodeSeconds * 1e6)));
-            tracer_.record(span("encode", encode_us, done_us));
-            telemetry::TraceEvent req = span(
-                "request " + request.value().model, request_us,
-                done_us);
-            req.spanId = server_span;
-            req.parentSpanId = trace.spanId;
-            req.args.emplace_back("model", request.value().model);
-            req.args.emplace_back(
-                "rows", strprintf("%u", request.value().rows));
-            req.args.emplace_back("status",
-                                  errorReason(response.status));
-            tracer_.record(std::move(req));
+            log->finish(record, work, server_span,
+                        request.value().trace.spanId);
         }
         Status s = io.writeFrame(wire);
         inflight_.fetch_sub(1, std::memory_order_acq_rel);
@@ -685,7 +650,7 @@ DjinnServer::requestLog(const std::string &model,
     // up for this one request.
     stray = std::make_unique<telemetry::RequestLog>(
         metrics_, flightRecorder_, model, config_.batching,
-        config_.sloTargetSeconds);
+        config_.sloTargetSeconds, spanTracer());
     return *stray;
 }
 

@@ -111,14 +111,14 @@ struct ServerConfig {
     int32_t httpPort = -1;
 
     /**
-     * Background sampler period in seconds (queue depth, RSS, and
-     * other gauges as counter tracks). Non-positive disables the
-     * sampler; it also only runs when tracing is on.
+     * Background sampler period in seconds: each tick refreshes the
+     * derived gauges (pool busy, queue depth, process RSS, SLO burn
+     * rates), steps the adaptive scheduler, and appends one
+     * time-series slot, whose gauges the trace renders as counter
+     * tracks. Non-positive disables the sampler and the store; they
+     * also only run when tracing is on.
      */
     double samplerPeriod = 0.25;
-
-    /** Trace ring capacity, in events. */
-    size_t traceCapacity = 16384;
 
     /**
      * Continuous sampling-profiler rate in samples per consumed
@@ -134,22 +134,6 @@ struct ServerConfig {
      */
     double sloTargetSeconds = 0.050;
 
-    /** SLO availability objective (error budget 1 - objective). */
-    double sloObjective = 0.99;
-
-    /**
-     * Flight-recorder ring capacity in per-request records (the
-     * always-on tail-latency recorder; DESIGN.md "Tail attribution
-     * & flight recorder"). Must be positive.
-     */
-    size_t flightCapacity = 4096;
-
-    /**
-     * Flight-recorder tail-reservoir capacity: the slowest requests
-     * kept across ring wraps. 0 disables the reservoir.
-     */
-    size_t flightReservoir = 256;
-
     /**
      * Time-series store retention, in sampler-period slots
      * (`djinnd --timeseries-cap`). With the default 0.25 s sampler
@@ -158,22 +142,16 @@ struct ServerConfig {
      */
     size_t timeseriesCapacity = 600;
 
-    /** Health-rule thresholds for the watchdog over the store. */
-    telemetry::HealthOptions healthOptions;
-
     /**
      * Adaptive scheduling (`djinnd --sched adaptive`): size each
      * model's dispatch batch from its observed arrival rate and
      * SLO, and fair-share the compute pool across tenants. Only
      * meaningful with batching on. Off keeps the paper's static
-     * tuned-batch policy.
+     * tuned-batch policy. The scheduler runs the default
+     * serve::SchedulerOptions, with its batch cap taken from
+     * batchOptions and its SLO from sloTargetSeconds.
      */
     bool adaptiveScheduling = false;
-
-    /** Scheduler policy knobs when adaptiveScheduling is on; the
-     * maxBatch/SLO fields are overridden from batchOptions and
-     * sloTargetSeconds at construction. */
-    serve::SchedulerOptions schedulerOptions;
 
     /**
      * Tenant weights (`djinnd --tenant NAME=MODEL[:WEIGHT]`): maps
@@ -301,10 +279,12 @@ class DjinnServer
     }
 
     /**
-     * The server's span ring: request/phase/per-layer spans for
-     * sampled traced requests plus sampler counter tracks. Export
-     * with telemetry::renderChromeTrace, the Metrics wire verb
-     * ("trace" format), or GET /trace.
+     * The server's span ring: the request and phase spans the
+     * request logs derive from each sampled request's flight
+     * record, plus the executor's forward and per-layer spans. It
+     * holds spans only; the Metrics wire verb ("trace" format) and
+     * GET /trace render the time-series store's gauges beside them
+     * as counter tracks.
      */
     telemetry::Tracer &tracer() { return tracer_; }
     const telemetry::Tracer &tracer() const { return tracer_; }
@@ -390,6 +370,13 @@ class DjinnServer
     telemetry::RequestLog &requestLog(
         const std::string &model,
         std::unique_ptr<telemetry::RequestLog> &stray);
+
+    /** The request logs' span destination; null with tracing
+     * off. */
+    telemetry::Tracer *spanTracer()
+    {
+        return config_.tracing ? &tracer_ : nullptr;
+    }
 
     /** Serve one decoded control verb (any type but Inference). */
     Response handleRequest(const Request &request);

@@ -1,11 +1,9 @@
 #include "nn/network.hh"
 
 #include <chrono>
-#include <optional>
 #include <sstream>
 
 #include "common/logging.hh"
-#include "common/thread_pool.hh"
 #include "nn/profile.hh"
 
 namespace djinn {
@@ -155,11 +153,6 @@ Network::forward(const Tensor &in, ProfileSink *sink) const
 {
     if (!finalized_)
         panic("network '%s': forward before finalize", name_.c_str());
-    // With the parallel run option off, every parallelFor under
-    // this frame runs inline on the calling thread.
-    std::optional<common::SerialScope> serial;
-    if (!parallel())
-        serial.emplace();
     using Clock = std::chrono::steady_clock;
     Tensor a = in;
     Tensor b;

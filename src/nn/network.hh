@@ -8,7 +8,6 @@
 #ifndef DJINN_NN_NETWORK_HH
 #define DJINN_NN_NETWORK_HH
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -109,25 +108,6 @@ class Network
     Tensor forward(const Tensor &in, ProfileSink *sink) const;
 
     /**
-     * Run option: whether forward() may use the shared compute
-     * pool for intra-layer parallelism (on by default). Turning it
-     * off pins each forward pass to its calling thread — useful
-     * when a server already saturates cores with concurrent
-     * requests. Output bits are identical either way (DESIGN.md
-     * §8). May be toggled at any time, including after finalize().
-     */
-    void setParallel(bool on)
-    {
-        parallel_.store(on, std::memory_order_relaxed);
-    }
-
-    /** Whether forward() may use the shared compute pool. */
-    bool parallel() const
-    {
-        return parallel_.load(std::memory_order_relaxed);
-    }
-
-    /**
      * The precision the network was lowered to (F32 by default).
      * Individual layers without a lowered implementation (locally
      * connected, LRN, activations) stay f32 even when this reports
@@ -165,7 +145,6 @@ class Network
     std::vector<LayerPtr> layers_;
     bool finalized_ = false;
     Precision precision_ = Precision::F32;
-    std::atomic<bool> parallel_{true};
 };
 
 using NetworkPtr = std::shared_ptr<Network>;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <condition_variable>
 #include <cstdio>
 
 #include "telemetry/exposition.hh"
@@ -439,7 +440,7 @@ TimeSeriesStore::series(const Window &window, double step) const
     if (!windowRange(window, &first, &last))
         return out;
     for (const Track &track : tracks_) {
-        if (track.name != window.name
+        if ((!window.name.empty() && track.name != window.name)
             || !labelsMatch(track.labels, window.labels)) {
             continue;
         }
@@ -525,6 +526,57 @@ renderTimeSeriesJson(const TimeSeriesStore &store,
     }
     out += "]}";
     return out;
+}
+
+BackgroundSampler::BackgroundSampler(double period_seconds, Tick tick)
+    : period_(std::chrono::duration_cast<
+              std::chrono::steady_clock::duration>(
+          std::chrono::duration<double>(
+              period_seconds > 0 ? period_seconds : 0.01))),
+      tick_(std::move(tick))
+{}
+
+void
+BackgroundSampler::start()
+{
+    if (thread_.joinable())
+        return;
+    thread_ = std::jthread([this](std::stop_token stop) {
+        // Only this thread waits on the pair; stop() wakes it
+        // through the stop token.
+        std::mutex mutex;
+        std::condition_variable_any wake;
+        std::unique_lock<std::mutex> lock(mutex);
+        while (!stop.stop_requested()) {
+            tick_();
+            wake.wait_for(lock, stop, period_, [] { return false; });
+        }
+    });
+}
+
+void
+BackgroundSampler::stop()
+{
+    if (!thread_.joinable())
+        return;
+    thread_.request_stop();
+    thread_.join();
+}
+
+double
+processRssBytes()
+{
+    // /proc/self/statm field 2 is resident pages.
+    std::FILE *f = std::fopen("/proc/self/statm", "r");
+    if (!f)
+        return 0.0;
+    long long pages_total = 0, pages_resident = 0;
+    int got = std::fscanf(f, "%lld %lld", &pages_total,
+                          &pages_resident);
+    std::fclose(f);
+    if (got != 2)
+        return 0.0;
+    return static_cast<double>(pages_resident) * 4096.0;
 }
 
 } // namespace telemetry

@@ -8,7 +8,9 @@
  * windowed rates, averages, slopes, and percentiles over any
  * trailing window up to the retention horizon can be computed
  * after the fact, which is what the health watchdog, the
- * `djinn_cli top` dashboard, and `/debug/timeseries` consume.
+ * `djinn_cli top` dashboard, and `/debug/timeseries` consume. The
+ * gauge tracks are also the trace's counter tracks: the Chrome
+ * exporter draws them from here, so a gauge is sampled once.
  *
  * Memory is bounded at sync() time: each track preallocates its
  * rings, and the sample path only stores into them through cached
@@ -29,9 +31,12 @@
 #ifndef DJINN_TELEMETRY_TIMESERIES_HH
 #define DJINN_TELEMETRY_TIMESERIES_HH
 
+#include <chrono>
 #include <cstdint>
+#include <functional>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "telemetry/metrics.hh"
@@ -163,7 +168,8 @@ class TimeSeriesStore
 
     /** A trailing-window query. */
     struct Window {
-        /** Metric family (exact). */
+        /** Metric family (exact); series() matches every family
+         * when empty. */
         std::string name;
 
         /** Label subset every matching track must contain. */
@@ -283,6 +289,39 @@ class TimeSeriesStore
 std::string renderTimeSeriesJson(const TimeSeriesStore &store,
                                  const TimeSeriesStore::Window &window,
                                  double step = 0.0);
+
+/**
+ * A background thread that calls one tick callback every period,
+ * first at start(). The server's tick refreshes its derived gauges
+ * (including `djinn_process_rss_bytes`), steps the scheduler, and
+ * appends one TimeSeriesStore slot. start() and stop() are called
+ * from one owning thread; destruction stops the thread.
+ */
+class BackgroundSampler
+{
+  public:
+    using Tick = std::function<void()>;
+
+    /**
+     * @param period_seconds tick interval (non-positive: 10 ms).
+     * @param tick called on the sampler thread.
+     */
+    BackgroundSampler(double period_seconds, Tick tick);
+
+    /** Start ticking; no-op when already running. */
+    void start();
+
+    /** Stop and join the sampling thread; no-op when stopped. */
+    void stop();
+
+  private:
+    std::chrono::steady_clock::duration period_;
+    Tick tick_;
+    std::jthread thread_;
+};
+
+/** Current process resident set size in bytes; 0 when unknown. */
+double processRssBytes();
 
 } // namespace telemetry
 } // namespace djinn

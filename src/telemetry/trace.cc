@@ -1,5 +1,9 @@
 #include "telemetry/trace.hh"
 
+#include <cmath>
+
+#include "common/logging.hh"
+#include "common/thread_pool.hh"
 #include "telemetry/slo.hh"
 
 namespace djinn {
@@ -25,10 +29,11 @@ phaseName(Phase phase)
 
 RequestLog::RequestLog(MetricRegistry &registry,
                        FlightRecorder &recorder, std::string model,
-                       bool queued, double sloTargetSeconds)
+                       bool queued, double sloTargetSeconds,
+                       Tracer *tracer)
     : registry_(registry), recorder_(recorder),
       model_(std::move(model)), queued_(queued),
-      sloTargetSeconds_(sloTargetSeconds),
+      sloTargetSeconds_(sloTargetSeconds), tracer_(tracer),
       inflight_(registry.gauge(inflightMetricName))
 {}
 
@@ -72,8 +77,63 @@ RequestLog::recordWork(Phase phase, const CounterDelta &delta)
         .record(static_cast<double>(delta.cacheMisses));
 }
 
+bool
+RequestLog::dispatched(const FlightRecord &record) const
+{
+    return queued_ && (record.outcome == FlightOutcome::Ok ||
+                       record.outcome == FlightOutcome::ShedDeadline);
+}
+
+void
+RequestLog::recordSpans(const FlightRecord &record,
+                        uint64_t serverSpan, uint64_t clientSpan)
+{
+    auto us = [](double seconds) {
+        return static_cast<int64_t>(std::llround(seconds * 1e6));
+    };
+    const std::string track = common::currentThreadName();
+    auto span = [&](std::string name, const char *category,
+                    int64_t start_us, int64_t end_us) {
+        TraceEvent e;
+        e.name = std::move(name);
+        e.category = category;
+        e.track = track;
+        e.traceId = record.traceId;
+        e.spanId = tracer_->nextSpanId();
+        e.parentSpanId = serverSpan;
+        e.startUs = start_us;
+        e.durationUs = end_us - start_us;
+        return e;
+    };
+    // The record's durations are the worker's own measurements, so
+    // each phase span is cut from the request span by offsets
+    // (rounded cumulatively, so decode and queue_wait never overlap).
+    const int64_t end = record.timestampUs;
+    const int64_t start =
+        end - us(record.totalSeconds - record.readSeconds);
+    const int64_t decoded = start + us(record.decodeSeconds);
+    tracer_->record(span("decode", "server", start, decoded));
+    if (dispatched(record)) {
+        TraceEvent wait = span(
+            "queue_wait", "batch", decoded,
+            start + us(record.decodeSeconds + record.queueWaitSeconds));
+        wait.args.emplace_back("rows", strprintf("%d", record.rows));
+        tracer_->record(std::move(wait));
+    }
+    tracer_->record(
+        span("encode", "server", end - us(record.encodeSeconds), end));
+    TraceEvent request = span("request " + model_, "server", start, end);
+    request.spanId = serverSpan;
+    request.parentSpanId = clientSpan;
+    request.args = {{"model", model_},
+                    {"rows", strprintf("%d", record.rows)},
+                    {"outcome", flightOutcomeName(record.outcome)}};
+    tracer_->record(std::move(request));
+}
+
 uint64_t
-RequestLog::finish(FlightRecord &record, const RequestWork &work)
+RequestLog::finish(FlightRecord &record, const RequestWork &work,
+                   uint64_t serverSpan, uint64_t clientSpan)
 {
     record.setModel(model_);
     record.hardware = work.request.hardware;
@@ -87,13 +147,10 @@ RequestLog::finish(FlightRecord &record, const RequestWork &work)
     // A queued request the batcher saw (every outcome but Error)
     // spent its blocked span on the queue; one it also dispatched
     // (not shed at admission) carries a measured queue wait.
-    if (queued_ && record.outcome != FlightOutcome::Error) {
+    if (queued_ && record.outcome != FlightOutcome::Error)
         recordWork(Phase::QueueWait, work.queueWait);
-        if (record.outcome != FlightOutcome::ShedQueueFull) {
-            histogram(Seconds, Phase::QueueWait)
-                .record(record.queueWaitSeconds);
-        }
-    }
+    if (dispatched(record))
+        histogram(Seconds, Phase::QueueWait).record(record.queueWaitSeconds);
     histogram(Seconds, Phase::Encode).record(record.encodeSeconds);
     recordWork(Phase::Encode, work.encode);
 
@@ -104,6 +161,8 @@ RequestLog::finish(FlightRecord &record, const RequestWork &work)
     if (work.request.hardware)
         histogram(RequestIpc).record(work.request.ipc());
     inflight_.add(-1.0);
+    if (tracer_ && serverSpan)
+        recordSpans(record, serverSpan, clientSpan);
 
     if (record.outcome != FlightOutcome::Ok)
         return record.seq;

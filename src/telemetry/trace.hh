@@ -6,8 +6,9 @@
  * plus the end-to-end service span, batch context and outcome) and
  * measures the per-phase counter deltas beside it; RequestLog::
  * finish() publishes the record to the flight recorder and derives
- * every per-request metric sample from it. A log also maintains
- * the `djinn_inflight_requests` gauge.
+ * from it every per-request metric sample and, for a sampled
+ * traced request, the server's request-phase spans. A log also
+ * maintains the `djinn_inflight_requests` gauge.
  */
 
 #ifndef DJINN_TELEMETRY_TRACE_HH
@@ -20,6 +21,7 @@
 #include "telemetry/flight_recorder.hh"
 #include "telemetry/metrics.hh"
 #include "telemetry/perf_counters.hh"
+#include "telemetry/tracer.hh"
 
 namespace djinn {
 namespace telemetry {
@@ -117,10 +119,12 @@ class RequestLog
      * @param sloTargetSeconds service-latency target that splits
      *        successes into the SLO good/bad counters; <= 0
      *        disables SLO accounting.
+     * @param tracer span destination of sampled requests; null
+     *        when tracing is off. Must outlive the log.
      */
     RequestLog(MetricRegistry &registry, FlightRecorder &recorder,
                std::string model, bool queued,
-               double sloTargetSeconds);
+               double sloTargetSeconds, Tracer *tracer = nullptr);
 
     RequestLog(const RequestLog &) = delete;
     RequestLog &operator=(const RequestLog &) = delete;
@@ -142,9 +146,17 @@ class RequestLog
      *  - and for outcome Ok the `service` phase seconds, the
      *    request and row counters and the SLO good/bad counters.
      *
+     * With a tracer and a nonzero @p serverSpan it also records the
+     * request's spans (see recordSpans()).
+     *
+     * @param serverSpan the server's request span id; 0 when the
+     *        request is unsampled.
+     * @param clientSpan the client's span id, the request span's
+     *        parent.
      * @return the record's sequence number.
      */
-    uint64_t finish(FlightRecord &record, const RequestWork &work);
+    uint64_t finish(FlightRecord &record, const RequestWork &work,
+                    uint64_t serverSpan = 0, uint64_t clientSpan = 0);
 
   private:
     /** The histogram families; the phased ones come first. */
@@ -168,11 +180,28 @@ class RequestLog
     /** Record @p delta's work (and hardware detail) for @p phase. */
     void recordWork(Phase phase, const CounterDelta &delta);
 
+    /** True when @p record carries a measured queue wait: queued,
+     * and dispatched (outcome Ok or ShedDeadline). */
+    bool dispatched(const FlightRecord &record) const;
+
+    /**
+     * Lay out @p record's spans on the calling worker's track, as
+     * the per-layer spans are laid out from their durations:
+     * `request <model>` (id @p serverSpan, parent @p clientSpan)
+     * over [end - (total - read), end] with end = timestampUs;
+     * under it `decode` from the request's start, `queue_wait`
+     * right after decode when dispatched(), and `encode` ending at
+     * end.
+     */
+    void recordSpans(const FlightRecord &record, uint64_t serverSpan,
+                     uint64_t clientSpan);
+
     MetricRegistry &registry_;
     FlightRecorder &recorder_;
     std::string model_;
     bool queued_;
     double sloTargetSeconds_;
+    Tracer *tracer_;
     Gauge &inflight_;
     std::atomic<LogHistogram *> histograms_[FamilyCount][kPhases] = {};
 

@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
+#include <cmath>
+#include <limits>
 #include <map>
 
 #include "common/logging.hh"
 #include "telemetry/exposition.hh"
+#include "telemetry/timeseries.hh"
 
 namespace djinn {
 namespace telemetry {
@@ -34,20 +36,6 @@ Tracer::record(TraceEvent event)
     ring_[head_] = std::move(event);
     head_ = (head_ + 1) % capacity_;
     ++dropped_;
-}
-
-void
-Tracer::recordCounter(const std::string &name, double value,
-                      const std::string &track)
-{
-    TraceEvent event;
-    event.name = name;
-    event.category = "sampler";
-    event.track = track;
-    event.startUs = traceNowUs();
-    event.counter = true;
-    event.value = value;
-    record(std::move(event));
 }
 
 std::vector<TraceEvent>
@@ -109,39 +97,62 @@ appendArgs(std::string &out, const TraceEvent &e)
 {
     out += "\"args\": {";
     bool first = true;
-    auto add = [&](const std::string &k, const std::string &v,
-                   bool quote) {
+    auto add = [&](const std::string &k, const std::string &v) {
         if (!first)
             out += ", ";
         first = false;
-        out += "\"" + jsonEscape(k) + "\": ";
-        out += quote ? "\"" + jsonEscape(v) + "\"" : v;
+        out += "\"" + jsonEscape(k) + "\": \"" + jsonEscape(v) + "\"";
     };
-    if (e.counter) {
-        add("value", strprintf("%.17g", e.value), false);
-    } else if (e.traceId) {
-        add("trace_id", traceIdToHex(e.traceId), true);
-        add("span_id", traceIdToHex(e.spanId), true);
+    if (e.traceId) {
+        add("trace_id", traceIdToHex(e.traceId));
+        add("span_id", traceIdToHex(e.spanId));
         if (e.parentSpanId)
-            add("parent_span_id", traceIdToHex(e.parentSpanId),
-                true);
+            add("parent_span_id", traceIdToHex(e.parentSpanId));
     }
     for (const auto &[k, v] : e.args)
-        add(k, v, true);
+        add(k, v);
     out += "}";
+}
+
+/** @p store's gauge series over the slots from the first of
+ * @p spans (sorted by start) on; every retained slot when there
+ * are no spans. */
+std::vector<TimeSeriesStore::Series>
+gaugeSeries(const TimeSeriesStore &store,
+            const std::vector<TraceEvent> &spans)
+{
+    TimeSeriesStore::Window window; // every family
+    window.seconds = std::numeric_limits<double>::infinity();
+    if (!spans.empty() && store.newestTime(&window.now))
+        window.seconds = window.now - spans.front().startUs * 1e-6;
+    std::vector<TimeSeriesStore::Series> gauges = store.series(window);
+    std::erase_if(gauges, [](const TimeSeriesStore::Series &series) {
+        return series.kind != MetricKind::Gauge;
+    });
+    return gauges;
 }
 
 } // namespace
 
 std::string
-renderChromeTrace(const std::vector<TraceEvent> &events)
+renderChromeTrace(const std::vector<TraceEvent> &events,
+                  const TimeSeriesStore *store)
 {
     std::vector<TraceEvent> sorted = events;
     std::stable_sort(sorted.begin(), sorted.end(),
                      [](const TraceEvent &a, const TraceEvent &b) {
                          return a.startUs < b.startUs;
                      });
+    std::vector<TimeSeriesStore::Series> gauges;
+    if (store)
+        gauges = gaugeSeries(*store, sorted);
     std::map<std::string, int> tids = assignTrackIds(sorted);
+    int sampler_tid = 0;
+    if (!gauges.empty()) {
+        sampler_tid = tids.emplace("sampler",
+                                   static_cast<int>(tids.size()) + 1)
+                          .first->second;
+    }
 
     std::string out = "{\n  \"displayTimeUnit\": \"ms\",\n"
                       "  \"traceEvents\": [\n";
@@ -166,122 +177,29 @@ renderChromeTrace(const std::vector<TraceEvent> &events)
     }
 
     for (const TraceEvent &e : sorted) {
-        begin_event();
-        int tid = tids[e.track];
-        if (e.counter) {
-            out += strprintf("{\"name\": \"%s\", \"cat\": \"%s\", "
-                             "\"ph\": \"C\", \"ts\": %lld, "
-                             "\"pid\": 1, \"tid\": %d, ",
-                             jsonEscape(e.name).c_str(),
-                             jsonEscape(e.category).c_str(),
-                             static_cast<long long>(e.startUs),
-                             tid);
-        } else {
-            out += strprintf("{\"name\": \"%s\", \"cat\": \"%s\", "
-                             "\"ph\": \"X\", \"ts\": %lld, "
-                             "\"dur\": %lld, \"pid\": 1, "
-                             "\"tid\": %d, ",
-                             jsonEscape(e.name).c_str(),
-                             jsonEscape(e.category).c_str(),
-                             static_cast<long long>(e.startUs),
-                             static_cast<long long>(e.durationUs),
-                             tid);
-        }
+        begin_event() += strprintf(
+            "{\"name\": \"%s\", \"cat\": \"%s\", \"ph\": \"X\", "
+            "\"ts\": %lld, \"dur\": %lld, \"pid\": 1, \"tid\": %d, ",
+            jsonEscape(e.name).c_str(), jsonEscape(e.category).c_str(),
+            static_cast<long long>(e.startUs),
+            static_cast<long long>(e.durationUs), tids[e.track]);
         appendArgs(out, e);
         out += "}";
     }
+    for (const TimeSeriesStore::Series &gauge : gauges) {
+        const std::string name =
+            jsonEscape(renderMetricId(gauge.name, gauge.labels));
+        for (const TimeSeriesStore::Point &point : gauge.points) {
+            begin_event() += strprintf(
+                "{\"name\": \"%s\", \"cat\": \"sampler\", "
+                "\"ph\": \"C\", \"ts\": %lld, \"pid\": 1, "
+                "\"tid\": %d, \"args\": {\"value\": %.17g}}",
+                name.c_str(), std::llround(point.t * 1e6), sampler_tid,
+                point.value);
+        }
+    }
     out += "\n  ]\n}\n";
     return out;
-}
-
-double
-processRssBytes()
-{
-    // /proc/self/statm field 2 is resident pages.
-    std::FILE *f = std::fopen("/proc/self/statm", "r");
-    if (!f)
-        return 0.0;
-    long long pages_total = 0, pages_resident = 0;
-    int got = std::fscanf(f, "%lld %lld", &pages_total,
-                          &pages_resident);
-    std::fclose(f);
-    if (got != 2)
-        return 0.0;
-    return static_cast<double>(pages_resident) * 4096.0;
-}
-
-BackgroundSampler::BackgroundSampler(Tracer &tracer,
-                                     const MetricRegistry &metrics,
-                                     double period_seconds,
-                                     Hook hook, UpdateHook update)
-    : tracer_(tracer), metrics_(metrics),
-      period_(period_seconds > 0 ? period_seconds : 0.01),
-      hook_(std::move(hook)), update_(std::move(update))
-{}
-
-BackgroundSampler::~BackgroundSampler()
-{
-    stop();
-}
-
-void
-BackgroundSampler::start()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (running_)
-        return;
-    stopping_ = false;
-    running_ = true;
-    thread_ = std::thread([this]() { loop(); });
-}
-
-void
-BackgroundSampler::stop()
-{
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (!running_)
-            return;
-        stopping_ = true;
-        cv_.notify_all();
-    }
-    thread_.join();
-    std::lock_guard<std::mutex> lock(mutex_);
-    running_ = false;
-}
-
-void
-BackgroundSampler::sampleOnce()
-{
-    // Refresh gauges whose source is not registry-backed first, so
-    // the sweep below exports them on this same tick.
-    if (update_)
-        update_();
-    for (const MetricSample &sample : metrics_.snapshot()) {
-        if (sample.kind != MetricKind::Gauge)
-            continue;
-        tracer_.recordCounter(
-            renderMetricId(sample.name, sample.labels),
-            sample.value);
-    }
-    tracer_.recordCounter("process_rss_bytes", processRssBytes());
-    if (hook_)
-        hook_(tracer_);
-}
-
-void
-BackgroundSampler::loop()
-{
-    auto period = std::chrono::duration_cast<
-        std::chrono::steady_clock::duration>(
-        std::chrono::duration<double>(period_));
-    std::unique_lock<std::mutex> lock(mutex_);
-    while (!stopping_) {
-        lock.unlock();
-        sampleOnce();
-        lock.lock();
-        cv_.wait_for(lock, period, [this]() { return stopping_; });
-    }
 }
 
 } // namespace telemetry

@@ -2,12 +2,14 @@
  * @file
  * The trace buffer and timeline exporter behind end-to-end request
  * tracing. Components on the service path record completed spans
- * (client round-trip, server phases, batched forward passes,
- * per-layer compute) and counter samples (queue depth, in-flight
- * requests, process RSS) into a fixed-capacity ring; the buffer
- * renders as Chrome trace-event JSON, loadable in chrome://tracing
- * or Perfetto, with one named track per logical thread and the
- * trace/span/parent ids attached to every event's args.
+ * (client round-trip, the server's request phases derived from its
+ * flight record, batched forward passes, per-layer compute) into a
+ * fixed-capacity ring; the buffer renders as Chrome trace-event
+ * JSON, loadable in chrome://tracing or Perfetto, with one named
+ * track per logical thread and the trace/span/parent ids attached
+ * to every event's args. Counter tracks (queue depths, in-flight
+ * requests, process RSS) are not buffered here: the exporter
+ * renders them from the time-series store's gauge history.
  *
  * All timestamps share one process-wide steady-clock epoch
  * (`traceNowUs()`), so spans recorded by different Tracer instances
@@ -17,36 +19,34 @@
 #ifndef DJINN_TELEMETRY_TRACER_HH
 #define DJINN_TELEMETRY_TRACER_HH
 
-#include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
-#include "telemetry/metrics.hh"
 #include "telemetry/trace_context.hh"
 
 namespace djinn {
 namespace telemetry {
 
+class TimeSeriesStore;
+
 /** Microseconds since the process-wide trace epoch (steady). */
 int64_t traceNowUs();
 
-/** One recorded timeline event. */
+/** One recorded span. */
 struct TraceEvent {
-    /** Event name ("decode", "conv1", "queue_depth", ...). */
+    /** Span name ("decode", "conv1", "forward", ...). */
     std::string name;
 
-    /** Coarse grouping: "client", "phase", "layer", "sampler". */
+    /** Coarse grouping: "client", "server", "batch", "layer". */
     std::string category;
 
     /** Track (rendered as a named Chrome thread) the event is on. */
     std::string track;
 
-    /** Owning trace; 0 for counter samples. */
+    /** Owning trace. */
     uint64_t traceId = 0;
 
     /** This span's id. */
@@ -58,14 +58,8 @@ struct TraceEvent {
     /** Start time, traceNowUs() units. */
     int64_t startUs = 0;
 
-    /** Span duration; ignored for counter samples. */
+    /** Span duration, microseconds. */
     int64_t durationUs = 0;
-
-    /** True for counter samples (rendered as Chrome "C" events). */
-    bool counter = false;
-
-    /** Counter value when counter is true. */
-    double value = 0.0;
 
     /** Extra args rendered into the event's args object. */
     std::vector<std::pair<std::string, std::string>> args;
@@ -87,12 +81,8 @@ class Tracer
     /** A fresh span id unique within the process. */
     uint64_t nextSpanId() { return nextGlobalSpanId(); }
 
-    /** Append one event (span or counter). */
+    /** Append one span. */
     void record(TraceEvent event);
-
-    /** Append a counter sample stamped with the current time. */
-    void recordCounter(const std::string &name, double value,
-                       const std::string &track = "sampler");
 
     /**
      * Chronological copy of the buffered events.
@@ -120,79 +110,16 @@ class Tracer
 };
 
 /**
- * Render events as a Chrome trace-event JSON document
- * (`{"traceEvents": [...]}`): spans become complete ("X") events,
- * counters become "C" events, and every distinct track gets a
- * thread_name metadata record. Events are emitted in start-time
- * order.
+ * Render spans as a Chrome trace-event JSON document
+ * (`{"traceEvents": [...]}`): spans become complete ("X") events in
+ * start-time order, and every distinct track gets a thread_name
+ * metadata record. With @p store, every gauge track it holds
+ * follows as "C" events on the "sampler" track, one per retained
+ * slot from the oldest span's start on (every retained slot when
+ * @p events is empty), named renderMetricId(name, labels).
  */
-std::string renderChromeTrace(const std::vector<TraceEvent> &events);
-
-/**
- * Background thread that periodically samples service vitals into a
- * tracer as counter events: every gauge in the registry (queue
- * depths, batch occupancy, in-flight requests, SLO burn rates)
- * plus the process's resident set size. Two optional hooks: an
- * update hook runs *before* the gauge sweep so owners can refresh
- * gauges whose source is not registry-backed (compute-pool
- * active-thread count, aggregate batcher queue depth, burn-rate
- * recomputation) and have them exported on the same tick — the
- * single sampling path for every saturation signal — and a record
- * hook runs after the sweep for direct extra samples.
- */
-class BackgroundSampler
-{
-  public:
-    using Hook = std::function<void(Tracer &)>;
-
-    /** Pre-sweep gauge refresh callback. */
-    using UpdateHook = std::function<void()>;
-
-    /**
-     * @param tracer destination buffer; must outlive the sampler.
-     * @param metrics registry whose gauges are sampled.
-     * @param period_seconds sampling interval.
-     * @param hook optional extra per-tick sampling (post-sweep).
-     * @param update optional gauge refresh run before each sweep.
-     */
-    BackgroundSampler(Tracer &tracer,
-                      const MetricRegistry &metrics,
-                      double period_seconds, Hook hook = {},
-                      UpdateHook update = {});
-
-    /** Stops the thread if running. */
-    ~BackgroundSampler();
-
-    BackgroundSampler(const BackgroundSampler &) = delete;
-    BackgroundSampler &operator=(const BackgroundSampler &) = delete;
-
-    /** Start sampling; no-op when already running. */
-    void start();
-
-    /** Stop and join the sampling thread. */
-    void stop();
-
-    /** Record one sample synchronously (also used per tick). */
-    void sampleOnce();
-
-  private:
-    void loop();
-
-    Tracer &tracer_;
-    const MetricRegistry &metrics_;
-    double period_;
-    Hook hook_;
-    UpdateHook update_;
-
-    std::mutex mutex_;
-    std::condition_variable cv_;
-    bool stopping_ = false;
-    bool running_ = false;
-    std::thread thread_;
-};
-
-/** Current process resident set size in bytes; 0 when unknown. */
-double processRssBytes();
+std::string renderChromeTrace(const std::vector<TraceEvent> &events,
+                              const TimeSeriesStore *store = nullptr);
 
 } // namespace telemetry
 } // namespace djinn

@@ -12,8 +12,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/djinn_client.hh"
@@ -59,7 +62,7 @@ class TracingTest : public ::testing::Test
     {
         std::vector<telemetry::TraceEvent> out;
         for (auto &e : server_->tracer().events()) {
-            if (!e.counter && e.traceId == trace_id)
+            if (e.traceId == trace_id)
                 out.push_back(std::move(e));
         }
         return out;
@@ -165,6 +168,60 @@ TEST_F(TracingTest, SingleRequestProducesLinkedSpanTree)
     EXPECT_GE(requests[0].batchRows, 1);
 }
 
+/**
+ * The server's request, decode, queue_wait and encode spans are laid
+ * out from the request's flight record: the phases lie inside the
+ * request span, which spans the record's total less its frame read.
+ */
+TEST_F(TracingTest, RequestSpansAreLaidOutFromTheFlightRecord)
+{
+    ServerConfig config;
+    config.batching = true;
+    config.samplerPeriod = 0;
+    startServer(config);
+
+    DjinnClient client;
+    ASSERT_TRUE(connect(client).isOk());
+    client.setTracing(true);
+    std::vector<float> payload(4, 0.5f);
+    ASSERT_TRUE(client.infer("tiny", 1, payload).isOk());
+
+    auto spans = spansOf(client.lastTrace().traceId);
+    const auto *request = findSpan(spans, "request tiny");
+    const auto *decode = findSpan(spans, "decode");
+    const auto *queue = findSpan(spans, "queue_wait");
+    const auto *encode = findSpan(spans, "encode");
+    ASSERT_NE(request, nullptr);
+    ASSERT_NE(decode, nullptr);
+    ASSERT_NE(queue, nullptr);
+    ASSERT_NE(encode, nullptr);
+    auto records = server_->flightRecorder().snapshot();
+    ASSERT_EQ(records.size(), 1u);
+    const telemetry::FlightRecord &record = records[0];
+
+    const int64_t end = request->startUs + request->durationUs;
+    EXPECT_EQ(end, record.timestampUs);
+    EXPECT_NEAR(static_cast<double>(request->durationUs),
+                (record.totalSeconds - record.readSeconds) * 1e6, 1.0);
+    EXPECT_NEAR(static_cast<double>(queue->durationUs),
+                record.queueWaitSeconds * 1e6, 1.0);
+    EXPECT_EQ(decode->startUs, request->startUs);
+    EXPECT_EQ(queue->startUs, decode->startUs + decode->durationUs);
+    EXPECT_EQ(encode->startUs + encode->durationUs, end);
+    for (const auto *phase : {decode, queue, encode}) {
+        EXPECT_GE(phase->durationUs, 0) << phase->name;
+        EXPECT_GE(phase->startUs, request->startUs) << phase->name;
+        EXPECT_LE(phase->startUs + phase->durationUs, end)
+            << phase->name;
+        EXPECT_EQ(phase->track, request->track) << phase->name;
+    }
+    EXPECT_EQ(request->track.rfind("worker-", 0), 0u) << request->track;
+    const std::pair<std::string, std::string> outcome{"outcome", "ok"};
+    EXPECT_NE(std::find(request->args.begin(), request->args.end(),
+                        outcome),
+              request->args.end());
+}
+
 TEST_F(TracingTest, NonBatchingServerAlsoEmitsLayerSpans)
 {
     ServerConfig config;
@@ -203,11 +260,49 @@ TEST_F(TracingTest, UntracedClientLeavesRingQuiet)
 
     // No wire trace context -> no spans, but the flight record
     // (trace id 0) is still written.
-    for (const auto &e : server_->tracer().events())
-        EXPECT_TRUE(e.counter) << e.name;
+    EXPECT_TRUE(server_->tracer().events().empty());
     auto requests = server_->flightRecorder().snapshot();
     ASSERT_EQ(requests.size(), 1u);
     EXPECT_EQ(requests[0].traceId, 0u);
+}
+
+/**
+ * The sampler writes the time-series store only: its ticks leave
+ * the span ring to spans, and the trace route draws the store's
+ * gauges (process RSS among them) as counter tracks.
+ */
+TEST_F(TracingTest, SamplerTicksLeaveRingToSpans)
+{
+    startServer(); // tracing and the default sampler on
+    const telemetry::TimeSeriesStore *store = server_->timeSeries();
+    ASSERT_NE(store, nullptr);
+    while (store->sampleCount() < 3)
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+
+    DjinnClient client;
+    ASSERT_TRUE(connect(client).isOk());
+    std::vector<float> payload(4, 0.5f);
+    ASSERT_TRUE(client.infer("tiny", 1, payload).isOk());
+
+    EXPECT_EQ(server_->tracer().size(), 0u);
+    auto trace = client.traceJson();
+    ASSERT_TRUE(trace.isOk());
+    for (const std::string gauge :
+         {"djinn_compute_pool_busy", "djinn_process_rss_bytes"}) {
+        EXPECT_NE(trace.value().find("{\"name\": \"" + gauge +
+                                     "\", \"cat\": \"sampler\", "
+                                     "\"ph\": \"C\""),
+                  std::string::npos)
+            << gauge;
+    }
+    bool saw_rss = false;
+    for (const auto &sample : server_->metrics().snapshot()) {
+        if (sample.name == "djinn_process_rss_bytes") {
+            saw_rss = true;
+            EXPECT_GT(sample.value, 0.0);
+        }
+    }
+    EXPECT_TRUE(saw_rss);
 }
 
 TEST_F(TracingTest, TracingDisabledServerStillServesTracedClients)
@@ -270,8 +365,7 @@ TEST(HttpEndpointTest, HandleRoutes)
     metrics.counter("djinn_requests_total",
                     {{"model", "tiny"}}).inc();
     telemetry::Tracer tracer;
-    tracer.record({"decode", "phase", "worker-1", 1, 2, 0, 10, 5,
-                   false, 0.0, {}});
+    tracer.record({"decode", "phase", "worker-1", 1, 2, 0, 10, 5, {}});
     HttpEndpoint endpoint(
         DebugRoutes({.metrics = &metrics, .tracer = &tracer}));
 

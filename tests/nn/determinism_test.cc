@@ -141,11 +141,12 @@ TEST(Determinism, ZooForwardBitIdenticalAcrossRunsAndThreads)
                 << threads;
         }
 
-        // With the parallel run option off entirely.
-        net->setParallel(false);
-        EXPECT_EQ(bitChecksum(net->forward(in)), sum)
-            << name << ": setParallel(false) changes the output";
-        net->setParallel(true);
+        // With pool parallelism off entirely.
+        {
+            common::SerialScope serial;
+            EXPECT_EQ(bitChecksum(net->forward(in)), sum)
+                << name << ": a serial forward changes the output";
+        }
 
         auto it = kGolden.find(name);
         ASSERT_NE(it, kGolden.end()) << "no golden for " << name;
@@ -213,12 +214,13 @@ TEST(Determinism, QuantizedZooForwardBitIdenticalAcrossRunsAndThreads)
                     << ": output depends on thread count " << threads;
             }
 
-            // With the parallel run option off entirely.
-            net->setParallel(false);
-            EXPECT_EQ(bitChecksum(net->forward(in)), sum)
-                << name << "/" << prec
-                << ": setParallel(false) changes the output";
-            net->setParallel(true);
+            // With pool parallelism off entirely.
+            {
+                common::SerialScope serial;
+                EXPECT_EQ(bitChecksum(net->forward(in)), sum)
+                    << name << "/" << prec
+                    << ": a serial forward changes the output";
+            }
 
             // A rebuilt network reproduces the same bits: the
             // calibration pipeline has no hidden state.

@@ -51,6 +51,16 @@ struct PoolCase {
     bool max_pool;
 };
 
+// Names each case by its fields; without it gtest prints the raw
+// bytes, padding included, so the test names change run to run.
+void
+PrintTo(const PoolCase &p, std::ostream *os)
+{
+    *os << (p.max_pool ? "max" : "avg") << "_size" << p.size
+        << "_kernel" << p.kernel << "_stride" << p.stride << "_pad"
+        << p.pad;
+}
+
 class PoolingProperty : public ::testing::TestWithParam<PoolCase>
 {};
 

@@ -1,13 +1,16 @@
 /**
  * @file
- * Tests for the trace ring, the Chrome trace-event exporter, the
+ * Tests for the trace ring, the Chrome trace-event exporter (spans
+ * from the ring, counter tracks from a time-series store), the
  * flight-record request CSV, and the background sampler.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cctype>
+#include <chrono>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -15,6 +18,7 @@
 
 #include "telemetry/flight_recorder.hh"
 #include "telemetry/metrics.hh"
+#include "telemetry/timeseries.hh"
 #include "telemetry/tracer.hh"
 
 using namespace djinn;
@@ -270,8 +274,12 @@ TEST(ChromeTraceTest, OutputIsValidJson)
     Tracer tracer;
     tracer.record(makeSpan("decode \"x\"\n", "worker-1", 0xabc, 2,
                            1, 100, 50));
-    tracer.recordCounter("queue_depth", 3.5);
-    std::string json = telemetry::renderChromeTrace(tracer.events());
+    telemetry::MetricRegistry metrics;
+    metrics.gauge("queue_depth").set(3.5);
+    telemetry::TimeSeriesStore store(metrics);
+    store.sample(1e-3);
+    std::string json =
+        telemetry::renderChromeTrace(tracer.events(), &store);
     EXPECT_TRUE(JsonChecker(json).valid()) << json;
     EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
     EXPECT_NE(json.find("\"ph\": \"X\""), std::string::npos);
@@ -371,56 +379,92 @@ TEST(RequestsCsvTest, HeaderAndRows)
               "0000000000000000,mnist,1,1,0.750\n");
 }
 
-TEST(SamplerTest, SampleOnceRecordsGaugesAndRss)
+TEST(ChromeTraceTest, StoreGaugesBecomeCounterTracks)
 {
     telemetry::MetricRegistry metrics;
+    telemetry::Gauge &depth = metrics.gauge("queue_depth");
+    telemetry::TimeSeriesStore store(metrics);
+    depth.set(4.0);
+    store.sample(1.0);
+    depth.set(2.5);
+    store.sample(2.0);
+
+    // An empty ring draws every retained slot at its time, in us.
+    std::string json = telemetry::renderChromeTrace({}, &store);
+    EXPECT_TRUE(JsonChecker(json).valid()) << json;
+    const std::string head = "{\"name\": \"queue_depth\", "
+                             "\"cat\": \"sampler\", \"ph\": \"C\", ";
+    EXPECT_NE(json.find(head + "\"ts\": 1000000, "), std::string::npos)
+        << json;
+    EXPECT_NE(json.find(head + "\"ts\": 2000000, "), std::string::npos)
+        << json;
+    EXPECT_NE(json.find("\"args\": {\"value\": 4}"), std::string::npos);
+    EXPECT_NE(json.find("\"args\": {\"value\": 2.5}"), std::string::npos);
+    EXPECT_NE(json.find("\"args\": {\"name\": \"sampler\"}"),
+              std::string::npos);
+
+    // With spans, only the slots from the oldest span's start on.
+    json = telemetry::renderChromeTrace(
+        {makeSpan("late", "worker", 1, 2, 0, 1800000, 10),
+         makeSpan("early", "worker", 1, 3, 0, 1500000, 10)},
+        &store);
+    EXPECT_TRUE(JsonChecker(json).valid()) << json;
+    EXPECT_EQ(json.find(head + "\"ts\": 1000000, "), std::string::npos);
+    EXPECT_NE(json.find(head + "\"ts\": 2000000, "), std::string::npos);
+}
+
+TEST(SamplerTest, SampleOnceRecordsGaugesAndRss)
+{
+    // One tick of a sampler that feeds a store (the server's tick,
+    // cut down): the trace then draws the store's gauges, process
+    // RSS among them, and no counter.
+    telemetry::MetricRegistry metrics;
     metrics.gauge("queue_depth", {{"model", "tiny"}}).set(4.0);
-    metrics.counter("ignored_total").inc(); // counters not sampled
+    telemetry::Gauge &rss = metrics.gauge("process_rss_bytes");
+    metrics.counter("ignored_total").inc(); // counters not drawn
+    telemetry::TimeSeriesStore store(metrics);
+    telemetry::BackgroundSampler sampler(1.0, [&]() {
+        rss.set(telemetry::processRssBytes());
+        store.sample(telemetry::traceNowUs() * 1e-6);
+    });
+    sampler.start();
+    while (store.sampleCount() == 0)
+        std::this_thread::yield();
+    sampler.stop();
 
-    Tracer tracer;
-    bool hook_ran = false;
-    telemetry::BackgroundSampler sampler(
-        tracer, metrics, 1.0,
-        [&hook_ran](Tracer &t) {
-            hook_ran = true;
-            t.recordCounter("custom", 1.0);
-        });
-    sampler.sampleOnce();
-
-    EXPECT_TRUE(hook_ran);
-    bool saw_gauge = false, saw_rss = false, saw_custom = false,
-         saw_counter = false;
-    for (const auto &e : tracer.events()) {
-        EXPECT_TRUE(e.counter);
-        if (e.name.find("queue_depth") != std::string::npos)
-            saw_gauge = true;
-        if (e.name == "process_rss_bytes") {
-            saw_rss = true;
-            EXPECT_GT(e.value, 0.0);
-        }
-        if (e.name == "custom")
-            saw_custom = true;
-        if (e.name.find("ignored_total") != std::string::npos)
-            saw_counter = true;
-    }
-    EXPECT_TRUE(saw_gauge);
-    EXPECT_TRUE(saw_rss);
-    EXPECT_TRUE(saw_custom);
-    EXPECT_FALSE(saw_counter);
+    EXPECT_GT(rss.value(), 0.0);
+    std::string json = telemetry::renderChromeTrace({}, &store);
+    EXPECT_TRUE(JsonChecker(json).valid()) << json;
+    EXPECT_NE(json.find("\"queue_depth{model=\\\"tiny\\\"}\", "
+                        "\"cat\": \"sampler\", \"ph\": \"C\""),
+              std::string::npos)
+        << json;
+    EXPECT_NE(json.find("\"process_rss_bytes\", \"cat\": \"sampler\", "
+                        "\"ph\": \"C\""),
+              std::string::npos)
+        << json;
+    EXPECT_EQ(json.find("ignored_total"), std::string::npos);
 }
 
 TEST(SamplerTest, StartStopIsClean)
 {
-    telemetry::MetricRegistry metrics;
-    Tracer tracer;
-    telemetry::BackgroundSampler sampler(tracer, metrics, 1e-3);
+    std::atomic<int> ticks{0};
+    telemetry::BackgroundSampler sampler(1e-3, [&ticks]() { ++ticks; });
     sampler.start();
     sampler.start(); // no-op
-    while (tracer.size() == 0)
+    while (ticks.load() < 3)
         std::this_thread::yield();
     sampler.stop();
     sampler.stop(); // no-op
-    EXPECT_GT(tracer.size(), 0u);
+    const int stopped = ticks.load();
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    EXPECT_EQ(ticks.load(), stopped);
+
+    // A restart ticks again, first at start().
+    sampler.start();
+    while (ticks.load() == stopped)
+        std::this_thread::yield();
+    sampler.stop();
 }
 
 } // namespace
