@@ -30,10 +30,14 @@
  *   4. The ASR front end (log-mel filterbank over the radix-2 FFT,
  *      then context splicing) on a Table 3 utterance, best of N
  *        -> djinn_bench_tonic_seconds{stage="asr_features",frames}
- *   5. AlexNet's five conv layers at batch 1, f32 and int8 at 1 and
- *      2 compute threads, best of N forwards, timed per layer by a
+ *   5. Whole forwards of every zoo model at its Table 3 batch
+ *      (queries per pass times rows per query), and AlexNet's five
+ *      conv layers at batch 1, f32 and int8 at 1 and 2 compute
+ *      threads, best of N forwards each, timed per layer by a
  *      VectorProfileSink
- *        -> djinn_bench_nn_seconds{model="alexnet",part="conv",
+ *        -> djinn_bench_nn_seconds{model,part="forward",
+ *                                  precision,threads}
+ *           djinn_bench_nn_seconds{model="alexnet",part="conv",
  *                                  precision,threads}
  *      followed by a stderr report of the conv GFLOPS per core
  *      against the ROADMAP bars (f32 >= 60; int8 >= f32)
@@ -42,7 +46,8 @@
  *   bench_suite [--quick] [--seed N] [--out FILE]
  *
  * --quick shrinks shapes, repetitions, and client counts so CI can
- * afford two back-to-back runs; the emitted schema is identical.
+ * afford two back-to-back runs, and times the forwards of senna_pos
+ * and mnist only; the emitted schema is identical.
  * Output is `{"bench_schema": 1, "quick": ..., "seed": ...,
  * "int8_kernel": ..., "samples": [{"id": ..., "value": ...}, ...]}`
  * with samples in a fixed stage order; int8_kernel names the fastest
@@ -80,6 +85,7 @@
 #include "nn/profile.hh"
 #include "nn/quant.hh"
 #include "nn/zoo.hh"
+#include "serve/app.hh"
 #include "telemetry/exposition.hh"
 #include "telemetry/flight_recorder.hh"
 #include "telemetry/metrics.hh"
@@ -198,7 +204,7 @@ runGemmStage(const SuiteConfig &config,
     const std::vector<GemmShape> shapes =
         config.quick
             ? std::vector<GemmShape>{{"senna_fc1", 28, 600, 250},
-                                     {"square256", 256, 256, 256}}
+                                     {"square512", 512, 512, 512}}
             : std::vector<GemmShape>{{"senna_fc1", 28, 600, 250},
                                      {"kaldi_hidden", 64, 2048,
                                       2048},
@@ -508,62 +514,97 @@ runTonicStage(const SuiteConfig &config,
 }
 
 // ---------------------------------------------------------------
-// Stage 5: AlexNet's conv stack, the largest part of its batch-1
-// forward.
+// Stage 5: whole zoo forwards, and AlexNet's conv stack, the
+// largest part of its batch-1 forward.
+
+/** Best-of-N times of one network's profiled forwards. */
+struct ForwardTimes {
+    double forward = 1e300; ///< wall seconds of the whole forward
+    double conv = 1e300;    ///< the conv layers' share
+    double convFlops = 0.0;
+};
 
 /**
- * Best-of-@p reps seconds (and the FLOPs) of @p net's conv layers
- * over one batch-1 forward each, as a VectorProfileSink reads them.
+ * Best-of-@p reps times of @p net's forward over @p rows rows of
+ * seeded inputs, each forward timed per layer by a VectorProfileSink.
  */
-double
-bestConvSeconds(const nn::Network &net, int reps, uint64_t seed,
-                double *flops)
+ForwardTimes
+bestForwardTimes(const nn::Network &net, int64_t rows, int reps,
+                 uint64_t seed)
 {
-    nn::Tensor in(net.inputShape().withBatch(1));
-    std::vector<float> pixels = randomVec(in.elems(), seed);
-    std::copy(pixels.begin(), pixels.end(), in.data());
-    double best = 1e300;
+    using Clock = std::chrono::steady_clock;
+    nn::Tensor in(net.inputShape().withBatch(rows));
+    std::vector<float> values = randomVec(in.elems(), seed);
+    std::copy(values.begin(), values.end(), in.data());
+    ForwardTimes best;
     for (int r = 0; r < reps; ++r) {
         nn::VectorProfileSink sink;
+        auto t0 = Clock::now();
         net.forward(in, &sink);
+        best.forward = std::min(
+            best.forward,
+            std::chrono::duration<double>(Clock::now() - t0).count());
         double secs = 0.0;
-        *flops = 0.0;
+        best.convFlops = 0.0;
         for (const nn::LayerProfile &layer : sink.profiles()) {
             if (layer.kind != nn::LayerKind::Convolution)
                 continue;
             secs += layer.seconds;
-            *flops += static_cast<double>(layer.flops);
+            best.convFlops += static_cast<double>(layer.flops);
         }
-        best = std::min(best, secs);
+        best.conv = std::min(best.conv, secs);
     }
     return best;
 }
 
 void
-runConvStage(const SuiteConfig &config,
-             std::vector<SuiteSample> &out)
+runNnStage(const SuiteConfig &config, std::vector<SuiteSample> &out)
 {
     const int reps = config.quick ? 3 : 8;
     const int threadCounts[] = {1, 2};
+    auto labels = [](const char *model, const char *part,
+                     nn::Precision precision, int threads) {
+        return telemetry::LabelMap{
+            {"model", model},
+            {"part", part},
+            {"precision", nn::precisionName(precision)},
+            {"threads", std::to_string(threads)}};
+    };
     std::map<std::pair<nn::Precision, int>, double> perCore;
     for (nn::Precision precision :
          {nn::Precision::F32, nn::Precision::Int8}) {
-        nn::NetworkPtr net =
-            nn::zoo::build(nn::zoo::Model::AlexNet, precision,
-                           config.seed);
+        // Each app's model at its Table 3 batch: one combined pass
+        // of tunedBatch queries.
+        for (serve::App app : serve::allApps()) {
+            const serve::AppSpec &spec = serve::appSpec(app);
+            if (config.quick && spec.model != nn::zoo::Model::SennaPos &&
+                spec.model != nn::zoo::Model::Mnist)
+                continue;
+            nn::NetworkPtr net =
+                nn::zoo::build(spec.model, precision, config.seed);
+            for (int threads : threadCounts) {
+                common::setComputeThreads(threads);
+                ForwardTimes t = bestForwardTimes(
+                    *net, spec.tunedBatch * spec.samplesPerQuery, reps,
+                    config.seed + 21);
+                emitSample(out, "djinn_bench_nn_seconds",
+                           labels(nn::zoo::modelName(spec.model),
+                                  "forward", precision, threads),
+                           t.forward);
+            }
+        }
+
+        nn::NetworkPtr alexnet = nn::zoo::build(
+            nn::zoo::Model::AlexNet, precision, config.seed);
         for (int threads : threadCounts) {
             common::setComputeThreads(threads);
-            double flops = 0.0;
-            double secs = bestConvSeconds(*net, reps, config.seed + 21,
-                                          &flops);
+            ForwardTimes t =
+                bestForwardTimes(*alexnet, 1, reps, config.seed + 21);
             perCore[{precision, threads}] =
-                flops / secs / 1e9 / threads;
+                t.convFlops / t.conv / 1e9 / threads;
             emitSample(out, "djinn_bench_nn_seconds",
-                       {{"model", "alexnet"},
-                        {"part", "conv"},
-                        {"precision", nn::precisionName(precision)},
-                        {"threads", std::to_string(threads)}},
-                       secs);
+                       labels("alexnet", "conv", precision, threads),
+                       t.conv);
         }
         common::setComputeThreads(0);
     }
@@ -647,8 +688,8 @@ main(int argc, char **argv)
     runClusterStage(config, samples);
     std::fprintf(stderr, "bench_suite: tonic stage...\n");
     runTonicStage(config, samples);
-    std::fprintf(stderr, "bench_suite: conv stage...\n");
-    runConvStage(config, samples);
+    std::fprintf(stderr, "bench_suite: nn stage...\n");
+    runNnStage(config, samples);
 
     std::string json = renderSuiteJson(config, samples);
     if (config.outPath.empty()) {

@@ -391,7 +391,7 @@ fi
 # thresholds absorb run-to-run jitter; the cluster stage is
 # bit-identical by construction), and the comparator's built-in
 # self-test proves it fails on an injected regression of each
-# class.
+# class. The first run's JSON then feeds the int8 gate below.
 ./build/bench/bench_suite --quick --out /tmp/djinn_bench_a.json
 ./build/bench/bench_suite --quick --out /tmp/djinn_bench_b.json
 if ! ./build/bench/bench_compare /tmp/djinn_bench_a.json \
@@ -403,37 +403,43 @@ if ! ./build/bench/bench_compare --self-test; then
     echo "check_build: bench_compare self-test FAILED" >&2
     exit 1
 fi
-rm -f /tmp/djinn_bench_a.json /tmp/djinn_bench_b.json
 
 # Quantization battery (DESIGN.md §14), three parts. First the
-# microbenchmark's registry snapshot: int8 must actually be faster
-# than f32 at the square 512 shape on one thread, or the low-
-# precision path has regressed into pointless accuracy loss.
-# (--benchmark_filter skips the google-benchmark suites; the GEMM
-# rate snapshot always runs.)
-./build/bench/microbench_nn --benchmark_filter='^$' \
-    > /tmp/djinn_microbench.json
-gflops() {
-    grep '"djinn_gemm_gflops"' /tmp/djinn_microbench.json \
-        | grep '"shape": "square512"' \
-        | grep "\"precision\": \"$1\"" \
-        | grep '"threads": "1"' \
+# quick run's one-thread GEMM rates: int8 must actually be faster
+# than f32 through the raw-operand entry at the square 512 shape,
+# and with packed weights at every quick shape, or the low-
+# precision path has regressed into pointless accuracy loss. (The
+# raw int8 entry repacks its weights per call, so at senna_fc1 it
+# is gated packed only.)
+gemm_rate() { # ENTRY ("" = raw operands) PRECISION SHAPE
+    local q='\"' # a label value's quote, escaped in the JSON id
+    local labels="precision=$q$2$q,shape=$q$3$q,threads=${q}1$q}"
+    [ -n "$1" ] && labels="entry=$q$1$q,$labels"
+    grep -F "\"djinn_bench_gemm_gflops{$labels\"" "$bench_json" \
         | sed -E 's/.*"value": ([0-9.eE+-]+).*/\1/'
 }
-int8_rate=$(gflops int8)
-f32_rate=$(gflops f32)
-if [ -z "$int8_rate" ] || [ -z "$f32_rate" ]; then
-    echo "check_build: microbench JSON lacks precision-labeled" \
-         "djinn_gemm_gflops samples" >&2
-    exit 1
-fi
-if ! awk -v i="$int8_rate" -v f="$f32_rate" \
-    'BEGIN { exit !(i + 0 >= f + 0) }'; then
-    echo "check_build: int8 512^3 GEMM ($int8_rate GF) slower" \
-         "than f32 ($f32_rate GF)" >&2
-    exit 1
-fi
-rm -f /tmp/djinn_microbench.json
+int8_gate() { # ENTRY SHAPE
+    local int8 f32
+    int8=$(gemm_rate "$1" int8 "$2")
+    f32=$(gemm_rate "$1" f32 "$2")
+    if [ -z "$int8" ] || [ -z "$f32" ]; then
+        echo "check_build: $bench_json lacks ${1:-raw} int8/f32" \
+             "djinn_bench_gemm_gflops at $2, 1 thread" >&2
+        return 1
+    fi
+    if ! awk -v i="$int8" -v f="$f32" \
+        'BEGIN { exit !(i + 0 >= f + 0) }'; then
+        echo "check_build: ${1:-raw} int8 GEMM at $2 ($int8 GF)" \
+             "slower than f32 ($f32 GF)" >&2
+        return 1
+    fi
+}
+bench_json=/tmp/djinn_bench_a.json
+int8_gate "" square512 || exit 1
+for shape in senna_fc1 square512; do
+    int8_gate packed "$shape" || exit 1
+done
+rm -f /tmp/djinn_bench_a.json /tmp/djinn_bench_b.json
 
 # Second, the differential battery and quantization property tests
 # under AddressSanitizer + UBSan: the packed kernels index raw

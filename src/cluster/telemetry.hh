@@ -3,8 +3,8 @@
  * Bridge from the cluster simulator to the telemetry subsystem:
  * records a ClusterResult into a MetricRegistry under the
  * `djinn_cluster_*` families, so policy sweeps and capacity probes
- * land in the same exposition formats (and microbench JSON schema)
- * as the single-server experiments.
+ * land in the same exposition formats (Prometheus text and JSON) as
+ * the live server.
  */
 
 #ifndef DJINN_CLUSTER_TELEMETRY_HH

@@ -46,9 +46,10 @@ class Status
     /** Construct an OK status. */
     Status() = default;
 
-    /** Construct an error status with a message. */
-    Status(StatusCode code, std::string message)
-        : code_(code), message_(std::move(message))
+    /** Construct an error status with a message and a
+     * code-specific @p detail (see detail()). */
+    Status(StatusCode code, std::string message, int detail = 0)
+        : code_(code), message_(std::move(message)), detail_(detail)
     {}
 
     /** Factory for an OK status. */
@@ -82,11 +83,12 @@ class Status
         return Status(StatusCode::Internal, std::move(msg));
     }
 
-    /** Factory for a ProtocolError. */
+    /** Factory for a ProtocolError; @p detail as for detail(). */
     static Status
-    protocolError(std::string msg)
+    protocolError(std::string msg, int detail = 0)
     {
-        return Status(StatusCode::ProtocolError, std::move(msg));
+        return Status(StatusCode::ProtocolError, std::move(msg),
+                      detail);
     }
 
     /** Factory for an IoError. */
@@ -119,12 +121,18 @@ class Status
     /** Human-readable error message; empty when ok. */
     const std::string &message() const { return message_; }
 
+    /** A machine-readable refinement of code() that its producer
+     * defines (a wire ProtocolError's core::ProtocolFault, say);
+     * 0 when none. */
+    int detail() const { return detail_; }
+
     /** "OK" or "<Code>: <message>". */
     std::string toString() const;
 
   private:
     StatusCode code_ = StatusCode::Ok;
     std::string message_;
+    int detail_ = 0;
 };
 
 /**

@@ -55,20 +55,6 @@ errorReason(WireStatus status)
     return "ok";
 }
 
-/** Bucket a ProtocolError message into the `reason` label of
- * djinn_protocol_errors. */
-const char *
-protocolErrorReason(const std::string &message)
-{
-    if (message.find("too large") != std::string::npos)
-        return "oversize";
-    if (message.find("truncated") != std::string::npos)
-        return "truncated";
-    if (message.find("trailing bytes") != std::string::npos)
-        return "trailing_bytes";
-    return "malformed";
-}
-
 /** Flight-record outcome for a finished inference response. */
 telemetry::FlightOutcome
 flightOutcomeOf(WireStatus status)
@@ -446,8 +432,8 @@ DjinnServer::serveConnection(Connection &conn)
                 metrics_
                     .counter(protocolErrorsName,
                              {{"reason",
-                               protocolErrorReason(
-                                   frame.status().message())}})
+                               protocolFaultName(protocolFaultOf(
+                                   frame.status()))}})
                     .inc();
             }
             break;
@@ -496,11 +482,10 @@ DjinnServer::serveConnection(Connection &conn)
         // Inference requests are recorded; control verbs
         // (ping/list/stats/...) are not load and would only add
         // label noise.
-        std::unique_ptr<telemetry::RequestLog> stray;
         telemetry::RequestLog *log = nullptr;
         if (request.isOk() &&
             request.value().type == RequestType::Inference) {
-            log = &requestLog(request.value().model, stray);
+            log = &requestLog(request.value().model);
             log->begin();
         }
 
@@ -519,8 +504,8 @@ DjinnServer::serveConnection(Connection &conn)
             response.message = request.status().toString();
             metrics_
                 .counter(protocolErrorsName,
-                         {{"reason", protocolErrorReason(
-                               request.status().message())}})
+                         {{"reason", protocolFaultName(protocolFaultOf(
+                               request.status()))}})
                 .inc();
         } else if (log) {
             // A zero budget means no deadline.
@@ -636,8 +621,7 @@ DjinnServer::handleRequest(const Request &request)
 }
 
 telemetry::RequestLog &
-DjinnServer::requestLog(const std::string &model,
-                        std::unique_ptr<telemetry::RequestLog> &stray)
+DjinnServer::requestLog(const std::string &model)
 {
     auto it = requestLogs_.find(model);
     if (it != requestLogs_.end())
@@ -646,12 +630,26 @@ DjinnServer::requestLog(const std::string &model,
     // client cannot grow the metric registry by naming models.
     if (!registry_.find(model))
         return unknownLog_;
-    // A model added after construction: its instruments are looked
-    // up for this one request.
-    stray = std::make_unique<telemetry::RequestLog>(
-        metrics_, flightRecorder_, model, config_.batching,
-        config_.sloTargetSeconds, spanTracer());
-    return *stray;
+    std::lock_guard<std::mutex> lock(addedMutex_);
+    std::unique_ptr<telemetry::RequestLog> &log = addedLogs_[model];
+    if (!log) {
+        log = std::make_unique<telemetry::RequestLog>(
+            metrics_, flightRecorder_, model, config_.batching,
+            config_.sloTargetSeconds, spanTracer());
+    }
+    return *log;
+}
+
+std::map<std::string, const telemetry::RequestLog *>
+DjinnServer::modelLogs() const
+{
+    std::map<std::string, const telemetry::RequestLog *> logs;
+    for (const auto &[model, log] : requestLogs_)
+        logs.emplace(model, log.get());
+    std::lock_guard<std::mutex> lock(addedMutex_);
+    for (const auto &[model, log] : addedLogs_)
+        logs.emplace(model, log.get());
+    return logs;
 }
 
 DebugRoutes
@@ -670,52 +668,28 @@ uint64_t
 DjinnServer::requestsServed() const
 {
     uint64_t total = 0;
-    for (const telemetry::MetricSample &sample : metrics_.snapshot()) {
-        if (sample.name == telemetry::requestsTotalMetricName)
-            total += static_cast<uint64_t>(sample.value);
-    }
+    for (const auto &[model, log] : modelLogs())
+        total += log->requests();
     return total;
 }
 
 std::vector<DjinnServer::ModelStats>
 DjinnServer::stats() const
 {
-    // A view over the telemetry registry: models enter the result
-    // once they have a successful request recorded.
-    std::map<std::string, ModelStats> by_model;
-    auto samples = metrics_.snapshot();
-    for (const telemetry::MetricSample &sample : samples) {
-        auto model_it = sample.labels.find("model");
-        if (model_it == sample.labels.end())
-            continue;
-        const std::string &model = model_it->second;
-        if (sample.name == telemetry::requestsTotalMetricName) {
-            by_model[model].requests =
-                static_cast<uint64_t>(sample.value);
-        } else if (sample.name == telemetry::rowsTotalMetricName) {
-            by_model[model].rows =
-                static_cast<uint64_t>(sample.value);
-        } else if (sample.name == telemetry::phaseMetricName) {
-            auto phase_it = sample.labels.find("phase");
-            if (phase_it == sample.labels.end() ||
-                phase_it->second !=
-                    telemetry::phaseName(
-                        telemetry::Phase::Service)) {
-                continue;
-            }
-            ModelStats &s = by_model[model];
-            s.serviceSeconds = sample.histogram.sum;
-            s.p50ServiceMs = sample.histogram.quantile(0.5) * 1e3;
-            s.p95ServiceMs = sample.histogram.quantile(0.95) * 1e3;
-            s.p99ServiceMs = sample.histogram.quantile(0.99) * 1e3;
-        }
-    }
     std::vector<ModelStats> out;
-    out.reserve(by_model.size());
-    for (auto &[model, s] : by_model) {
-        if (s.requests == 0)
-            continue; // never served successfully; phase noise only
+    for (const auto &[model, log] : modelLogs()) {
+        ModelStats s;
+        s.requests = log->requests();
+        const telemetry::LogHistogram *service = log->serviceSeconds();
+        if (s.requests == 0 || !service)
+            continue; // never served successfully
         s.model = model;
+        s.rows = log->rows();
+        telemetry::HistogramSnapshot h = service->snapshot();
+        s.serviceSeconds = h.sum;
+        s.p50ServiceMs = h.quantile(0.5) * 1e3;
+        s.p95ServiceMs = h.quantile(0.95) * 1e3;
+        s.p99ServiceMs = h.quantile(0.99) * 1e3;
         out.push_back(std::move(s));
     }
     return out;

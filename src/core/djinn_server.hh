@@ -220,8 +220,8 @@ class DjinnServer
     /** True while the server is accepting connections. */
     bool running() const { return listener_.running(); }
 
-    /** Total inference requests served: the sum of the
-     * `djinn_requests_total` counters. */
+    /** Total inference requests served: the sum of the request
+     * logs' `djinn_requests_total` counters. */
     uint64_t requestsServed() const;
 
     /** Connections accepted so far. */
@@ -244,10 +244,11 @@ class DjinnServer
     bool draining() const { return draining_.load(); }
 
     /**
-     * Per-model service counters: a view over the telemetry
-     * registry (the `djinn_requests_total` / `djinn_rows_total`
-     * counters and the `djinn_phase_seconds{phase="service"}`
-     * histogram).
+     * Per-model service counters: a view over each request log's
+     * own instruments (the `djinn_requests_total` /
+     * `djinn_rows_total` counters and the
+     * `djinn_phase_seconds{phase="service"}` histogram), read
+     * without a registry snapshot.
      */
     struct ModelStats {
         std::string model;
@@ -365,11 +366,13 @@ class DjinnServer
     /** @p model's request log: the one built for a model
      * registered at construction, the shared unknownLog_ for a
      * name the registry does not hold, else (a model added since)
-     * a fresh one left in @p stray for the caller to own for one
-     * request. */
-    telemetry::RequestLog &requestLog(
-        const std::string &model,
-        std::unique_ptr<telemetry::RequestLog> &stray);
+     * its entry in addedLogs_, made by its first request. */
+    telemetry::RequestLog &requestLog(const std::string &model);
+
+    /** Every model's request log by name, the ones in addedLogs_
+     * included. */
+    std::map<std::string, const telemetry::RequestLog *>
+    modelLogs() const;
 
     /** The request logs' span destination; null with tracing
      * off. */
@@ -401,6 +404,12 @@ class DjinnServer
      * never modified after, so workers read it without a lock. */
     std::map<std::string, std::unique_ptr<telemetry::RequestLog>>
         requestLogs_;
+
+    /** The request logs of models added to the registry after
+     * construction (bounded by the registry), under addedMutex_. */
+    mutable std::mutex addedMutex_;
+    std::map<std::string, std::unique_ptr<telemetry::RequestLog>>
+        addedLogs_;
 
     telemetry::Tracer tracer_;
     telemetry::FlightRecorder flightRecorder_;

@@ -135,7 +135,40 @@ class Reader
     size_t pos_ = 0;
 };
 
+/** A ProtocolError carrying @p fault. */
+Status
+faultStatus(ProtocolFault fault, const char *message)
+{
+    return Status::protocolError(message, static_cast<int>(fault));
+}
+
 } // namespace
+
+const char *
+protocolFaultName(ProtocolFault fault)
+{
+    switch (fault) {
+      case ProtocolFault::Truncated:
+        return "truncated";
+      case ProtocolFault::Oversize:
+        return "oversize";
+      case ProtocolFault::TrailingBytes:
+        return "trailing_bytes";
+      case ProtocolFault::Malformed:
+        break;
+    }
+    return "malformed";
+}
+
+ProtocolFault
+protocolFaultOf(const Status &status)
+{
+    const int fault = status.detail();
+    if (status.code() != StatusCode::ProtocolError || fault < 0 ||
+        fault > static_cast<int>(ProtocolFault::TrailingBytes))
+        return ProtocolFault::Malformed;
+    return static_cast<ProtocolFault>(fault);
+}
 
 std::vector<uint8_t>
 encodeRequest(const Request &request)
@@ -201,7 +234,8 @@ decodeRequest(const std::vector<uint8_t> &data)
          version != protocolVersionDeadline))
         return Status::protocolError("unsupported protocol version");
     if (!r.u16(type))
-        return Status::protocolError("truncated request header");
+        return faultStatus(ProtocolFault::Truncated,
+                           "truncated request header");
     Request request;
     switch (type) {
       case static_cast<uint16_t>(RequestType::Inference):
@@ -219,25 +253,30 @@ decodeRequest(const std::vector<uint8_t> &data)
     if (!r.u32(name_len) || name_len > 4096)
         return Status::protocolError("bad model name length");
     if (!r.str(request.model, name_len))
-        return Status::protocolError("truncated model name");
+        return faultStatus(ProtocolFault::Truncated,
+                           "truncated model name");
     uint64_t count;
     if (!r.u32(request.rows) || !r.u64(count))
-        return Status::protocolError("truncated request payload "
-                                     "header");
+        return faultStatus(ProtocolFault::Truncated,
+                           "truncated request payload header");
     if (!r.floats(request.payload, count))
-        return Status::protocolError("truncated request payload");
+        return faultStatus(ProtocolFault::Truncated,
+                           "truncated request payload");
     if (version >= protocolVersionTraced) {
         if (!r.u64(request.trace.traceId) ||
             !r.u64(request.trace.spanId) ||
             !r.u8(request.trace.flags))
-            return Status::protocolError("truncated trace context");
+            return faultStatus(ProtocolFault::Truncated,
+                               "truncated trace context");
     }
     if (version >= protocolVersionDeadline) {
         if (!r.u32(request.deadlineMs))
-            return Status::protocolError("truncated deadline block");
+            return faultStatus(ProtocolFault::Truncated,
+                               "truncated deadline block");
     }
     if (!r.atEnd())
-        return Status::protocolError("trailing bytes after request");
+        return faultStatus(ProtocolFault::TrailingBytes,
+                           "trailing bytes after request");
     return request;
 }
 
@@ -260,15 +299,18 @@ decodeResponse(const std::vector<uint8_t> &data)
     if (!r.u32(msg_len) || msg_len > 1u << 20)
         return Status::protocolError("bad response message length");
     if (!r.str(response.message, msg_len))
-        return Status::protocolError("truncated response message");
+        return faultStatus(ProtocolFault::Truncated,
+                           "truncated response message");
     uint64_t count;
     if (!r.u64(count))
-        return Status::protocolError("truncated response payload "
-                                     "header");
+        return faultStatus(ProtocolFault::Truncated,
+                           "truncated response payload header");
     if (!r.floats(response.payload, count))
-        return Status::protocolError("truncated response payload");
+        return faultStatus(ProtocolFault::Truncated,
+                           "truncated response payload");
     if (!r.atEnd())
-        return Status::protocolError("trailing bytes after response");
+        return faultStatus(ProtocolFault::TrailingBytes,
+                           "trailing bytes after response");
     return response;
 }
 
@@ -555,7 +597,8 @@ FrameIo::readFrame(uint32_t max_bytes)
                 // end of stream; a close mid-frame is a truncation
                 // the server should count as a protocol error.
                 if (transfer_started)
-                    return Status::protocolError(
+                    return faultStatus(
+                        ProtocolFault::Truncated,
                         "truncated frame: peer closed mid-frame");
                 return Status::ioError("connection closed");
             }
@@ -576,7 +619,7 @@ FrameIo::readFrame(uint32_t max_bytes)
     for (int i = 0; i < 4; ++i)
         len |= static_cast<uint32_t>(header[i]) << (8 * i);
     if (len > max_bytes)
-        return Status::protocolError("frame too large");
+        return faultStatus(ProtocolFault::Oversize, "frame too large");
     std::vector<uint8_t> frame(len);
     if (len) {
         s = read_all(frame.data(), len);

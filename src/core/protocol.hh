@@ -142,10 +142,31 @@ std::vector<uint8_t> encodeRequest(const Request &request);
 std::vector<uint8_t> encodeResponse(const Response &response);
 
 /**
+ * Why bytes off the wire failed to parse: the `reason` label of
+ * djinn_protocol_errors. A ProtocolError from FrameIo::readFrame(),
+ * decodeRequest() or decodeResponse() carries it as its
+ * Status::detail().
+ */
+enum class ProtocolFault {
+    Malformed,     ///< a field holds a value the protocol forbids
+    Truncated,     ///< the bytes end inside the frame or a field
+    Oversize,      ///< a length prefix over the reader's cap
+    TrailingBytes, ///< bytes after a complete request or response
+};
+
+/** "malformed", "truncated", "oversize" or "trailing_bytes". */
+const char *protocolFaultName(ProtocolFault fault);
+
+/** The fault @p status carries; Malformed for a status the wire
+ * codec did not make. */
+ProtocolFault protocolFaultOf(const Status &status);
+
+/**
  * Parse a request frame from a complete buffer.
  *
  * @param data frame bytes (exactly one frame).
- * @return the request, or a ProtocolError status.
+ * @return the request, or a ProtocolError status carrying its
+ *         ProtocolFault.
  */
 Result<Request> decodeRequest(const std::vector<uint8_t> &data);
 
@@ -263,7 +284,8 @@ class FrameIo
      * @param max_bytes reject frames larger than this.
      *
      * On failure the status code distinguishes: ProtocolError for
-     * an oversized or truncated frame (the peer closed mid-frame),
+     * an oversized or truncated frame (the peer closed mid-frame;
+     * its ProtocolFault tells which),
      * DeadlineExceeded for a timeout, IoError for a clean close
      * before any byte of the frame or a socket error.
      */

@@ -65,8 +65,8 @@ void sgemm(int64_t m, int64_t n, int64_t k, const float *a,
 
 /**
  * Reference SGEMM: the original single-threaded scalar kernel
- * (cache-blocked saxpy loops). Used by the differential test
- * battery and as the microbenchmark baseline; not a hot path.
+ * (cache-blocked saxpy loops). The differential test battery's
+ * oracle; not a hot path.
  */
 void sgemm_naive(Trans trans_a, Trans trans_b, int64_t m, int64_t n,
                  int64_t k, float alpha, const float *a, int64_t lda,

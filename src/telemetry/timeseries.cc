@@ -47,7 +47,11 @@ TimeSeriesStore::sync()
 void
 TimeSeriesStore::syncLocked()
 {
-    registry_.forEach([this](const MetricRef &ref) {
+    // Count what forEach visits, under the registry's lock: a metric
+    // registered after it returns must still read as unsynced.
+    size_t visited = 0;
+    registry_.forEach([this, &visited](const MetricRef &ref) {
+        ++visited;
         const void *key = ref.counter
             ? static_cast<const void *>(ref.counter)
             : ref.gauge ? static_cast<const void *>(ref.gauge)
@@ -82,7 +86,7 @@ TimeSeriesStore::syncLocked()
         known_.emplace(key, tracks_.size());
         tracks_.push_back(std::move(track));
     });
-    syncedMetrics_ = registry_.size();
+    syncedMetrics_ = visited;
 }
 
 void

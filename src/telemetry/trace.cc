@@ -187,9 +187,23 @@ RequestLog::finish(FlightRecord &record, const RequestWork &work,
                                                     : sloBad_)
             ->inc();
     }
-    requests_->inc();
-    rows_->inc(static_cast<uint64_t>(record.rows));
+    requests_.load()->inc();
+    rows_.load()->inc(static_cast<uint64_t>(record.rows));
     return record.seq;
+}
+
+uint64_t
+RequestLog::requests() const
+{
+    const Counter *c = requests_.load();
+    return c ? c->value() : 0;
+}
+
+uint64_t
+RequestLog::rows() const
+{
+    const Counter *c = rows_.load();
+    return c ? c->value() : 0;
 }
 
 } // namespace telemetry

@@ -158,6 +158,20 @@ class RequestLog
     uint64_t finish(FlightRecord &record, const RequestWork &work,
                     uint64_t serverSpan = 0, uint64_t clientSpan = 0);
 
+    /** Successful requests finished so far (0 before the first). */
+    uint64_t requests() const;
+
+    /** Rows of those requests. */
+    uint64_t rows() const;
+
+    /** The `service` phase seconds of those requests; null before
+     * the first. */
+    const LogHistogram *serviceSeconds() const
+    {
+        return histograms_[Seconds][static_cast<int>(Phase::Service)]
+            .load(std::memory_order_acquire);
+    }
+
   private:
     /** The histogram families; the phased ones come first. */
     enum Family {
@@ -207,10 +221,12 @@ class RequestLog
 
     /** The per-success counters (the SLO pair null when SLO
      * accounting is off), registered by the model's first success
-     * under firstSuccess_, so they are exported only once used. */
+     * under firstSuccess_, so they are exported only once used.
+     * The request and row counters are published atomically for
+     * requests() and rows(), which other threads call. */
     std::once_flag firstSuccess_;
-    Counter *requests_ = nullptr;
-    Counter *rows_ = nullptr;
+    std::atomic<Counter *> requests_{nullptr};
+    std::atomic<Counter *> rows_{nullptr};
     Counter *sloGood_ = nullptr;
     Counter *sloBad_ = nullptr;
 };

@@ -189,7 +189,12 @@ renderChromeTrace(const std::vector<TraceEvent> &events,
     for (const TimeSeriesStore::Series &gauge : gauges) {
         const std::string name =
             jsonEscape(renderMetricId(gauge.name, gauge.labels));
-        for (const TimeSeriesStore::Point &point : gauge.points) {
+        // A counter track holds its value until the next event, so
+        // only the window's first slot and each change are drawn.
+        for (size_t i = 0; i < gauge.points.size(); ++i) {
+            const TimeSeriesStore::Point &point = gauge.points[i];
+            if (i > 0 && point.value == gauge.points[i - 1].value)
+                continue;
             begin_event() += strprintf(
                 "{\"name\": \"%s\", \"cat\": \"sampler\", "
                 "\"ph\": \"C\", \"ts\": %lld, \"pid\": 1, "

@@ -114,9 +114,10 @@ class Tracer
  * (`{"traceEvents": [...]}`): spans become complete ("X") events in
  * start-time order, and every distinct track gets a thread_name
  * metadata record. With @p store, every gauge track it holds
- * follows as "C" events on the "sampler" track, one per retained
- * slot from the oldest span's start on (every retained slot when
- * @p events is empty), named renderMetricId(name, labels).
+ * follows as "C" events on the "sampler" track, named
+ * renderMetricId(name, labels): its first retained slot from the
+ * oldest span's start on (from the oldest retained slot when
+ * @p events is empty), then each slot whose value changed.
  */
 std::string renderChromeTrace(const std::vector<TraceEvent> &events,
                               const TimeSeriesStore *store = nullptr);

@@ -112,6 +112,37 @@ TEST(Protocol, RejectsOversizeModelName)
     EXPECT_FALSE(decodeRequest(bytes).isOk());
 }
 
+TEST(Protocol, ErrorsCarryTheirFault)
+{
+    // The fault travels in the status, not in the message's words.
+    Request request;
+    request.type = RequestType::Ping;
+    auto bytes = encodeRequest(request);
+    std::vector<uint8_t> trailing = bytes;
+    trailing.push_back(0);
+    std::vector<uint8_t> cut(bytes.begin(), bytes.end() - 1);
+    std::vector<uint8_t> bad = bytes;
+    bad[0] ^= 0xff;
+    EXPECT_EQ(protocolFaultOf(decodeRequest(trailing).status()),
+              ProtocolFault::TrailingBytes);
+    EXPECT_EQ(protocolFaultOf(decodeRequest(cut).status()),
+              ProtocolFault::Truncated);
+    EXPECT_EQ(protocolFaultOf(decodeRequest(bad).status()),
+              ProtocolFault::Malformed);
+    EXPECT_EQ(protocolFaultOf(Status::protocolError("truncated file")),
+              ProtocolFault::Malformed);
+    EXPECT_EQ(protocolFaultOf(Status::ioError("frame too large")),
+              ProtocolFault::Malformed);
+
+    EXPECT_STREQ(protocolFaultName(ProtocolFault::Malformed),
+                 "malformed");
+    EXPECT_STREQ(protocolFaultName(ProtocolFault::Truncated),
+                 "truncated");
+    EXPECT_STREQ(protocolFaultName(ProtocolFault::Oversize), "oversize");
+    EXPECT_STREQ(protocolFaultName(ProtocolFault::TrailingBytes),
+                 "trailing_bytes");
+}
+
 TEST(Protocol, UntracedRequestEncodesAsVersionOne)
 {
     // Backward compatibility: a request without a trace context
@@ -381,6 +412,7 @@ TEST(FrameIo, RejectsFrameOverLimit)
     auto got = b.readFrame(512);
     EXPECT_FALSE(got.isOk());
     EXPECT_EQ(got.status().code(), StatusCode::ProtocolError);
+    EXPECT_EQ(protocolFaultOf(got.status()), ProtocolFault::Oversize);
     ::close(fds[0]);
     ::close(fds[1]);
 }

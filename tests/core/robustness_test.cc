@@ -551,6 +551,49 @@ TEST_F(RobustnessTest, MalformedRequestCountsProtocolError)
     ::close(fd);
 }
 
+TEST_F(RobustnessTest, EachProtocolFaultCountsUnderItsReason)
+{
+    // One crafted frame per reason: three well-framed requests on
+    // one connection (each answered BadRequest), then a length
+    // prefix over the server's cap on another.
+    startServer();
+    Request ping;
+    ping.type = RequestType::Ping;
+    const std::vector<uint8_t> good = encodeRequest(ping);
+    std::vector<uint8_t> trailing = good;
+    trailing.push_back(0);
+    std::vector<uint8_t> bad = good;
+    bad[0] ^= 0xff;
+    const std::vector<uint8_t> frames[] = {
+        {good.begin(), good.end() - 1}, trailing, bad};
+    int fd = rawConnect();
+    ASSERT_GE(fd, 0);
+    FrameIo io(fd);
+    for (const std::vector<uint8_t> &frame : frames) {
+        ASSERT_TRUE(io.writeFrame(frame).isOk());
+        auto response = io.readFrame();
+        ASSERT_TRUE(response.isOk());
+        auto decoded = decodeResponse(response.value());
+        ASSERT_TRUE(decoded.isOk());
+        EXPECT_EQ(decoded.value().status, WireStatus::BadRequest);
+    }
+    ::close(fd);
+    fd = rawConnect();
+    ASSERT_GE(fd, 0);
+    const uint8_t header[4] = {0, 0, 0, 0x40}; // 1 GiB
+    ASSERT_EQ(::write(fd, header, sizeof(header)), 4);
+    EXPECT_TRUE(waitForMetric("djinn_protocol_errors",
+                              {{"reason", "oversize"}}, 1.0));
+    ::close(fd);
+
+    for (const char *reason :
+         {"truncated", "trailing_bytes", "malformed", "oversize"}) {
+        EXPECT_EQ(metric("djinn_protocol_errors", {{"reason", reason}}),
+                  1.0)
+            << reason;
+    }
+}
+
 TEST_F(RobustnessTest, ServerFaultInjectionBreaksResponses)
 {
     // The --fault plumbing end to end: a server injecting

@@ -8,12 +8,17 @@
 
 #include <gtest/gtest.h>
 
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <atomic>
 #include <chrono>
 #include <cmath>
 #include <string>
 #include <thread>
 
+#include "common/strings.hh"
 #include "core/djinn_client.hh"
 #include "nn/init.hh"
 #include "nn/net_def.hh"
@@ -321,6 +326,70 @@ TEST_F(ServerTest, StatsTrackServedRequests)
     auto local = server_->stats();
     ASSERT_EQ(local.size(), 1u);
     EXPECT_EQ(local[0].requests, 5u);
+}
+
+TEST_F(ServerTest, StatsReadRequestLogsWithoutNewSeries)
+{
+    // stats() and requestsServed() read the request logs' own
+    // instruments, a model added after construction included: they
+    // register no series, and the Stats reply is byte for byte the
+    // one a registry snapshot derives.
+    startServer();
+    auto net = nn::parseNetDefOrDie(
+        "name late\ninput 1 2 2\nlayer fc fc out 3\n");
+    nn::initializeWeights(*net, 6);
+    ASSERT_TRUE(registry_.add(std::move(net)).isOk());
+    DjinnClient client;
+    ASSERT_TRUE(connect(client).isOk());
+    for (int i = 0; i < 3; ++i)
+        ASSERT_TRUE(client.infer("tiny", 2, std::vector<float>(
+            8, 0.25f * i)).isOk());
+    ASSERT_TRUE(client.infer("late", 1, {1, 2, 3, 4}).isOk());
+
+    const size_t series = server_->metrics().size();
+    EXPECT_EQ(server_->requestsServed(), 4u);
+    auto local = server_->stats();
+    EXPECT_EQ(server_->metrics().size(), series);
+    ASSERT_EQ(local.size(), 2u);
+    EXPECT_EQ(local[0].model, "late");
+    EXPECT_EQ(local[1].rows, 6u);
+
+    const auto samples = server_->metrics().snapshot();
+    std::string expected;
+    for (const char *model : {"late", "tiny"}) {
+        const telemetry::LabelMap label{{"model", model}};
+        const Fold requests =
+            registryFold(samples, "djinn_requests_total", label);
+        const Fold service = registryFold(
+            samples, "djinn_phase_seconds",
+            {{"model", model}, {"phase", "service"}});
+        expected += strprintf(
+            "%s,%llu,%llu,%.3f\n", model,
+            static_cast<unsigned long long>(requests.count),
+            static_cast<unsigned long long>(
+                registryFold(samples, "djinn_rows_total", label).count),
+            service.sum / requests.count * 1e3);
+    }
+
+    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(server_->port());
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr *>(&addr),
+                        sizeof(addr)),
+              0);
+    FrameIo io(fd);
+    Request stats;
+    stats.type = RequestType::Stats;
+    ASSERT_TRUE(io.writeFrame(encodeRequest(stats)).isOk());
+    auto frame = io.readFrame();
+    ::close(fd);
+    ASSERT_TRUE(frame.isOk());
+    auto reply = decodeResponse(frame.value());
+    ASSERT_TRUE(reply.isOk());
+    EXPECT_EQ(reply.value().message, expected);
 }
 
 TEST_F(ServerTest, StatsEmptyBeforeTraffic)

@@ -413,6 +413,42 @@ TEST(ChromeTraceTest, StoreGaugesBecomeCounterTracks)
     EXPECT_NE(json.find(head + "\"ts\": 2000000, "), std::string::npos);
 }
 
+TEST(ChromeTraceTest, CounterTracksDrawOnlyChanges)
+{
+    // A counter track holds its last value, so a slot that repeats
+    // its predecessor draws nothing.
+    telemetry::MetricRegistry metrics;
+    telemetry::Gauge &steady = metrics.gauge("steady");
+    telemetry::Gauge &moving = metrics.gauge("moving");
+    telemetry::TimeSeriesStore store(metrics);
+    steady.set(7.0);
+    const double values[] = {1.0, 1.0, 3.0, 3.0, 1.0};
+    for (int slot = 0; slot < 5; ++slot) {
+        moving.set(values[slot]);
+        store.sample(1.0 + slot);
+    }
+
+    std::string json = telemetry::renderChromeTrace({}, &store);
+    EXPECT_TRUE(JsonChecker(json).valid()) << json;
+    auto events = [&json](const std::string &name) {
+        const std::string head = "{\"name\": \"" + name +
+                                 "\", \"cat\": \"sampler\", "
+                                 "\"ph\": \"C\", ";
+        int n = 0;
+        for (size_t at = json.find(head); at != std::string::npos;
+             at = json.find(head, at + 1))
+            ++n;
+        return n;
+    };
+    EXPECT_EQ(events("steady"), 1) << json;
+    EXPECT_EQ(events("moving"), 3) << json;
+    // The changes land at their own slots.
+    EXPECT_NE(json.find("\"ts\": 3000000, \"pid\": 1"), std::string::npos)
+        << json;
+    EXPECT_NE(json.find("\"ts\": 5000000, \"pid\": 1"), std::string::npos)
+        << json;
+}
+
 TEST(SamplerTest, SampleOnceRecordsGaugesAndRss)
 {
     // One tick of a sampler that feeds a store (the server's tick,

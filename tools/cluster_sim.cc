@@ -17,8 +17,8 @@
  * seven apps by default), replays it through N simulated DjiNN
  * servers behind the chosen routing policy, and prints a summary
  * table, or — with --json — the full djinn_cluster_* metric
- * snapshot (including the sampled time series) in the microbench
- * JSON schema. Fully deterministic: the same flags and seed print
+ * snapshot (including the sampled time series) as the registry's
+ * JSON exposition. Fully deterministic: the same flags and seed print
  * byte-identical output, which scripts/check_build.sh relies on.
  *
  * Policies: rr (round-robin), jsq (join-shortest-queue), po2
