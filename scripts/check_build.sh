@@ -177,12 +177,11 @@ cd ..
 # Smoke test the observability surface: boot a real daemon with the
 # HTTP endpoint and let scrape_check validate /healthz, /metrics
 # (must parse as Prometheus exposition), /trace, and /profile.
-# --profile-hz arms the sampling profiler so the /profile scrape
-# exercises the live path (scrape_check accepts 503 where signal
-# timers are restricted).
+# /profile samples for its own window (scrape_check accepts 503
+# where signal timers are restricted).
 http_port=19164
 ./build/tools/djinnd --port 19163 --http-port "$http_port" \
-    --models mnist --batching --profile-hz 199 &
+    --models mnist --batching &
 djinnd_pid=$!
 trap 'kill "$djinnd_pid" 2>/dev/null || true' EXIT
 
@@ -448,15 +447,18 @@ rm -f /tmp/djinn_bench_a.json /tmp/djinn_bench_b.json
 # layer's im2row indexes the image the same way. The FFT front
 # end indexes through a bit-reversal table, and the Tonic apps
 # read fixed-width rows out of server responses that the
-# WrongWidth tests deliberately mis-size.
+# WrongWidth tests deliberately mis-size. The Chrome trace export
+# sorts the trace ring's spans, where a sort's temporary buffer
+# once tripped ASan's alloc-dealloc check.
 cmake -B build-asan -S . -DDJINN_SANITIZE=address,undefined \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build build-asan -j --target nn_test tonic_test \
-    tonic_apps_test
+    tonic_apps_test telemetry_test
 ./build-asan/tests/nn_test --gtest_filter='GemmDiff*:Quant*:Convolution*'
 ./build-asan/tests/tonic_test --gtest_filter='Filterbank*:Splice*'
 ./build-asan/tests/tonic_apps_test \
     --gtest_filter='WrongWidth*:AsrPipeline*'
+./build-asan/tests/telemetry_test --gtest_filter='ChromeTrace*'
 
 # ThreadSanitizer pass over the concurrency-heavy suites: the
 # compute pool, the threaded GEMM kernel, the batching server, and

@@ -25,7 +25,7 @@ const telemetry::HistogramOptions batchSizeOptions{1.0, 2.0, 16,
 
 BatchingExecutor::BatchingExecutor(const ModelRegistry &registry,
                                    const BatchOptions &options,
-                                   telemetry::MetricRegistry *metrics)
+                                   telemetry::MetricRegistry &metrics)
     : registry_(registry), options_(options), metrics_(metrics)
 {
     if (options.maxQueries <= 0)
@@ -80,31 +80,29 @@ BatchingExecutor::queueFor(const std::string &model, int64_t rows,
                                 ? pending_target->second
                                 : options_.maxQueries,
                             std::memory_order_relaxed);
-        if (metrics_) {
-            const telemetry::LabelMap model_label{{"model", model}};
-            const telemetry::LabelMap forward_label{
-                {"model", model},
-                {"phase", telemetry::phaseName(telemetry::Phase::Forward)}};
-            queue->forwardHist = &metrics_->histogram(
-                telemetry::phaseMetricName, forward_label);
-            queue->batchRowsHist = &metrics_->histogram(
-                "djinn_batch_rows", model_label, batchSizeOptions);
-            queue->occupancyGauge = &metrics_->gauge(
-                "djinn_batch_occupancy", model_label);
-            queue->batchesCounter = &metrics_->counter(
-                "djinn_batches_total", model_label);
-            queue->forwardCyclesHist = &metrics_->histogram(
-                telemetry::phaseCyclesMetricName, forward_label);
-            queue->forwardInstructionsHist = &metrics_->histogram(
-                telemetry::phaseInstructionsMetricName, forward_label);
-            queue->forwardIpcHist = &metrics_->histogram(
-                telemetry::phaseIpcMetricName, forward_label);
-            queue->forwardCacheMissHist = &metrics_->histogram(
-                telemetry::phaseCacheMissMetricName, forward_label);
-            queue->shedDeadlineCounter = &metrics_->counter(
-                "djinn_shed_total",
-                {{"model", model}, {"reason", "deadline"}});
-        }
+        const telemetry::LabelMap model_label{{"model", model}};
+        const telemetry::LabelMap forward_label{
+            {"model", model},
+            {"phase", telemetry::phaseName(telemetry::Phase::Forward)}};
+        queue->forwardHist = &metrics_.histogram(
+            telemetry::phaseMetricName, forward_label);
+        queue->batchRowsHist = &metrics_.histogram(
+            "djinn_batch_rows", model_label, batchSizeOptions);
+        queue->occupancyGauge =
+            &metrics_.gauge("djinn_batch_occupancy", model_label);
+        queue->batchesCounter =
+            &metrics_.counter("djinn_batches_total", model_label);
+        queue->forwardCyclesHist = &metrics_.histogram(
+            telemetry::phaseCyclesMetricName, forward_label);
+        queue->forwardInstructionsHist = &metrics_.histogram(
+            telemetry::phaseInstructionsMetricName, forward_label);
+        queue->forwardIpcHist = &metrics_.histogram(
+            telemetry::phaseIpcMetricName, forward_label);
+        queue->forwardCacheMissHist = &metrics_.histogram(
+            telemetry::phaseCacheMissMetricName, forward_label);
+        queue->shedDeadlineCounter = &metrics_.counter(
+            "djinn_shed_total",
+            {{"model", model}, {"reason", "deadline"}});
         raw = queue.get();
         queues_.emplace(model, std::move(queue));
     }
@@ -125,21 +123,18 @@ BatchingExecutor::queueFor(const std::string &model, int64_t rows,
 void
 BatchingExecutor::startDispatcherLocked(ModelQueue *queue)
 {
-    if (metrics_) {
-        const std::string &model = queue->name;
-        const telemetry::LabelMap model_label{{"model", model}};
-        // Admit-time queue depth, sampled per request at enqueue:
-        // the background-sampler gauge aliases bursts shorter than
-        // its interval; this histogram does not.
-        queue->admitDepthHist = &metrics_->histogram(
-            "djinn_admit_queue_depth", model_label,
-            batchSizeOptions);
-        queue->depthGauge = &metrics_->gauge(
-            "djinn_batch_queue_depth", model_label);
-        queue->shedQueueFullCounter = &metrics_->counter(
-            "djinn_shed_total",
-            {{"model", model}, {"reason", "queue_full"}});
-    }
+    const std::string &model = queue->name;
+    const telemetry::LabelMap model_label{{"model", model}};
+    // Admit-time queue depth, sampled per request at enqueue: the
+    // background-sampler gauge aliases bursts shorter than its
+    // interval; this histogram does not.
+    queue->admitDepthHist = &metrics_.histogram(
+        "djinn_admit_queue_depth", model_label, batchSizeOptions);
+    queue->depthGauge =
+        &metrics_.gauge("djinn_batch_queue_depth", model_label);
+    queue->shedQueueFullCounter = &metrics_.counter(
+        "djinn_shed_total",
+        {{"model", model}, {"reason", "queue_full"}});
     // The thread is named before the first submit() returns, so a
     // caller whose query ran inline still sees the model's
     // dispatcher.
@@ -153,14 +148,6 @@ BatchingExecutor::startDispatcherLocked(ModelQueue *queue)
             dispatchLoop(queue);
         });
     started.wait();
-}
-
-std::future<InferenceResult>
-BatchingExecutor::submit(const std::string &model, int64_t rows,
-                         std::vector<float> data, Deadline deadline)
-{
-    return submit(model, rows, std::move(data),
-                  telemetry::TraceContext{}, 0, deadline);
 }
 
 std::future<InferenceResult>
@@ -209,9 +196,7 @@ BatchingExecutor::submit(const std::string &model, int64_t rows,
             if (static_cast<int64_t>(queue->pending.size()) >=
                 options_.queueDepthCapFor(queue->target.load(
                     std::memory_order_relaxed))) {
-                shedQueueFull_.fetch_add(1, std::memory_order_relaxed);
-                if (queue->shedQueueFullCounter)
-                    queue->shedQueueFullCounter->inc();
+                queue->shedQueueFullCounter->inc();
                 promise.set_value(
                     {Status::overloaded(strprintf(
                          "model '%s' queue full (%lld queued)",
@@ -228,13 +213,10 @@ BatchingExecutor::submit(const std::string &model, int64_t rows,
                  std::chrono::steady_clock::now(), trace, parent_span,
                  deadline, admit_depth});
             pendingTotal_.fetch_add(1, std::memory_order_relaxed);
-            if (queue->admitDepthHist)
-                queue->admitDepthHist->record(
-                    static_cast<double>(admit_depth));
-            if (queue->depthGauge) {
-                queue->depthGauge->set(
-                    static_cast<double>(queue->pending.size()));
-            }
+            queue->admitDepthHist->record(
+                static_cast<double>(admit_depth));
+            queue->depthGauge->set(
+                static_cast<double>(queue->pending.size()));
             // A busy model's dispatcher is woken when its forward
             // clears, not by every arrival behind it.
             if (!queue->busy)
@@ -255,8 +237,7 @@ BatchingExecutor::submit(const std::string &model, int64_t rows,
                 queue.cv.notify_all();
         }
     } clear_busy{*queue};
-    if (queue->admitDepthHist)
-        queue->admitDepthHist->record(0.0);
+    queue->admitDepthHist->record(0.0);
     const std::string track =
         tracer_ ? common::currentThreadName() : std::string();
     markDispatched(batch, batch[0].enqueued);
@@ -335,10 +316,8 @@ BatchingExecutor::dispatchLoop(ModelQueue *queue)
                                  queue->pending.begin() + take);
             queue->busy = true;
             pendingTotal_.fetch_sub(take, std::memory_order_relaxed);
-            if (queue->depthGauge) {
-                queue->depthGauge->set(
-                    static_cast<double>(queue->pending.size()));
-            }
+            queue->depthGauge->set(
+                static_cast<double>(queue->pending.size()));
         }
 
         // Queue wait ends here, at dispatch, for every query taken
@@ -375,9 +354,7 @@ BatchingExecutor::execute(ModelQueue &queue,
         size_t kept = 0;
         for (size_t i = 0; i < batch.size(); ++i) {
             if (batch[i].deadline <= now) {
-                shedDeadline_.fetch_add(1, std::memory_order_relaxed);
-                if (queue.shedDeadlineCounter)
-                    queue.shedDeadlineCounter->inc();
+                queue.shedDeadlineCounter->inc();
                 // The shed query's record still shows the wait
                 // and backlog that cost it its deadline.
                 InferenceResult shed{
@@ -508,37 +485,30 @@ BatchingExecutor::execute(ModelQueue &queue,
 
     double forward_seconds = std::chrono::duration<double>(
         std::chrono::steady_clock::now() - start_time).count();
-    if (queue.forwardHist) {
-        queue.forwardHist->record(forward_seconds);
-        queue.batchRowsHist->record(static_cast<double>(total_rows));
-        queue.batchesCounter->inc();
-        // Occupancy against the *live* dispatch target: with an
-        // adaptive scheduler the static maxQueries would read
-        // misleadingly low after a shrink (and > 1.0 after a grow
-        // past a stale denominator).
-        queue.occupancyGauge->set(
-            static_cast<double>(batch.size()) /
-            static_cast<double>(std::max<int64_t>(target, 1)));
-        queue.forwardCyclesHist->record(
-            static_cast<double>(forward_delta.work()));
-        if (forward_delta.hardware) {
-            queue.forwardInstructionsHist->record(
-                static_cast<double>(forward_delta.instructions));
-            queue.forwardIpcHist->record(forward_delta.ipc());
-            queue.forwardCacheMissHist->record(
-                static_cast<double>(forward_delta.cacheMisses));
-        }
+    queue.forwardHist->record(forward_seconds);
+    queue.batchRowsHist->record(static_cast<double>(total_rows));
+    queue.batchesCounter->inc();
+    // Occupancy against the *live* dispatch target: with an
+    // adaptive scheduler the static maxQueries would read
+    // misleadingly low after a shrink (and > 1.0 after a grow past
+    // a stale denominator).
+    queue.occupancyGauge->set(
+        static_cast<double>(batch.size()) /
+        static_cast<double>(std::max<int64_t>(target, 1)));
+    queue.forwardCyclesHist->record(
+        static_cast<double>(forward_delta.work()));
+    if (forward_delta.hardware) {
+        queue.forwardInstructionsHist->record(
+            static_cast<double>(forward_delta.instructions));
+        queue.forwardIpcHist->record(forward_delta.ipc());
+        queue.forwardCacheMissHist->record(
+            static_cast<double>(forward_delta.cacheMisses));
     }
 
     if (observer_) {
         observer_(queue.name, static_cast<int64_t>(batch.size()),
                   forward_seconds);
     }
-
-    // Count before fulfilling the promises: a caller must never
-    // observe a resolved future with stale counters.
-    batches_.fetch_add(1, std::memory_order_relaxed);
-    queries_.fetch_add(batch.size(), std::memory_order_relaxed);
 
     // Scatter results back to their queries, each annotated with
     // its own view of the batch (position, queue wait, admit
@@ -601,18 +571,6 @@ BatchingExecutor::queueDepth(const std::string &model) const
         return 0;
     std::lock_guard<std::mutex> qlock(it->second->mutex);
     return static_cast<int64_t>(it->second->pending.size());
-}
-
-uint64_t
-BatchingExecutor::batchesExecuted() const
-{
-    return batches_.load(std::memory_order_relaxed);
-}
-
-uint64_t
-BatchingExecutor::queriesServed() const
-{
-    return queries_.load(std::memory_order_relaxed);
 }
 
 } // namespace core

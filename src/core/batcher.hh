@@ -64,13 +64,6 @@ struct BatchOptions {
             return maxQueueDepth;
         return 4 * std::max<int64_t>(currentBatch, 1);
     }
-
-    /** The queue cap at the static configured batch size. */
-    int64_t
-    queueDepthCap() const
-    {
-        return queueDepthCapFor(maxQueries);
-    }
 };
 
 /** Result of one batched query. */
@@ -121,16 +114,15 @@ class BatchingExecutor
     /**
      * @param registry the shared model registry.
      * @param options batching policy.
-     * @param metrics optional telemetry destination; when set, the
-     *        executor records per-model forward-pass histograms,
-     *        per-pass batch sizes, admission and sheds, and the live
-     *        queue depth (a query's queue wait is returned in its
-     *        InferenceResult for the caller to record). Must outlive
-     *        the executor.
+     * @param metrics telemetry destination: the executor records
+     *        per-model forward-pass histograms, per-pass batch
+     *        sizes, admission and sheds, and the live queue depth (a
+     *        query's queue wait is returned in its InferenceResult
+     *        for the caller to record). Must outlive the executor.
      */
     BatchingExecutor(const ModelRegistry &registry,
                      const BatchOptions &options,
-                     telemetry::MetricRegistry *metrics = nullptr);
+                     telemetry::MetricRegistry &metrics);
 
     /** Stops dispatcher threads and fails queued queries. */
     ~BatchingExecutor();
@@ -167,26 +159,19 @@ class BatchingExecutor
      * its batch is assembled is shed before the forward pass with
      * a DeadlineExceeded status.
      *
+     * When @p trace is valid and a tracer is attached, the executor
+     * emits forward-pass and per-layer spans linked back to
+     * @p trace under @p parent_span (the server-side request span);
+     * the query's queue wait reaches the trace through its result's
+     * queueWaitSeconds.
+     *
      * @return a future resolving to the query's output rows.
      */
     std::future<InferenceResult> submit(
         const std::string &model, int64_t rows,
         std::vector<float> data,
-        Deadline deadline = noDeadline());
-
-    /**
-     * Submit one traced query. When @p trace is valid and a tracer
-     * is attached, the executor emits forward-pass and per-layer
-     * spans linked back to @p trace under @p parent_span (the
-     * server-side request span); the query's queue wait reaches
-     * the trace through its result's queueWaitSeconds.
-     */
-    std::future<InferenceResult> submit(
-        const std::string &model, int64_t rows,
-        std::vector<float> data,
-        const telemetry::TraceContext &trace,
-        uint64_t parent_span,
-        Deadline deadline = noDeadline());
+        const telemetry::TraceContext &trace = {},
+        uint64_t parent_span = 0, Deadline deadline = noDeadline());
 
     /**
      * Run one query as a batch of one on the calling thread: the
@@ -256,26 +241,6 @@ class BatchingExecutor
      * prediction. */
     int64_t queueDepth(const std::string &model) const;
 
-    /** Number of combined forward passes executed so far. */
-    uint64_t batchesExecuted() const;
-
-    /** Number of queries served so far. */
-    uint64_t queriesServed() const;
-
-    /** Queries rejected at enqueue because the queue was full. */
-    uint64_t
-    queueFullSheds() const
-    {
-        return shedQueueFull_.load(std::memory_order_relaxed);
-    }
-
-    /** Queries shed at dequeue because their deadline expired. */
-    uint64_t
-    deadlineSheds() const
-    {
-        return shedDeadline_.load(std::memory_order_relaxed);
-    }
-
     /**
      * Queries currently queued across every model, for the
      * background sampler's `djinn_batch_queue_depth_total` gauge.
@@ -339,9 +304,11 @@ class BatchingExecutor
          * scheduler can retarget without the queue mutex. */
         std::atomic<int64_t> target{1};
 
-        // Cached telemetry instruments (null when telemetry is
-        // off); resolved once at queue creation so the hot path
-        // never takes the registry lookup mutex.
+        // Cached telemetry instruments, resolved once so the hot
+        // path never takes the registry lookup mutex. The admission
+        // instruments (admit depth, depth gauge, queue-full sheds)
+        // are resolved when the dispatcher starts; the rest at
+        // queue creation.
         telemetry::LogHistogram *forwardHist = nullptr;
         telemetry::LogHistogram *batchRowsHist = nullptr;
         telemetry::LogHistogram *admitDepthHist = nullptr;
@@ -397,7 +364,7 @@ class BatchingExecutor
 
     const ModelRegistry &registry_;
     BatchOptions options_;
-    telemetry::MetricRegistry *metrics_;
+    telemetry::MetricRegistry &metrics_;
     telemetry::Tracer *tracer_ = nullptr;
     DispatchGate gate_;
     BatchObserver observer_;
@@ -410,11 +377,7 @@ class BatchingExecutor
     std::map<std::string, int64_t> pendingTargets_;
     bool stopping_ = false;
 
-    std::atomic<uint64_t> batches_{0};
-    std::atomic<uint64_t> queries_{0};
     std::atomic<int64_t> pendingTotal_{0};
-    std::atomic<uint64_t> shedQueueFull_{0};
-    std::atomic<uint64_t> shedDeadline_{0};
 };
 
 } // namespace core

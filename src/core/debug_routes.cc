@@ -337,11 +337,10 @@ DebugRoutes::table()
          [](const auto &src, const auto &args) {
              if (!src.timeseries)
                  return fail(503, noStore);
-             telemetry::DashboardOptions dash;
-             dash.windowSeconds = args["window"].number;
              return ok(textType,
                        telemetry::renderTopDashboard(
-                           *src.timeseries, src.health, dash));
+                           *src.timeseries, src.health,
+                           args["window"].number));
          }},
         {"sched", nullptr, {},
          [](const auto &src, const auto &) {

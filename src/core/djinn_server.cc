@@ -12,7 +12,6 @@
 #include "core/http_endpoint.hh"
 #include "telemetry/build_info.hh"
 #include "telemetry/perf_counters.hh"
-#include "telemetry/profiler.hh"
 #include "telemetry/slo.hh"
 
 namespace djinn {
@@ -81,7 +80,7 @@ DjinnServer::DjinnServer(const ModelRegistry &registry,
       unknownLog_(metrics_, flightRecorder_, kUnknownModelLabel,
                   config.batching, config.sloTargetSeconds,
                   spanTracer()),
-      batcher_(registry, config.batchOptions, &metrics_)
+      batcher_(registry, config.batchOptions, metrics_)
 {
     for (const std::string &model : registry_.modelNames()) {
         requestLogs_.emplace(
@@ -198,19 +197,6 @@ DjinnServer::start()
             .set(1.0);
     }
 
-    if (config_.profileHz > 0) {
-        Status prof =
-            telemetry::Profiler::instance().start(config_.profileHz);
-        if (prof.isOk()) {
-            profilerStarted_ = true;
-            inform("sampling profiler on at %d Hz",
-                   telemetry::Profiler::instance().hz());
-        } else {
-            inform("sampling profiler unavailable: %s",
-                   prof.toString().c_str());
-        }
-    }
-
     Status s = listener_.start(config_.bindAddress, config_.port, 128,
                                metrics_,
                                [this](int fd) { acceptConnection(fd); });
@@ -238,10 +224,8 @@ DjinnServer::start()
             config_.batching
                 ? &metrics_.gauge("djinn_batch_queue_depth_total")
                 : nullptr;
-        telemetry::TimeSeriesOptions ts_opts;
-        ts_opts.capacity = config_.timeseriesCapacity;
-        timeseries_ = std::make_unique<telemetry::TimeSeriesStore>(
-            metrics_, ts_opts);
+        timeseries_ =
+            std::make_unique<telemetry::TimeSeriesStore>(metrics_);
         health_ = std::make_unique<telemetry::HealthMonitor>(
             *timeseries_, metrics_);
         sampler_ = std::make_unique<telemetry::BackgroundSampler>(
@@ -330,10 +314,6 @@ DjinnServer::stop()
         health_->setDraining(true);
     http_.reset();
     sampler_.reset();
-    if (profilerStarted_) {
-        telemetry::Profiler::instance().stop();
-        profilerStarted_ = false;
-    }
     if (!listener_.stop())
         return;
     // Graceful drain: wait (bounded) for in-flight requests to
@@ -706,12 +686,12 @@ DjinnServer::handleInference(Request &request, uint64_t server_span,
     // The executor checks the model and the payload shape; only
     // the per-request row cap is the server's own policy.
     int64_t rows = request.rows;
-    if (rows > config_.maxRowsPerRequest) {
+    if (rows > kMaxRowsPerRequest) {
         response.status = WireStatus::BadRequest;
         response.message = strprintf(
             "%lld rows exceed the per-request cap of %lld",
             static_cast<long long>(rows),
-            static_cast<long long>(config_.maxRowsPerRequest));
+            static_cast<long long>(kMaxRowsPerRequest));
         return response;
     }
 

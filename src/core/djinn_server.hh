@@ -57,9 +57,6 @@ struct ServerConfig {
     /** Batching policy when enabled. */
     BatchOptions batchOptions;
 
-    /** Cap on input rows accepted in a single request. */
-    int64_t maxRowsPerRequest = 4096;
-
     /**
      * Per-connection frame I/O timeout, seconds (`djinnd
      * --io-timeout-ms`). Once a peer starts sending a frame it
@@ -121,26 +118,10 @@ struct ServerConfig {
     double samplerPeriod = 0.25;
 
     /**
-     * Continuous sampling-profiler rate in samples per consumed
-     * CPU-second (`djinnd --profile-hz`). 0 leaves the profiler
-     * off; `/profile?seconds=N` still works via a temporary
-     * window. Started at start(), stopped at stop().
-     */
-    int profileHz = 0;
-
-    /**
      * Default per-model latency SLO target, seconds
      * (`djinnd --slo-ms`). Non-positive disables SLO tracking.
      */
     double sloTargetSeconds = 0.050;
-
-    /**
-     * Time-series store retention, in sampler-period slots
-     * (`djinnd --timeseries-cap`). With the default 0.25 s sampler
-     * period, 600 slots keep 2.5 minutes of history. The store
-     * only runs when tracing and the sampler are on.
-     */
-    size_t timeseriesCapacity = 600;
 
     /**
      * Adaptive scheduling (`djinnd --sched adaptive`): size each
@@ -175,6 +156,9 @@ struct ServerConfig {
      */
     std::map<std::string, nn::Precision> modelPrecisions;
 };
+
+/** Cap on input rows accepted in a single request. */
+inline constexpr int64_t kMaxRowsPerRequest = 4096;
 
 /**
  * The model label of the per-request series of every inference
@@ -427,7 +411,6 @@ class DjinnServer
     std::unique_ptr<telemetry::BackgroundSampler> sampler_;
     std::unique_ptr<HttpEndpoint> http_;
     double startTraceSeconds_ = -1.0;
-    bool profilerStarted_ = false;
 
     /** Parsed ServerConfig::faultSpec (core/fault.hh bitmask). */
     uint32_t faultMask_ = 0;

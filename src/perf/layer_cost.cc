@@ -6,8 +6,6 @@
 #include "nn/layers/convolution.hh"
 #include "nn/layers/inner_product.hh"
 #include "nn/layers/locally_connected.hh"
-#include "nn/layers/lrn.hh"
-#include "nn/layers/pooling.hh"
 
 namespace djinn {
 namespace perf {
@@ -29,7 +27,6 @@ KernelCost
 fcCost(const nn::InnerProductLayer &fc, int64_t batch)
 {
     KernelCost k;
-    k.flops = 2.0 * batch * fc.inputs() * fc.outputs();
     k.weightBytes = static_cast<double>(fc.paramCount()) *
                     sizeof(float);
     auto geom = gemmGeometry(batch, fc.outputs());
@@ -50,11 +47,7 @@ convCost(const nn::ConvolutionLayer &conv, int64_t batch)
     KernelCost k;
     const nn::Shape &os = conv.outputShape();
     int64_t cols = os.h() * os.w();
-    int64_t in_per_group = conv.inputShape().c() / conv.groups();
-    int64_t patch = in_per_group * conv.kernel() * conv.kernel();
     int64_t out_per_group = conv.outChannels() / conv.groups();
-    k.flops = 2.0 * batch * conv.groups() * out_per_group * cols *
-              patch;
     // Filter banks are read once per launch and mostly stay resident
     // in cache across the batch; 5% of re-reads miss.
     double params_bytes = static_cast<double>(conv.paramCount()) *
@@ -73,10 +66,7 @@ localCost(const nn::LocallyConnectedLayer &lc, int64_t batch)
 {
     KernelCost k;
     const nn::Shape &os = lc.outputShape();
-    int64_t cols = os.h() * os.w();
-    int64_t patch = lc.inputShape().c() * lc.kernel() * lc.kernel();
-    int64_t positions = lc.outChannels() * cols;
-    k.flops = 2.0 * batch * positions * patch;
+    int64_t positions = lc.outChannels() * os.h() * os.w();
     // Every output element has a private filter: the full parameter
     // set streams from DRAM once per sample, with no reuse at all.
     k.weightBytes = static_cast<double>(lc.paramCount()) *
@@ -92,12 +82,10 @@ localCost(const nn::LocallyConnectedLayer &lc, int64_t batch)
 
 /** Elementwise / pooling / softmax style kernels: one pass, batched. */
 KernelCost
-elementwiseCost(const nn::Layer &layer, int64_t batch,
-                double flops_per_elem)
+elementwiseCost(const nn::Layer &layer, int64_t batch)
 {
     KernelCost k;
     int64_t out_elems = layer.outputShape().sampleElems() * batch;
-    k.flops = flops_per_elem * static_cast<double>(out_elems);
     int64_t blocks = (out_elems + threadsPerBlock - 1) /
                      threadsPerBlock;
     k.blocks = std::max<int64_t>(blocks, 1);
@@ -180,35 +168,19 @@ analyzeNetwork(const nn::Network &net, int64_t batch)
             break;
           case LayerKind::MaxPool:
           case LayerKind::AvgPool:
-            {
-                auto &pool =
-                    static_cast<const nn::PoolingLayer &>(layer);
-                double window = static_cast<double>(pool.kernel()) *
-                                pool.kernel();
-                k = elementwiseCost(layer, batch, window);
-            }
-            break;
           case LayerKind::LRN:
-            {
-                auto &lrn = static_cast<const nn::LrnLayer &>(layer);
-                k = elementwiseCost(layer, batch,
-                                    3.0 * lrn.size() + 2.0);
-            }
-            break;
           case LayerKind::Softmax:
-            k = elementwiseCost(layer, batch, 4.0);
-            break;
           case LayerKind::ReLU:
           case LayerKind::Tanh:
           case LayerKind::Sigmoid:
           case LayerKind::HardTanh:
-            k = elementwiseCost(layer, batch, 2.0);
-            break;
           case LayerKind::Dropout:
           case LayerKind::Flatten:
-            k = elementwiseCost(layer, batch, 0.0);
+            k = elementwiseCost(layer, batch);
             break;
         }
+        k.flops = static_cast<double>(layer.flopsPerSample() *
+                                      static_cast<uint64_t>(batch));
         k.layer = layer.name();
         k.kind = layer.kind();
         k.paramBytes = static_cast<double>(layer.paramCount()) *

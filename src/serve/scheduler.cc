@@ -7,26 +7,42 @@
 namespace djinn {
 namespace serve {
 
+namespace {
+
+/** Smallest dispatch target a model can shrink to. */
+constexpr int64_t kMinBatch = 1;
+
+/** Fraction of the SLO the predicted latency may use; the rest
+ * absorbs prediction error and network/protocol overhead. */
+constexpr double kHeadroom = 0.8;
+
+/** Tightened headroom applied while a model's burn rate is at or
+ * above kShrinkBurnThreshold: the batch shrinks until the predicted
+ * latency fits the reduced budget. */
+constexpr double kShrinkHeadroom = 0.4;
+
+/** Burn rate at or above which the tightened headroom kicks in
+ * (1.0 = consuming the error budget exactly as fast as the
+ * objective allows). */
+constexpr double kShrinkBurnThreshold = 1.0;
+
+/** EWMA weight for new arrival-rate observations. */
+constexpr double kArrivalAlpha = 0.3;
+
+/** EWMA weight for new per-query service-time observations. */
+constexpr double kServiceAlpha = 0.2;
+
+} // namespace
+
 AdaptiveScheduler::AdaptiveScheduler(
     const SchedulerOptions &options,
     telemetry::MetricRegistry *metrics)
     : options_(options), metrics_(metrics)
 {
-    if (options_.minBatch <= 0)
-        fatal("AdaptiveScheduler: minBatch must be positive");
-    if (options_.maxBatch < options_.minBatch)
-        fatal("AdaptiveScheduler: maxBatch must be >= minBatch");
+    if (options_.maxBatch < kMinBatch)
+        fatal("AdaptiveScheduler: maxBatch must be positive");
     if (options_.defaultSloSeconds <= 0.0)
         fatal("AdaptiveScheduler: SLO must be positive");
-    if (options_.headroom <= 0.0 || options_.headroom > 1.0)
-        fatal("AdaptiveScheduler: headroom must be in (0, 1]");
-    if (options_.shrinkHeadroom <= 0.0 ||
-        options_.shrinkHeadroom > options_.headroom)
-        fatal("AdaptiveScheduler: shrinkHeadroom must be in "
-              "(0, headroom]");
-    if (options_.arrivalAlpha <= 0.0 || options_.arrivalAlpha > 1.0 ||
-        options_.serviceAlpha <= 0.0 || options_.serviceAlpha > 1.0)
-        fatal("AdaptiveScheduler: EWMA weights must be in (0, 1]");
     if (options_.maxDeficitSeconds <= 0.0)
         fatal("AdaptiveScheduler: maxDeficitSeconds must be "
               "positive");
@@ -116,8 +132,8 @@ void
 AdaptiveScheduler::setMaxBatch(const std::string &model,
                                int64_t maxBatch)
 {
-    if (maxBatch < options_.minBatch)
-        fatal("AdaptiveScheduler: model maxBatch below minBatch");
+    if (maxBatch < kMinBatch)
+        fatal("AdaptiveScheduler: model maxBatch must be positive");
     std::lock_guard<std::mutex> lock(mutex_);
     Model &m = modelFor(model);
     m.maxBatch = maxBatch;
@@ -146,8 +162,7 @@ AdaptiveScheduler::observeBatch(const std::string &model,
     double per = serviceSeconds / static_cast<double>(queries);
     m.serviceEwma = m.serviceEwma == 0.0
         ? per
-        : options_.serviceAlpha * per +
-              (1.0 - options_.serviceAlpha) * m.serviceEwma;
+        : kServiceAlpha * per + (1.0 - kServiceAlpha) * m.serviceEwma;
 }
 
 void
@@ -174,10 +189,9 @@ AdaptiveScheduler::computeTarget(const Model &m) const
     if (m.serviceEwma <= 0.0)
         return m.maxBatch;
 
-    const double headroom =
-        m.burnRate >= options_.shrinkBurnThreshold
-            ? options_.shrinkHeadroom
-            : options_.headroom;
+    const double headroom = m.burnRate >= kShrinkBurnThreshold
+        ? kShrinkHeadroom
+        : kHeadroom;
     const double budget = headroom * m.sloSeconds;
     const double per = m.serviceEwma;
 
@@ -188,7 +202,7 @@ AdaptiveScheduler::computeTarget(const Model &m) const
     const double backlog_wait =
         static_cast<double>(m.backlog) * per;
     int64_t best = 0;
-    for (int64_t b = options_.minBatch; b <= m.maxBatch; ++b) {
+    for (int64_t b = kMinBatch; b <= m.maxBatch; ++b) {
         double assembly = 0.0;
         if (b > 1) {
             if (m.arrivalEwma <= 0.0)
@@ -236,8 +250,8 @@ AdaptiveScheduler::tick(double nowSeconds)
             double inst =
                 static_cast<double>(m.arrivalsSinceTick) / dt;
             m.arrivalEwma = m.haveArrivalRate
-                ? options_.arrivalAlpha * inst +
-                      (1.0 - options_.arrivalAlpha) * m.arrivalEwma
+                ? kArrivalAlpha * inst +
+                      (1.0 - kArrivalAlpha) * m.arrivalEwma
                 : inst;
             m.haveArrivalRate = true;
             m.arrivalsSinceTick = 0;

@@ -37,9 +37,6 @@ namespace serve {
 
 /** Policy knobs for the adaptive scheduler. */
 struct SchedulerOptions {
-    /** Smallest dispatch target a model can shrink to. */
-    int64_t minBatch = 1;
-
     /** Ceiling for models without an explicit setMaxBatch() (the
      * live server passes its --batch-size here). */
     int64_t maxBatch = 16;
@@ -47,26 +44,6 @@ struct SchedulerOptions {
     /** SLO applied to models without an explicit setSlo(),
      * seconds. */
     double defaultSloSeconds = 0.050;
-
-    /** Fraction of the SLO the predicted latency may use; the rest
-     * absorbs prediction error and network/protocol overhead. */
-    double headroom = 0.8;
-
-    /** Tightened headroom applied while a model's burn rate is at
-     * or above shrinkBurnThreshold: the batch shrinks until the
-     * predicted latency fits the reduced budget. */
-    double shrinkHeadroom = 0.4;
-
-    /** Burn rate at or above which the tightened headroom kicks
-     * in (1.0 = consuming the error budget exactly as fast as the
-     * objective allows). */
-    double shrinkBurnThreshold = 1.0;
-
-    /** EWMA weight for new arrival-rate observations. */
-    double arrivalAlpha = 0.3;
-
-    /** EWMA weight for new per-query service-time observations. */
-    double serviceAlpha = 0.2;
 
     /** Cap on a tenant's accumulated dispatch credit, seconds of
      * compute; bounds how bursty a long-idle-then-hot tenant can

@@ -2,24 +2,29 @@
 
 #include <algorithm>
 
-#include "common/logging.hh"
-
 namespace djinn {
 namespace serve {
 
-TunerResult
-tuneBatchSize(App app, const SimConfig &base_config,
-              const TunerOptions &options)
-{
-    if (options.candidates.empty())
-        fatal("tuneBatchSize: no candidate batch sizes");
-    if (!std::is_sorted(options.candidates.begin(),
-                        options.candidates.end())) {
-        fatal("tuneBatchSize: candidates must be ascending");
-    }
+namespace {
 
+/** Candidate batch sizes, ascending. */
+constexpr int64_t kCandidates[] = {1, 2, 4, 8, 16, 32, 64, 128};
+
+/** Latency budget as a multiple of the unbatched mean latency;
+ * candidates beyond it are rejected. */
+constexpr double kLatencySlack = 6.0;
+
+/** Accept the smallest batch whose throughput reaches this fraction
+ * of the best admissible throughput. */
+constexpr double kThroughputFraction = 0.9;
+
+} // namespace
+
+TunerResult
+tuneBatchSize(App app, const SimConfig &base_config)
+{
     TunerResult result;
-    for (int64_t batch : options.candidates) {
+    for (int64_t batch : kCandidates) {
         SimConfig config = base_config;
         config.app = app;
         config.batch = batch;
@@ -32,8 +37,8 @@ tuneBatchSize(App app, const SimConfig &base_config,
             {batch, sim.throughputQps, sim.meanLatency, false});
     }
 
-    double latency_cap = options.latencySlack *
-                         result.sweep.front().meanLatency;
+    double latency_cap =
+        kLatencySlack * result.sweep.front().meanLatency;
     double best = 0.0;
     for (TunerPoint &point : result.sweep) {
         point.admissible = point.meanLatency <= latency_cap;
@@ -42,13 +47,12 @@ tuneBatchSize(App app, const SimConfig &base_config,
     }
     for (const TunerPoint &point : result.sweep) {
         if (point.admissible &&
-            point.throughputQps >=
-                options.throughputFraction * best) {
+            point.throughputQps >= kThroughputFraction * best) {
             result.batch = point.batch;
             return result;
         }
     }
-    result.batch = options.candidates.front();
+    result.batch = kCandidates[0];
     return result;
 }
 

@@ -17,24 +17,6 @@
 namespace djinn {
 namespace serve {
 
-/** Tuning policy. */
-struct TunerOptions {
-    /** Candidate batch sizes, ascending. */
-    std::vector<int64_t> candidates{1, 2, 4, 8, 16, 32, 64, 128};
-
-    /**
-     * Latency budget as a multiple of the unbatched mean latency;
-     * candidates beyond it are rejected.
-     */
-    double latencySlack = 6.0;
-
-    /**
-     * Accept the smallest batch whose throughput reaches this
-     * fraction of the best admissible throughput.
-     */
-    double throughputFraction = 0.9;
-};
-
 /** One point of the tuning sweep. */
 struct TunerPoint {
     int64_t batch = 0;
@@ -50,12 +32,13 @@ struct TunerResult {
 };
 
 /**
- * Sweep batch sizes for @p app on the server described by
- * @p base_config (its batch field is ignored) and select per the
- * paper's rule.
+ * Sweep the batch sizes 1, 2, 4, ..., 128 for @p app on the server
+ * described by @p base_config (its batch field is ignored) and
+ * select per the paper's rule: among the batches whose mean latency
+ * stays within 6x the unbatched mean, the smallest that reaches 90%
+ * of the best such throughput.
  */
-TunerResult tuneBatchSize(App app, const SimConfig &base_config,
-                          const TunerOptions &options = {});
+TunerResult tuneBatchSize(App app, const SimConfig &base_config);
 
 } // namespace serve
 } // namespace djinn

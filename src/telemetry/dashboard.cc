@@ -14,6 +14,9 @@ namespace {
 /** Density ramp, lightest to darkest. */
 const char sparkRamp[] = " .:-=+*#%@";
 
+/** Sparkline width, characters. */
+constexpr int kSparkWidth = 30;
+
 /** Collapse a point series to @p width buckets by averaging. */
 std::vector<double>
 resample(const std::vector<TimeSeriesStore::Point> &points,
@@ -114,14 +117,14 @@ renderSparkline(const std::vector<double> &values, int width)
 std::string
 renderTopDashboard(const TimeSeriesStore &store,
                    const HealthMonitor *monitor,
-                   const DashboardOptions &options)
+                   double windowSeconds)
 {
     std::string out;
     char buf[256];
 
     snprintf(buf, sizeof(buf),
              "djinn top — window %.0fs, %zu samples",
-             options.windowSeconds, store.sampleCount());
+             windowSeconds, store.sampleCount());
     out += buf;
     if (monitor) {
         const HealthVerdict verdict = monitor->evaluateNow();
@@ -147,7 +150,7 @@ renderTopDashboard(const TimeSeriesStore &store,
     }
 
     TimeSeriesStore::Window window;
-    window.seconds = options.windowSeconds;
+    window.seconds = windowSeconds;
 
     for (const auto &model : models) {
         snprintf(buf, sizeof(buf), "%-12s ", model.c_str());
@@ -188,7 +191,7 @@ renderTopDashboard(const TimeSeriesStore &store,
 
         window.name = "djinn_requests_total";
         out += "  ";
-        out += sparklineFor(store, window, options.sparkWidth);
+        out += sparklineFor(store, window, kSparkWidth);
         out += "\n";
     }
     if (models.empty())
@@ -203,7 +206,7 @@ renderTopDashboard(const TimeSeriesStore &store,
     out += buf;
     appendStat(out, "%8.2f", busy);
     out += "  ";
-    out += sparklineFor(store, window, options.sparkWidth);
+    out += sparklineFor(store, window, kSparkWidth);
     out += "\n";
 
     window.name = "djinn_batch_queue_depth_total";
@@ -213,7 +216,7 @@ renderTopDashboard(const TimeSeriesStore &store,
     out += buf;
     appendStat(out, "%8.2f", depth);
     out += "  ";
-    out += sparklineFor(store, window, options.sparkWidth);
+    out += sparklineFor(store, window, kSparkWidth);
     out += "\n";
 
     return out;

@@ -21,22 +21,14 @@
 namespace djinn {
 namespace telemetry {
 
-/** Dashboard framing. */
-struct DashboardOptions {
-    /** Trailing window every figure is computed over. */
-    double windowSeconds = 60.0;
-
-    /** Sparkline width, characters. */
-    int sparkWidth = 30;
-};
-
 /**
- * Render one dashboard frame from @p store. @p monitor may be null
- * (the health line is omitted).
+ * Render one dashboard frame from @p store, every figure computed
+ * over the trailing @p windowSeconds. @p monitor may be null (the
+ * health line is omitted).
  */
 std::string renderTopDashboard(const TimeSeriesStore &store,
                                const HealthMonitor *monitor,
-                               const DashboardOptions &options = {});
+                               double windowSeconds);
 
 /**
  * Render @p values as a one-line ASCII sparkline of @p width

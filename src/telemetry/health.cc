@@ -12,6 +12,32 @@ namespace telemetry {
 
 namespace {
 
+/** Burn-rate averaging window. */
+constexpr double kShortWindowSeconds = 15.0;
+
+/** Shed-rate / queue-growth window. */
+constexpr double kLongWindowSeconds = 60.0;
+
+/** SLO burn rate (budget consumption multiple) thresholds. */
+constexpr double kBurnDegraded = 1.0;
+constexpr double kBurnUnhealthy = 10.0;
+
+/** Shed fraction (shed / (shed + served)) thresholds. */
+constexpr double kShedDegraded = 0.05;
+constexpr double kShedUnhealthy = 0.5;
+
+/** Queue depth growth slope that flags `queue_growth`. */
+constexpr double kQueueGrowthPerSecond = 1.0;
+
+/** Minimum average depth before slope matters. */
+constexpr double kQueueGrowthMinDepth = 4.0;
+
+/** Stall watchdog window: queued work with zero progress. */
+constexpr double kStallWindowSeconds = 10.0;
+
+/** Sampler heartbeat staleness threshold. */
+constexpr double kStalenessSeconds = 5.0;
+
 /** Every rule a verdict can cite, in evaluation order. The fixed
  * set lets tick() pre-register one djinn_health_reason gauge per
  * rule so the exposition's sample set never changes shape. */
@@ -65,10 +91,8 @@ HealthVerdict::toString() const
 
 HealthMonitor::HealthMonitor(const TimeSeriesStore &store,
                              MetricRegistry &registry,
-                             const HealthOptions &options,
                              Clock clock)
-    : store_(store), registry_(registry), options_(options),
-      clock_(std::move(clock))
+    : store_(store), registry_(registry), clock_(std::move(clock))
 {
     if (!clock_)
         clock_ = [] { return traceNowUs() * 1e-6; };
@@ -97,14 +121,14 @@ HealthMonitor::evaluate(double nowSeconds) const
     double newest = 0.0;
     const bool haveSamples = store_.newestTime(&newest);
     if (!haveSamples
-        || nowSeconds - newest > options_.stalenessSeconds) {
+        || nowSeconds - newest > kStalenessSeconds) {
         HealthReason reason;
         reason.rule = "stale";
         reason.level = HealthLevel::Degraded;
         reason.detail = haveSamples
             ? formatDetail("last sample %.6g s ago (limit %.6g)",
                            nowSeconds - newest,
-                           options_.stalenessSeconds)
+                           kStalenessSeconds)
             : "no samples recorded";
         verdict.reasons.push_back(std::move(reason));
     }
@@ -116,12 +140,12 @@ HealthMonitor::evaluate(double nowSeconds) const
     // faster than allowed, averaged over the short window.
     window.name = sloBurnRateMetricName;
     window.labels = {};
-    window.seconds = options_.shortWindowSeconds;
+    window.seconds = kShortWindowSeconds;
     for (const auto &id : store_.trackIds(sloBurnRateMetricName)) {
         window.labels = id.labels;
         const auto burn =
             store_.windowStat(window, TimeSeriesStore::Op::Avg);
-        if (!burn.valid || burn.value < options_.burnDegraded)
+        if (!burn.valid || burn.value < kBurnDegraded)
             continue;
         // An idle model's burn gauge is stale history, not live
         // budget burn: require actual request traffic for the
@@ -138,7 +162,7 @@ HealthMonitor::evaluate(double nowSeconds) const
             continue;
         HealthReason reason;
         reason.rule = "burn_rate";
-        reason.level = burn.value >= options_.burnUnhealthy
+        reason.level = burn.value >= kBurnUnhealthy
             ? HealthLevel::Unhealthy
             : HealthLevel::Degraded;
         auto model = id.labels.find("model");
@@ -146,14 +170,14 @@ HealthMonitor::evaluate(double nowSeconds) const
                              ? model->second + ": "
                              : std::string())
             + formatDetail("burn rate %.6g (degraded at %.6g)",
-                           burn.value, options_.burnDegraded);
+                           burn.value, kBurnDegraded);
         verdict.reasons.push_back(std::move(reason));
     }
 
     // Rule: shed_rate — fraction of offered load turned away over
     // the long window.
     window.labels = {};
-    window.seconds = options_.longWindowSeconds;
+    window.seconds = kLongWindowSeconds;
     window.name = "djinn_shed_total";
     const auto shedRate =
         store_.windowStat(window, TimeSeriesStore::Op::Rate);
@@ -165,15 +189,15 @@ HealthMonitor::evaluate(double nowSeconds) const
             servedRate.valid ? servedRate.value : 0.0;
         const double fraction =
             shedRate.value / (shedRate.value + served);
-        if (fraction >= options_.shedDegraded) {
+        if (fraction >= kShedDegraded) {
             HealthReason reason;
             reason.rule = "shed_rate";
-            reason.level = fraction >= options_.shedUnhealthy
+            reason.level = fraction >= kShedUnhealthy
                 ? HealthLevel::Unhealthy
                 : HealthLevel::Degraded;
             reason.detail = formatDetail(
                 "shedding %.6g of offered load (degraded at %.6g)",
-                fraction, options_.shedDegraded);
+                fraction, kShedDegraded);
             verdict.reasons.push_back(std::move(reason));
         }
     }
@@ -186,8 +210,8 @@ HealthMonitor::evaluate(double nowSeconds) const
     const auto depthSlope =
         store_.windowStat(window, TimeSeriesStore::Op::Slope);
     if (depthAvg.valid && depthSlope.valid
-        && depthAvg.value >= options_.queueGrowthMinDepth
-        && depthSlope.value >= options_.queueGrowthPerSecond) {
+        && depthAvg.value >= kQueueGrowthMinDepth
+        && depthSlope.value >= kQueueGrowthPerSecond) {
         HealthReason reason;
         reason.rule = "queue_growth";
         reason.level = HealthLevel::Degraded;
@@ -202,7 +226,7 @@ HealthMonitor::evaluate(double nowSeconds) const
     // Suppressed while draining (the server stops dispatching on
     // purpose and the queue empties through cancellation).
     if (!draining) {
-        window.seconds = options_.stallWindowSeconds;
+        window.seconds = kStallWindowSeconds;
         window.name = "djinn_batch_queue_depth_total";
         const auto stallDepth =
             store_.windowStat(window, TimeSeriesStore::Op::Min);
@@ -223,7 +247,7 @@ HealthMonitor::evaluate(double nowSeconds) const
             reason.level = HealthLevel::Unhealthy;
             reason.detail = formatDetail(
                 "queue depth >= %.6g with no progress for %.6g s",
-                stallDepth.value, options_.stallWindowSeconds);
+                stallDepth.value, kStallWindowSeconds);
             verdict.reasons.push_back(std::move(reason));
         }
     }

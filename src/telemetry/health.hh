@@ -70,35 +70,6 @@ struct HealthVerdict {
     std::string toString() const;
 };
 
-/** Rule thresholds. */
-struct HealthOptions {
-    /** Burn-rate averaging window. */
-    double shortWindowSeconds = 15.0;
-
-    /** Shed-rate / queue-growth window. */
-    double longWindowSeconds = 60.0;
-
-    /** SLO burn rate (budget consumption multiple) thresholds. */
-    double burnDegraded = 1.0;
-    double burnUnhealthy = 10.0;
-
-    /** Shed fraction (shed / (shed + served)) thresholds. */
-    double shedDegraded = 0.05;
-    double shedUnhealthy = 0.5;
-
-    /** Queue depth growth slope that flags `queue_growth`. */
-    double queueGrowthPerSecond = 1.0;
-
-    /** Minimum average depth before slope matters. */
-    double queueGrowthMinDepth = 4.0;
-
-    /** Stall watchdog window: queued work with zero progress. */
-    double stallWindowSeconds = 10.0;
-
-    /** Sampler heartbeat staleness threshold. */
-    double stalenessSeconds = 5.0;
-};
-
 /**
  * The monitor. evaluate() is const and reentrant; tick() (called
  * from the sampler hook) additionally exports gauges and logs
@@ -114,13 +85,10 @@ class HealthMonitor
     /**
      * @param store history source; must outlive the monitor.
      * @param registry receives djinn_health gauges.
-     * @param options rule thresholds.
      * @param clock store-epoch clock override.
      */
     HealthMonitor(const TimeSeriesStore &store,
-                  MetricRegistry &registry,
-                  const HealthOptions &options = {},
-                  Clock clock = {});
+                  MetricRegistry &registry, Clock clock = {});
 
     HealthMonitor(const HealthMonitor &) = delete;
     HealthMonitor &operator=(const HealthMonitor &) = delete;
@@ -146,13 +114,9 @@ class HealthMonitor
      */
     void setDraining(bool draining);
 
-    /** The configured thresholds. */
-    const HealthOptions &options() const { return options_; }
-
   private:
     const TimeSeriesStore &store_;
     MetricRegistry &registry_;
-    HealthOptions options_;
     Clock clock_;
 
     Gauge *healthGauge_ = nullptr;

@@ -160,9 +160,9 @@ class Profiler
     /**
      * Gather samples for @p seconds of wall time and render them
      * collapsed. When the profiler is stopped it is started at
-     * @p temporaryHz for the window and stopped again, so
-     * `/profile?seconds=N` works on servers that did not pass
-     * --profile-hz. Blocks the calling thread for the window.
+     * @p temporaryHz for the window and stopped again (the server
+     * never runs it continuously: samples from before a window are
+     * discarded). Blocks the calling thread for the window.
      */
     Result<std::string> collect(double seconds,
                                 int temporaryHz = 97);

@@ -26,13 +26,10 @@ labelsMatch(const LabelMap &have, const LabelMap &want)
 
 } // namespace
 
-TimeSeriesStore::TimeSeriesStore(const MetricRegistry &registry,
-                                 const TimeSeriesOptions &options)
-    : registry_(registry), options_(options)
+TimeSeriesStore::TimeSeriesStore(const MetricRegistry &registry)
+    : registry_(registry)
 {
-    if (options_.capacity < 2)
-        options_.capacity = 2;
-    times_.resize(options_.capacity, 0.0);
+    times_.resize(kCapacity, 0.0);
     sync();
     built_ = true;
 }
@@ -58,7 +55,7 @@ TimeSeriesStore::syncLocked()
                         : static_cast<const void *>(ref.histogram);
         if (known_.count(key))
             return;
-        if (tracks_.size() >= options_.maxTracks) {
+        if (tracks_.size() >= kMaxTracks) {
             // Only count a given skipped metric once.
             if (known_.emplace(key, SIZE_MAX).second)
                 ++skipped_;
@@ -73,15 +70,13 @@ TimeSeriesStore::syncLocked()
         track.histogram = ref.histogram;
         track.firstSlot = sampled_;
         track.zeroBefore = built_;
-        track.values.resize(options_.capacity, 0.0);
+        track.values.resize(kCapacity, 0.0);
         if (ref.kind == MetricKind::Histogram) {
             track.bucketCount = ref.histogram->bucketCountTotal();
-            track.counts.resize(options_.capacity, 0);
-            track.sums.resize(options_.capacity, 0.0);
+            track.counts.resize(kCapacity, 0);
+            track.sums.resize(kCapacity, 0.0);
             track.buckets.resize(
-                options_.capacity
-                    * static_cast<size_t>(track.bucketCount),
-                0);
+                kCapacity * static_cast<size_t>(track.bucketCount), 0);
         }
         known_.emplace(key, tracks_.size());
         tracks_.push_back(std::move(track));
@@ -119,8 +114,8 @@ TimeSeriesStore::sample(double nowSeconds)
           }
         }
     }
-    head_ = (head_ + 1) % options_.capacity;
-    if (filled_ < options_.capacity)
+    head_ = (head_ + 1) % kCapacity;
+    if (filled_ < kCapacity)
         ++filled_;
     ++sampled_;
 }
@@ -159,8 +154,7 @@ TimeSeriesStore::newestTime(double *out) const
 size_t
 TimeSeriesStore::slotIndex(size_t i) const
 {
-    return (head_ + options_.capacity - filled_ + i)
-        % options_.capacity;
+    return (head_ + kCapacity - filled_ + i) % kCapacity;
 }
 
 bool

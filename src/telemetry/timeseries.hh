@@ -44,22 +44,6 @@
 namespace djinn {
 namespace telemetry {
 
-/** Sizing of a TimeSeriesStore. */
-struct TimeSeriesOptions {
-    /**
-     * Ring slots retained per track. With the default 0.25 s
-     * sampler period the default keeps 2.5 minutes of history.
-     */
-    size_t capacity = 600;
-
-    /**
-     * Cap on tracked series; metrics beyond the cap are skipped
-     * (skippedTracks() counts them) so one labels explosion cannot
-     * grow the store without bound.
-     */
-    size_t maxTracks = 2048;
-};
-
 /** A snapshot-free view over one track's identity. */
 struct TrackId {
     std::string name;
@@ -75,12 +59,23 @@ class TimeSeriesStore
 {
   public:
     /**
+     * Ring slots retained per track. With the default 0.25 s
+     * sampler period this keeps 2.5 minutes of history.
+     */
+    static constexpr size_t kCapacity = 600;
+
+    /**
+     * Cap on tracked series; metrics beyond the cap are skipped
+     * (skippedTracks() counts them) so one labels explosion cannot
+     * grow the store without bound.
+     */
+    static constexpr size_t kMaxTracks = 2048;
+
+    /**
      * @param registry source of instruments; must outlive the
      *        store.
-     * @param options ring sizing.
      */
-    explicit TimeSeriesStore(const MetricRegistry &registry,
-                             const TimeSeriesOptions &options = {});
+    explicit TimeSeriesStore(const MetricRegistry &registry);
 
     TimeSeriesStore(const TimeSeriesStore &) = delete;
     TimeSeriesStore &operator=(const TimeSeriesStore &) = delete;
@@ -102,14 +97,11 @@ class TimeSeriesStore
     /** Tracks currently recorded. */
     size_t trackCount() const;
 
-    /** Metrics skipped because maxTracks was reached. */
+    /** Metrics skipped because kMaxTracks was reached. */
     size_t skippedTracks() const;
 
-    /** Slots filled so far (saturates at options().capacity). */
+    /** Slots filled so far (saturates at kCapacity). */
     size_t sampleCount() const;
-
-    /** The configured sizing. */
-    const TimeSeriesOptions &options() const { return options_; }
 
     /** Newest slot's timestamp; false when no slot was recorded. */
     bool newestTime(double *out) const;
@@ -265,7 +257,6 @@ class TimeSeriesStore
                     double *out) const;
 
     const MetricRegistry &registry_;
-    TimeSeriesOptions options_;
 
     mutable std::mutex mutex_;
     std::vector<double> times_;

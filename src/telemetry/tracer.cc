@@ -5,6 +5,8 @@
 #include <cmath>
 #include <limits>
 #include <map>
+#include <numeric>
+#include <tuple>
 
 #include "common/logging.hh"
 #include "telemetry/exposition.hh"
@@ -138,11 +140,20 @@ std::string
 renderChromeTrace(const std::vector<TraceEvent> &events,
                   const TimeSeriesStore *store)
 {
-    std::vector<TraceEvent> sorted = events;
-    std::stable_sort(sorted.begin(), sorted.end(),
-                     [](const TraceEvent &a, const TraceEvent &b) {
-                         return a.startUs < b.startUs;
-                     });
+    // Order by (start, input position): equal starts keep their
+    // input order without stable_sort's temporary buffer, which
+    // ASan builds against libstdc++ 12 flag as alloc-dealloc-
+    // mismatched.
+    std::vector<size_t> order(events.size());
+    std::iota(order.begin(), order.end(), size_t{0});
+    std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+        return std::tie(events[a].startUs, a)
+            < std::tie(events[b].startUs, b);
+    });
+    std::vector<TraceEvent> sorted;
+    sorted.reserve(events.size());
+    for (size_t i : order)
+        sorted.push_back(events[i]);
     std::vector<TimeSeriesStore::Series> gauges;
     if (store)
         gauges = gaugeSeries(*store, sorted);

@@ -48,24 +48,43 @@ class BatcherTest : public ::testing::Test
         ASSERT_TRUE(registry_.add(std::move(net)).isOk());
     }
 
+    /** Forward passes run for "tiny" (djinn_batches_total). */
+    uint64_t
+    batches()
+    {
+        return metrics_.counter("djinn_batches_total", {{"model", "tiny"}})
+            .value();
+    }
+
+    /** Queries for "tiny" shed for @p reason (djinn_shed_total). */
+    uint64_t
+    sheds(const char *reason)
+    {
+        return metrics_
+            .counter("djinn_shed_total",
+                     {{"model", "tiny"}, {"reason", reason}})
+            .value();
+    }
+
     ModelRegistry registry_;
+    telemetry::MetricRegistry metrics_;
 };
 
 TEST_F(BatcherTest, SingleQueryCompletes)
 {
     BatchOptions options;
     options.maxQueries = 4;
-    BatchingExecutor executor(registry_, options);
+    BatchingExecutor executor(registry_, options, metrics_);
     auto future = executor.submit("tiny", 1, {1, 2, 3, 4});
     InferenceResult result = future.get();
     ASSERT_TRUE(result.status.isOk()) << result.status.toString();
     EXPECT_EQ(result.output.size(), 3u);
-    EXPECT_EQ(executor.queriesServed(), 1u);
+    EXPECT_EQ(batches(), 1u);
 }
 
 TEST_F(BatcherTest, UnknownModelRejected)
 {
-    BatchingExecutor executor(registry_, BatchOptions{});
+    BatchingExecutor executor(registry_, BatchOptions{}, metrics_);
     auto future = executor.submit("missing", 1, {1, 2, 3, 4});
     InferenceResult result = future.get();
     EXPECT_EQ(result.status.code(), StatusCode::NotFound);
@@ -73,7 +92,7 @@ TEST_F(BatcherTest, UnknownModelRejected)
 
 TEST_F(BatcherTest, WrongPayloadSizeRejected)
 {
-    BatchingExecutor executor(registry_, BatchOptions{});
+    BatchingExecutor executor(registry_, BatchOptions{}, metrics_);
     auto future = executor.submit("tiny", 1, {1, 2, 3});
     InferenceResult result = future.get();
     EXPECT_EQ(result.status.code(), StatusCode::InvalidArgument);
@@ -81,7 +100,7 @@ TEST_F(BatcherTest, WrongPayloadSizeRejected)
 
 TEST_F(BatcherTest, ZeroRowsRejected)
 {
-    BatchingExecutor executor(registry_, BatchOptions{});
+    BatchingExecutor executor(registry_, BatchOptions{}, metrics_);
     auto future = executor.submit("tiny", 0, {});
     EXPECT_EQ(future.get().status.code(),
               StatusCode::InvalidArgument);
@@ -91,7 +110,7 @@ TEST_F(BatcherTest, ConcurrentQueriesGetCombined)
 {
     BatchOptions options;
     options.maxQueries = 8;
-    BatchingExecutor executor(registry_, options);
+    BatchingExecutor executor(registry_, options, metrics_);
 
     // Park dispatch so the burst queues instead of each query
     // finding the model idle and running inline.
@@ -108,9 +127,8 @@ TEST_F(BatcherTest, ConcurrentQueriesGetCombined)
     open.store(true);
     for (auto &f : futures)
         ASSERT_TRUE(f.get().status.isOk());
-    EXPECT_EQ(executor.queriesServed(), 8u);
     // Coalescing must beat one-batch-per-query.
-    EXPECT_LT(executor.batchesExecuted(), 8u);
+    EXPECT_LT(batches(), 8u);
 }
 
 TEST_F(BatcherTest, BatchedResultsMatchUnbatched)
@@ -120,7 +138,7 @@ TEST_F(BatcherTest, BatchedResultsMatchUnbatched)
     // result is bit-identical to the same query run alone.
     BatchOptions options;
     options.maxQueries = 4;
-    BatchingExecutor executor(registry_, options);
+    BatchingExecutor executor(registry_, options, metrics_);
 
     // Queue all three behind a parked gate so they share a batch.
     std::atomic<bool> open{false};
@@ -153,8 +171,7 @@ TEST_F(BatcherTest, RunExecutesOnCallingThreadWithoutDispatcher)
 {
     // The unbatched path: run() executes a batch of one on the
     // caller's thread — no queue, no dispatcher, no thread hop.
-    telemetry::MetricRegistry metrics;
-    BatchingExecutor executor(registry_, BatchOptions{}, &metrics);
+    BatchingExecutor executor(registry_, BatchOptions{}, metrics_);
     std::thread::id observed;
     executor.setBatchObserver(
         [&observed](const std::string &, int64_t, double) {
@@ -172,12 +189,11 @@ TEST_F(BatcherTest, RunExecutesOnCallingThreadWithoutDispatcher)
     EXPECT_EQ(result.batchRows, 2);
     EXPECT_EQ(result.queueWaitSeconds, 0.0);
     EXPECT_GT(result.forwardSeconds, 0.0);
-    EXPECT_EQ(executor.batchesExecuted(), 1u);
-    EXPECT_EQ(executor.queriesServed(), 1u);
+    EXPECT_EQ(batches(), 1u);
 
     // The pass's forward phase is recorded; no queue_wait phase.
     bool saw_forward = false;
-    for (const telemetry::MetricSample &s : metrics.snapshot()) {
+    for (const telemetry::MetricSample &s : metrics_.snapshot()) {
         if (s.name != telemetry::phaseMetricName)
             continue;
         EXPECT_NE(s.labels.at("phase"), "queue_wait");
@@ -198,7 +214,7 @@ TEST_F(BatcherTest, RunExecutesOnCallingThreadWithoutDispatcher)
     EXPECT_EQ(executor.run("tiny", 1, {1, 2, 3, 4}, {}, 0, past)
                   .status.code(),
               StatusCode::DeadlineExceeded);
-    EXPECT_EQ(executor.deadlineSheds(), 1u);
+    EXPECT_EQ(sheds("deadline"), 1u);
 
     // A later submit() starts the model's dispatcher.
     ASSERT_TRUE(
@@ -211,8 +227,7 @@ TEST_F(BatcherTest, SubmitOnIdleModelRunsInlineOnCaller)
     // Work-conserving assembly: a lone query finds its model idle
     // and runs at once on the submitting thread — no wait for
     // peers, no hop to the dispatcher.
-    telemetry::MetricRegistry metrics;
-    BatchingExecutor executor(registry_, BatchOptions{}, &metrics);
+    BatchingExecutor executor(registry_, BatchOptions{}, metrics_);
     std::thread::id observed;
     executor.setBatchObserver(
         [&observed](const std::string &, int64_t, double) {
@@ -234,7 +249,7 @@ TEST_F(BatcherTest, SubmitOnIdleModelRunsInlineOnCaller)
     // The wait (a zero) travels in the result; the server derives
     // its queue_wait sample from the request's flight record, so
     // the executor records none.
-    for (const telemetry::MetricSample &s : metrics.snapshot()) {
+    for (const telemetry::MetricSample &s : metrics_.snapshot()) {
         if (s.name == telemetry::phaseMetricName)
             EXPECT_NE(s.labels.at("phase"), "queue_wait");
     }
@@ -247,7 +262,7 @@ TEST_F(BatcherTest, PeersGatherBehindInFlightForward)
     // them as one batch.
     BatchOptions options;
     options.maxQueries = 4;
-    BatchingExecutor executor(registry_, options);
+    BatchingExecutor executor(registry_, options, metrics_);
 
     std::promise<void> entered;
     std::promise<void> release;
@@ -289,13 +304,13 @@ TEST_F(BatcherTest, PeersGatherBehindInFlightForward)
         EXPECT_EQ(r.admitQueueDepth, i) << i;
         EXPECT_GT(r.queueWaitSeconds, 0.0) << i;
     }
-    EXPECT_EQ(executor.batchesExecuted(), 3u);
+    EXPECT_EQ(batches(), 3u);
 }
 
 TEST_F(BatcherTest, MultiRowQueryKeepsRowOrder)
 {
     auto net = registry_.find("tiny");
-    BatchingExecutor executor(registry_, BatchOptions{});
+    BatchingExecutor executor(registry_, BatchOptions{}, metrics_);
     std::vector<float> data = {1, 2, 3, 4, 5, 6, 7, 8};
     auto result = executor.submit("tiny", 2, data).get();
     ASSERT_TRUE(result.status.isOk());
@@ -312,7 +327,7 @@ TEST_F(BatcherTest, ManyThreadsStress)
 {
     BatchOptions options;
     options.maxQueries = 16;
-    BatchingExecutor executor(registry_, options);
+    BatchingExecutor executor(registry_, options, metrics_);
 
     // One forward per model at a time, inline or dispatched.
     std::atomic<int> running{0};
@@ -343,27 +358,27 @@ TEST_F(BatcherTest, ManyThreadsStress)
         w.join();
     EXPECT_EQ(failures.load(), 0);
     EXPECT_EQ(overlaps.load(), 0);
-    EXPECT_EQ(executor.queriesServed(),
-              static_cast<uint64_t>(threads * per_thread));
 }
 
 TEST_F(BatcherTest, InvalidOptionsFatal)
 {
     BatchOptions options;
     options.maxQueries = 0;
-    EXPECT_THROW(BatchingExecutor(registry_, options), FatalError);
+    EXPECT_THROW(BatchingExecutor(registry_, options, metrics_),
+                 FatalError);
     options.maxQueries = 4;
     options.maxQueueDepth = -1;
-    EXPECT_THROW(BatchingExecutor(registry_, options), FatalError);
+    EXPECT_THROW(BatchingExecutor(registry_, options, metrics_),
+                 FatalError);
 }
 
 TEST_F(BatcherTest, QueueDepthCapDerivesFromBatchSize)
 {
     BatchOptions options;
     options.maxQueries = 16;
-    EXPECT_EQ(options.queueDepthCap(), 64);
+    EXPECT_EQ(options.queueDepthCapFor(options.maxQueries), 64);
     options.maxQueueDepth = 5;
-    EXPECT_EQ(options.queueDepthCap(), 5);
+    EXPECT_EQ(options.queueDepthCapFor(options.maxQueries), 5);
 }
 
 TEST_F(BatcherTest, FullQueueShedsWithOverloaded)
@@ -375,7 +390,7 @@ TEST_F(BatcherTest, FullQueueShedsWithOverloaded)
     BatchOptions options;
     options.maxQueries = 64;   // never fills a batch in this test
     options.maxQueueDepth = 4; // cap D
-    BatchingExecutor executor(registry_, options);
+    BatchingExecutor executor(registry_, options, metrics_);
 
     std::atomic<bool> open{false};
     executor.setDispatchGate(
@@ -397,8 +412,7 @@ TEST_F(BatcherTest, FullQueueShedsWithOverloaded)
     EXPECT_GE(overloaded, 4) << ok << " ok";
     EXPECT_GE(ok, 4);
     EXPECT_EQ(ok + overloaded, 12);
-    EXPECT_EQ(executor.queueFullSheds(),
-              static_cast<uint64_t>(overloaded));
+    EXPECT_EQ(sheds("queue_full"), static_cast<uint64_t>(overloaded));
 }
 
 TEST_F(BatcherTest, AdmissionCapTracksShrunkenBatchTarget)
@@ -410,7 +424,7 @@ TEST_F(BatcherTest, AdmissionCapTracksShrunkenBatchTarget)
     // (4 x 16 = 64) none of the 40 submits below would shed.
     BatchOptions options;
     options.maxQueries = 16;
-    BatchingExecutor executor(registry_, options);
+    BatchingExecutor executor(registry_, options, metrics_);
 
     // Park the dispatcher so nothing drains while the burst lands.
     std::atomic<bool> open{false};
@@ -421,7 +435,7 @@ TEST_F(BatcherTest, AdmissionCapTracksShrunkenBatchTarget)
     std::vector<std::future<InferenceResult>> futures;
     for (int i = 0; i < 40; ++i)
         futures.push_back(executor.submit("tiny", 1, {1, 2, 3, 4}));
-    EXPECT_EQ(executor.queueFullSheds(), 24u);
+    EXPECT_EQ(sheds("queue_full"), 24u);
 
     open.store(true);
     int ok = 0, overloaded = 0;
@@ -441,10 +455,9 @@ TEST_F(BatcherTest, OccupancyReportsAgainstCurrentTarget)
     // The bug-2 regression: djinn_batch_occupancy divided by the
     // static tuned batch, so a full batch under a shrunken target
     // read 4/16 = 0.25 instead of 1.0.
-    telemetry::MetricRegistry metrics;
     BatchOptions options;
     options.maxQueries = 16;
-    BatchingExecutor executor(registry_, options, &metrics);
+    BatchingExecutor executor(registry_, options, metrics_);
 
     std::atomic<bool> open{false};
     executor.setDispatchGate(
@@ -460,7 +473,7 @@ TEST_F(BatcherTest, OccupancyReportsAgainstCurrentTarget)
         ASSERT_TRUE(f.get().status.isOk());
 
     double occupancy = -1.0;
-    for (const telemetry::MetricSample &s : metrics.snapshot()) {
+    for (const telemetry::MetricSample &s : metrics_.snapshot()) {
         if (s.name == std::string("djinn_batch_occupancy"))
             occupancy = s.value;
     }
@@ -473,14 +486,14 @@ TEST_F(BatcherTest, ExpiredDeadlineShedsBeforeForward)
     // assembled must be shed with DeadlineExceeded, not computed.
     BatchOptions options;
     options.maxQueries = 4;
-    BatchingExecutor executor(registry_, options);
+    BatchingExecutor executor(registry_, options, metrics_);
 
     auto past = std::chrono::steady_clock::now() -
                 std::chrono::milliseconds(1);
-    auto expired = executor.submit("tiny", 1, {1, 2, 3, 4}, past);
+    auto expired = executor.submit("tiny", 1, {1, 2, 3, 4}, {}, 0, past);
     InferenceResult result = expired.get();
     EXPECT_EQ(result.status.code(), StatusCode::DeadlineExceeded);
-    EXPECT_EQ(executor.deadlineSheds(), 1u);
+    EXPECT_EQ(sheds("deadline"), 1u);
 
     // A live query in the same queue still completes.
     auto live = executor.submit("tiny", 1, {1, 2, 3, 4});
@@ -491,13 +504,13 @@ TEST_F(BatcherTest, FutureDeadlineDoesNotShed)
 {
     BatchOptions options;
     options.maxQueries = 4;
-    BatchingExecutor executor(registry_, options);
+    BatchingExecutor executor(registry_, options, metrics_);
     auto deadline = std::chrono::steady_clock::now() +
                     std::chrono::seconds(30);
     auto result =
-        executor.submit("tiny", 1, {1, 2, 3, 4}, deadline).get();
+        executor.submit("tiny", 1, {1, 2, 3, 4}, {}, 0, deadline).get();
     EXPECT_TRUE(result.status.isOk());
-    EXPECT_EQ(executor.deadlineSheds(), 0u);
+    EXPECT_EQ(sheds("deadline"), 0u);
 }
 
 } // namespace

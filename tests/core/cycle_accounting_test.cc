@@ -207,7 +207,7 @@ TEST_F(CycleAccountingTest, SamplerExportsSaturationAndSloGauges)
 TEST_F(CycleAccountingTest, BatcherQueueDepthTotalDrainsToZero)
 {
     telemetry::MetricRegistry metrics;
-    BatchingExecutor executor(registry_, BatchOptions{}, &metrics);
+    BatchingExecutor executor(registry_, BatchOptions{}, metrics);
     EXPECT_EQ(executor.queueDepthTotal(), 0);
 
     std::vector<float> payload(4 * 64, 0.5f);

@@ -317,9 +317,8 @@ TEST(ObservabilityHttp, HealthzPlainAndStructured)
     // With a monitor the verdict is structured JSON.
     telemetry::TimeSeriesStore store(metrics);
     double now = 0.0;
-    telemetry::HealthMonitor monitor(
-        store, metrics, telemetry::HealthOptions{},
-        [&now] { return now; });
+    telemetry::HealthMonitor monitor(store, metrics,
+                                     [&now] { return now; });
     metrics.counter("djinn_requests_total").inc();
     for (int t = 0; t <= 5; ++t) {
         now = static_cast<double>(t);

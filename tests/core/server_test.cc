@@ -185,13 +185,13 @@ TEST_F(ServerTest, WrongPayloadSizeReported)
 
 TEST_F(ServerTest, RowLimitEnforced)
 {
-    ServerConfig config;
-    config.maxRowsPerRequest = 2;
-    startServer(config);
+    startServer();
     DjinnClient client;
     ASSERT_TRUE(connect(client).isOk());
-    std::vector<float> input(12, 0.0f);
-    auto result = client.infer("tiny", 3, input);
+    std::vector<float> input(4 * kMaxRowsPerRequest, 0.0f);
+    EXPECT_TRUE(client.infer("tiny", kMaxRowsPerRequest, input).isOk());
+    input.resize(4 * (kMaxRowsPerRequest + 1), 0.0f);
+    auto result = client.infer("tiny", kMaxRowsPerRequest + 1, input);
     ASSERT_FALSE(result.isOk());
     EXPECT_EQ(result.status().code(), StatusCode::InvalidArgument);
 }
@@ -642,7 +642,6 @@ TEST_F(ServerTest, RegistryIsAViewOfFlightRecords)
         config.batching = batching;
         config.batchOptions.maxQueries = 64;
         config.batchOptions.maxQueueDepth = 2;
-        config.maxRowsPerRequest = 8;
         startServer(config);
         auto infer = [this](int rows, uint32_t deadline_ms = 0,
                             float first = 0.5f) {
@@ -654,9 +653,10 @@ TEST_F(ServerTest, RegistryIsAViewOfFlightRecords)
             input[0] = first;
             return client.infer("held", rows, input).status().code();
         };
-        for (int rows : {2, 3, 5, 8})
+        const int cap = static_cast<int>(kMaxRowsPerRequest);
+        for (int rows : {2, 3, 5, cap})
             EXPECT_EQ(infer(rows), StatusCode::Ok);
-        EXPECT_EQ(infer(9), StatusCode::InvalidArgument);
+        EXPECT_EQ(infer(cap + 1), StatusCode::InvalidArgument);
         if (batching) {
             // Hold a forward in flight. A 1 ms budget queues behind
             // it and expires; a second query fills the queue to its

@@ -29,6 +29,7 @@
 #include "nn/layers/softmax.hh"
 #include "nn/net_def.hh"
 #include "nn/zoo.hh"
+#include "telemetry/metrics.hh"
 
 namespace djinn {
 namespace nn {
@@ -362,7 +363,8 @@ TEST_P(LiveBatchCompositionProperty, SubmitBitsMatchRun)
     constexpr int64_t kRows = 9;
     core::BatchOptions options;
     options.maxQueries = kRows;
-    core::BatchingExecutor executor(registry, options);
+    telemetry::MetricRegistry metrics;
+    core::BatchingExecutor executor(registry, options, metrics);
     std::atomic<bool> open{false};
     executor.setDispatchGate(
         [&open](const std::string &) { return open.load(); });

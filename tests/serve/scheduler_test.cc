@@ -107,7 +107,7 @@ TEST(AdaptiveScheduler, OverloadFallsBackToThroughputMode)
 {
     // Even a lone query cannot meet the SLO: shrinking batches
     // further only costs throughput, so the policy pins the tuned
-    // maximum instead of death-spiraling to minBatch.
+    // maximum instead of death-spiraling to a batch of 1.
     SchedulerOptions options;
     options.maxBatch = 8;
     options.defaultSloSeconds = 0.050;

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/logging.hh"
-
 namespace djinn {
 namespace serve {
 namespace {
@@ -39,13 +37,10 @@ TEST(Tuner, FaceTunesToTinyBatch)
 
 TEST(Tuner, SweepCoversAllCandidates)
 {
-    TunerOptions options;
-    options.candidates = {1, 4, 16};
-    TunerResult result = tuneBatchSize(App::DIG, fastBase(),
-                                       options);
-    ASSERT_EQ(result.sweep.size(), 3u);
+    TunerResult result = tuneBatchSize(App::DIG, fastBase());
+    ASSERT_EQ(result.sweep.size(), 8u);
     EXPECT_EQ(result.sweep[0].batch, 1);
-    EXPECT_EQ(result.sweep[2].batch, 16);
+    EXPECT_EQ(result.sweep[7].batch, 128);
     for (const auto &point : result.sweep)
         EXPECT_GT(point.throughputQps, 0.0);
 }
@@ -58,40 +53,6 @@ TEST(Tuner, ChosenBatchIsAdmissible)
             EXPECT_TRUE(point.admissible);
         }
     }
-}
-
-TEST(Tuner, TightLatencyBudgetForcesSmallBatch)
-{
-    TunerOptions strict;
-    strict.latencySlack = 1.1;
-    TunerResult result = tuneBatchSize(App::POS, fastBase(),
-                                       strict);
-    EXPECT_LE(result.batch, 4);
-}
-
-TEST(Tuner, LooseThroughputFractionPrefersSmallerBatch)
-{
-    TunerOptions loose;
-    loose.throughputFraction = 0.3;
-    TunerResult relaxed = tuneBatchSize(App::POS, fastBase(),
-                                        loose);
-    TunerOptions tight;
-    tight.throughputFraction = 0.95;
-    TunerResult greedy = tuneBatchSize(App::POS, fastBase(),
-                                       tight);
-    EXPECT_LE(relaxed.batch, greedy.batch);
-}
-
-TEST(Tuner, InvalidOptionsFatal)
-{
-    TunerOptions empty;
-    empty.candidates.clear();
-    EXPECT_THROW(tuneBatchSize(App::IMC, fastBase(), empty),
-                 FatalError);
-    TunerOptions unsorted;
-    unsorted.candidates = {4, 1};
-    EXPECT_THROW(tuneBatchSize(App::IMC, fastBase(), unsorted),
-                 FatalError);
 }
 
 } // namespace

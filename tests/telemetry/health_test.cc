@@ -29,10 +29,9 @@ struct HealthFixture {
     double now = 0.0;
     HealthMonitor monitor;
 
-    explicit HealthFixture(const HealthOptions &options = {})
+    HealthFixture()
         : store(registry),
-          monitor(store, registry, options,
-                  [this] { return now; })
+          monitor(store, registry, [this] { return now; })
     {
     }
 

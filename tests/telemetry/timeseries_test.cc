@@ -147,26 +147,25 @@ TEST(TimeSeries, RingWrapKeepsNewestHistory)
 {
     MetricRegistry registry;
     Gauge &g = registry.gauge("g");
-    TimeSeriesOptions options;
-    options.capacity = 8;
-    TimeSeriesStore store(registry, options);
-    for (int t = 0; t < 20; ++t) {
+    TimeSeriesStore store(registry);
+    const int slots = static_cast<int>(TimeSeriesStore::kCapacity);
+    for (int t = 0; t < slots + 20; ++t) {
         g.set(static_cast<double>(t));
         store.sample(static_cast<double>(t));
     }
-    EXPECT_EQ(store.sampleCount(), 8u);
+    EXPECT_EQ(store.sampleCount(), TimeSeriesStore::kCapacity);
     double newest = 0.0;
     ASSERT_TRUE(store.newestTime(&newest));
-    EXPECT_NEAR(newest, 19.0, 1e-9);
+    EXPECT_NEAR(newest, slots + 19.0, 1e-9);
 
-    // Only slots 12..19 remain; a window over everything sees them.
+    // Only slots 20..619 remain; a window over everything sees them.
     TimeSeriesStore::Window window;
     window.name = "g";
-    window.seconds = 100.0;
+    window.seconds = 1000.0;
     auto minStat =
         store.windowStat(window, TimeSeriesStore::Op::Min);
     ASSERT_TRUE(minStat.valid);
-    EXPECT_NEAR(minStat.value, 12.0, 1e-9);
+    EXPECT_NEAR(minStat.value, 20.0, 1e-9);
 }
 
 TEST(TimeSeries, HistogramWindowQuantile)
@@ -328,14 +327,12 @@ TEST(TimeSeries, SeriesAndJsonRendering)
 TEST(TimeSeries, MaxTracksCapSkipsExcess)
 {
     MetricRegistry registry;
-    TimeSeriesOptions options;
-    options.maxTracks = 3;
-    for (int i = 0; i < 5; ++i)
+    for (size_t i = 0; i <= TimeSeriesStore::kMaxTracks; ++i)
         registry.counter("m" + std::to_string(i) + "_total");
-    TimeSeriesStore store(registry, options);
+    TimeSeriesStore store(registry);
     store.sample(0.0);
-    EXPECT_EQ(store.trackCount(), 3u);
-    EXPECT_EQ(store.skippedTracks(), 2u);
+    EXPECT_EQ(store.trackCount(), TimeSeriesStore::kMaxTracks);
+    EXPECT_EQ(store.skippedTracks(), 1u);
 }
 
 TEST(TimeSeries, EmptyStoreAnswersInvalid)

@@ -304,10 +304,10 @@ TEST(ChromeTraceTest, SpansNestAndTimestampsMonotonePerTrack)
     // "X" event timestamps are monotone — required for correct
     // nesting of complete events in the viewer.
     std::vector<TraceEvent> sorted = events;
-    std::stable_sort(sorted.begin(), sorted.end(),
-                     [](const TraceEvent &a, const TraceEvent &b) {
-                         return a.startUs < b.startUs;
-                     });
+    std::sort(sorted.begin(), sorted.end(),
+              [](const TraceEvent &a, const TraceEvent &b) {
+                  return a.startUs < b.startUs;
+              });
     EXPECT_EQ(sorted.front().name, "parent");
     int64_t prev = -1;
     for (const auto &e : sorted) {

@@ -14,10 +14,8 @@
  *          [--compute-threads N]
  *          [--metrics-dump] [--metrics-dump-json]
  *          [--http-port N] [--no-tracing]
- *          [--profile-hz N] [--slo-ms X]
- *          [--sched adaptive|static]
+ *          [--slo-ms X] [--sched adaptive|static]
  *          [--tenant NAME=MODEL[:WEIGHT]]...
- *          [--timeseries-cap N]
  *          [--netdef FILE --weights FILE]...
  *
  * --metrics-dump prints the full telemetry exposition (Prometheus
@@ -51,14 +49,12 @@
  * disables span recording for sampled requests (and with it the
  * store, the health watchdog, and the dashboard).
  *
- * --timeseries-cap N sets the store's retention in sampler-period
- * slots (default 600 = 2.5 minutes at the 0.25 s period).
+ * The store keeps 600 sampler-period slots (2.5 minutes at the
+ * 0.25 s period). /profile samples at 97 Hz for its window only.
  *
- * --profile-hz N runs the continuous sampling profiler at N samples
- * per consumed CPU-second (off by default; /profile still works via
- * a temporary window). --slo-ms X sets the per-model latency SLO
- * target driving the djinn_slo_* good/bad counters and burn-rate
- * gauges (default 50 ms; 0 disables SLO tracking).
+ * --slo-ms X sets the per-model latency SLO target driving the
+ * djinn_slo_* good/bad counters and burn-rate gauges (default
+ * 50 ms; 0 disables SLO tracking).
  *
  * --sched adaptive enables the SLO-driven adaptive batch scheduler
  * (DESIGN.md §16): each model's dispatch batch is sized from its
@@ -127,10 +123,8 @@ usage()
                  "              [--seed N] [--metrics-dump] "
                  "[--metrics-dump-json]\n"
                  "              [--http-port N] [--no-tracing]\n"
-                 "              [--profile-hz N] [--slo-ms X]\n"
-                 "              [--sched adaptive|static]\n"
+                 "              [--slo-ms X] [--sched adaptive|static]\n"
                  "              [--tenant NAME=MODEL[:WEIGHT]]...\n"
-                 "              [--timeseries-cap N]\n"
                  "              [--netdef F --weights F]...\n");
 }
 
@@ -213,8 +207,6 @@ main(int argc, char **argv)
             config.httpPort = std::atoi(next("--http-port"));
         } else if (arg == "--no-tracing") {
             config.tracing = false;
-        } else if (arg == "--profile-hz") {
-            config.profileHz = std::atoi(next("--profile-hz"));
         } else if (arg == "--slo-ms") {
             config.sloTargetSeconds =
                 std::atof(next("--slo-ms")) * 1e-3;
@@ -258,14 +250,6 @@ main(int argc, char **argv)
             tenants.emplace_back(name, model);
             config.tenantWeights[name] = weight;
             config.tenantModels[name] = name;
-        } else if (arg == "--timeseries-cap") {
-            int cap = std::atoi(next("--timeseries-cap"));
-            if (cap < 2) {
-                std::fprintf(stderr,
-                             "--timeseries-cap must be >= 2\n");
-                return 2;
-            }
-            config.timeseriesCapacity = static_cast<size_t>(cap);
         } else if (arg == "--metrics-dump") {
             metrics_dump = true;
         } else if (arg == "--metrics-dump-json") {
