@@ -174,6 +174,13 @@ cd ..
     --gtest_filter='GemmDiffInt8.KernelsAgreeBitForBit' \
     | grep 'kernels run:'
 
+# Guarded vector math (DESIGN.md §8): exp, LRN's x^0.75 and the
+# sigmoid must give the scalar expressions' bits on every one of the
+# 2^32 float inputs. glibc picks its expf/powf per host, so this
+# proves the identity against the libm this host loads (~30 s on 4
+# threads).
+./build/tools/vmath_check
+
 # Smoke test the observability surface: boot a real daemon with the
 # HTTP endpoint and let scrape_check validate /healthz, /metrics
 # (must parse as Prometheus exposition), /trace, and /profile.
@@ -447,18 +454,21 @@ rm -f /tmp/djinn_bench_a.json /tmp/djinn_bench_b.json
 # layer's im2row indexes the image the same way. The FFT front
 # end indexes through a bit-reversal table, and the Tonic apps
 # read fixed-width rows out of server responses that the
-# WrongWidth tests deliberately mis-size. The Chrome trace export
-# sorts the trace ring's spans, where a sort's temporary buffer
-# once tripped ASan's alloc-dealloc check.
+# WrongWidth tests deliberately mis-size. The guarded vector math
+# loads and stores masked tails of raw layer buffers (Vmath*, and
+# the Sigmoid, LRN and batch-composition tests through the layers).
+# The whole telemetry suite runs: its sorts' temporary buffers come
+# from the nothrow operator new that timeseries_test replaces.
 cmake -B build-asan -S . -DDJINN_SANITIZE=address,undefined \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build build-asan -j --target nn_test tonic_test \
     tonic_apps_test telemetry_test
-./build-asan/tests/nn_test --gtest_filter='GemmDiff*:Quant*:Convolution*'
+./build-asan/tests/nn_test \
+    --gtest_filter='GemmDiff*:Quant*:Convolution*:Vmath*:Activation*:Lrn*:*BatchComposition*'
 ./build-asan/tests/tonic_test --gtest_filter='Filterbank*:Splice*'
 ./build-asan/tests/tonic_apps_test \
     --gtest_filter='WrongWidth*:AsrPipeline*'
-./build-asan/tests/telemetry_test --gtest_filter='ChromeTrace*'
+./build-asan/tests/telemetry_test
 
 # ThreadSanitizer pass over the concurrency-heavy suites: the
 # compute pool, the threaded GEMM kernel, the batching server, and

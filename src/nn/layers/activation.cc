@@ -7,6 +7,7 @@
 
 #include "common/logging.hh"
 #include "common/thread_pool.hh"
+#include "nn/vmath.hh"
 
 namespace djinn {
 namespace nn {
@@ -57,8 +58,7 @@ ActivationLayer::forwardImpl(const Tensor &in, Tensor &out) const
                     dst[i] = std::tanh(src[i]);
                 break;
               case LayerKind::Sigmoid:
-                for (int64_t i = i0; i < i1; ++i)
-                    dst[i] = 1.0f / (1.0f + std::exp(-src[i]));
+                vmath::sigmoid(src + i0, dst + i0, i1 - i0);
                 break;
               case LayerKind::HardTanh:
                 for (int64_t i = i0; i < i1; ++i)

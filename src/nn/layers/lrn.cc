@@ -1,18 +1,16 @@
 #include "nn/layers/lrn.hh"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/logging.hh"
 #include "common/thread_pool.hh"
+#include "nn/vmath.hh"
 
 namespace djinn {
 namespace nn {
 
-LrnLayer::LrnLayer(std::string name, int64_t size, float alpha,
-                   float beta, float k)
-    : Layer(std::move(name), LayerKind::LRN), size_(size),
-      alpha_(alpha), beta_(beta), k_(k)
+LrnLayer::LrnLayer(std::string name, int64_t size, float alpha)
+    : Layer(std::move(name), LayerKind::LRN), size_(size), alpha_(alpha)
 {
     if (size <= 0 || size % 2 == 0)
         fatal("lrn layer '%s': window size %ld must be odd positive",
@@ -31,9 +29,10 @@ LrnLayer::forwardImpl(const Tensor &in, Tensor &out) const
     const Shape &is = inputShape();
     int64_t plane = is.h() * is.w();
     int64_t half = size_ / 2;
+    float alphaOverSize = alpha_ / static_cast<float>(size_);
 
-    // (image, channel) planes split across the compute pool; each
-    // output element's window sum and pow are unchanged.
+    // (image, channel) planes split across the compute pool. Each step
+    // runs across a plane and vectorizes; a window sums in cc order.
     int64_t grain = std::max<int64_t>(1, 16384 / (plane * size_));
     common::computePool().parallelFor(
         0, in.shape().n() * is.c(), grain, [&](int64_t p0, int64_t p1) {
@@ -43,15 +42,18 @@ LrnLayer::forwardImpl(const Tensor &in, Tensor &out) const
                 float *dst = out.sample(p / is.c()) + c * plane;
                 int64_t c0 = std::max<int64_t>(c - half, 0);
                 int64_t c1 = std::min<int64_t>(c + half, is.c() - 1);
-                for (int64_t i = 0; i < plane; ++i) {
-                    float sq = 0.0f;
-                    for (int64_t cc = c0; cc <= c1; ++cc) {
-                        float v = src[cc * plane + i];
-                        sq += v * v;
-                    }
-                    float scale = k_ + alpha_ / static_cast<float>(size_) * sq;
-                    dst[i] = src[c * plane + i] / std::pow(scale, beta_);
+                std::fill(dst, dst + plane, 0.0f);
+                for (int64_t cc = c0; cc <= c1; ++cc) {
+                    const float *v = src + cc * plane;
+                    for (int64_t i = 0; i < plane; ++i)
+                        dst[i] += v[i] * v[i];
                 }
+                // k = 1 and beta = 0.75; pow075 has std::pow's bits.
+                for (int64_t i = 0; i < plane; ++i)
+                    dst[i] = 1.0f + alphaOverSize * dst[i];
+                vmath::pow075(dst, dst, plane);
+                for (int64_t i = 0; i < plane; ++i)
+                    dst[i] = src[c * plane + i] / dst[i];
             }
         });
 }

@@ -13,8 +13,9 @@ namespace nn {
 
 /**
  * Cross-channel LRN:
- * out = in / (k + alpha/size * sum_{local window} in^2)^beta.
- * Defaults match AlexNet (size 5, alpha 1e-4, beta 0.75, k 1).
+ * out = in / (1 + alpha/size * sum_{local window} in^2)^0.75,
+ * AlexNet's k = 1 and beta = 0.75. Defaults match AlexNet (size 5,
+ * alpha 1e-4).
  */
 class LrnLayer : public Layer
 {
@@ -23,11 +24,8 @@ class LrnLayer : public Layer
      * @param name layer name.
      * @param size channel window size (odd).
      * @param alpha scale on the squared sum.
-     * @param beta exponent.
-     * @param k additive constant.
      */
-    LrnLayer(std::string name, int64_t size = 5, float alpha = 1e-4f,
-             float beta = 0.75f, float k = 1.0f);
+    LrnLayer(std::string name, int64_t size = 5, float alpha = 1e-4f);
 
     int64_t size() const { return size_; }
 
@@ -45,8 +43,6 @@ class LrnLayer : public Layer
   private:
     int64_t size_;
     float alpha_;
-    float beta_;
-    float k_;
 };
 
 } // namespace nn

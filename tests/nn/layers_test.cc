@@ -679,7 +679,7 @@ TEST(Activation, HardTanhClamps)
 
 TEST(Lrn, PreservesShapeAndNormalizes)
 {
-    LrnLayer lrn("lrn", 5, 1e-4f, 0.75f, 1.0f);
+    LrnLayer lrn("lrn", 5, 1e-4f);
     lrn.setup(Shape(1, 8, 2, 2));
     Tensor in = randomTensor(Shape(2, 8, 2, 2), 5);
     Tensor out;
@@ -693,7 +693,7 @@ TEST(Lrn, PreservesShapeAndNormalizes)
 
 TEST(Lrn, StrongNormalizationShrinksLargeActivations)
 {
-    LrnLayer lrn("lrn", 3, 1.0f, 0.75f, 1.0f);
+    LrnLayer lrn("lrn", 3, 1.0f);
     lrn.setup(Shape(1, 3, 1, 1));
     Tensor in(Shape(1, 3, 1, 1), 3.0f);
     Tensor out;

@@ -28,14 +28,20 @@ namespace {
 std::atomic<bool> g_count_allocs{false};
 std::atomic<uint64_t> g_alloc_count{0};
 
+void *
+countedMalloc(size_t size)
+{
+    if (g_count_allocs.load(std::memory_order_relaxed))
+        g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+    return std::malloc(size);
+}
+
 } // namespace
 
 void *
 operator new(size_t size)
 {
-    if (g_count_allocs.load(std::memory_order_relaxed))
-        g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-    void *p = std::malloc(size);
+    void *p = countedMalloc(size);
     if (!p)
         throw std::bad_alloc();
     return p;
@@ -45,6 +51,21 @@ void *
 operator new[](size_t size)
 {
     return ::operator new(size);
+}
+
+// The nothrow forms too (std::stable_sort's temporary buffer uses
+// one): left to the runtime, its block would reach the free() below
+// from another allocator, which ASan reports as a mismatch.
+void *
+operator new(size_t size, const std::nothrow_t &) noexcept
+{
+    return countedMalloc(size);
+}
+
+void *
+operator new[](size_t size, const std::nothrow_t &) noexcept
+{
+    return countedMalloc(size);
 }
 
 void
